@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -133,3 +134,15 @@ class TestSerialization:
     def test_manifest_json_round_trip(self):
         rep = mc.simulate(small_cfg(replications=4))
         assert json.loads(mc.manifest_json(rep))["version"] == mc.VERSION
+
+
+def test_golden_report_digest():
+    """Pinned bytes of a small Burr grid: a change to the sampler, the
+    second-order step, the estimators or the reduction that moves any digit
+    of report.csv or dominance.csv changes this digest."""
+    cfg = mc.ExperimentConfig(family="burr", n=1000, replications=50, seed=20240,
+                              grid=((0.25, -4.7), (1.0, -1.0)))
+    rep = mc.simulate(cfg)
+    text = mc.report_to_csv(rep) + mc.dominance_to_csv(mc.dominance_map(rep))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3816f10ee25c5d51e9de5130785a15c82faddf2bbbe6bcc3811f2170146804d7"
