@@ -27,7 +27,7 @@ from .asymptotics import (
     estimator_limit_constants,
     xi,
 )
-from .distributions import DistSpec, hall_model, quantile, sample
+from .distributions import DistSpec, hall_model, quantile, sample, sample_block
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -57,6 +57,6 @@ from .secondorder import (
     estimate_rho,
     rho_hat,
 )
-from .stats import Sample, power_log, stat_g, stat_h
+from .stats import Sample, SampleBlock, power_log, stat_g, stat_h
 
 __version__ = "0.1.0"

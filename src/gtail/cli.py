@@ -224,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("config")
     ps.add_argument("--seed", type=int)
     ps.add_argument("--output-dir", default="gtail-report")
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=int, default=1,
+                    help="run cells in up to this many processes (at most one per cell"
+                         " and per CPU); the report bytes do not depend on it")
     ps.add_argument("--dominance", action="store_true",
                     help="also write the per-cell winner raster")
     ps.set_defaults(func=cmd_simulate)

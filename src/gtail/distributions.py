@@ -20,12 +20,17 @@ import numpy as np
 
 from .asymptotics import SecondOrderModel
 from .errors import DomainError
-from .stats import Sample
+from .stats import Sample, SampleBlock
 
 FAMILIES = ("pareto", "burr", "kumaraswamy")
 
 #: Algorithm identifier recorded in simulation manifests.
 GENERATOR_NAME = "numpy-philox4x64/seedsequence"
+
+#: |log (1-p)^rho| beyond which exp of it is taken for the power itself
+#: (exp(700) and exp(-700) are still normal doubles).
+_FAR_TAIL = 700.0
+_LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,10 @@ class DistSpec:
 def quantile(d: DistSpec, p):
     """Analytic inverse CDF, vectorized over p in (0, 1).
 
-    The Kumaraswamy branch works in log-space ((1-p)^(-rho) via
-    exp(-rho*log1p(-p))) so that extreme rho does not overflow.
+    Burr and Kumaraswamy work with a = log (1-p)^(+-rho) so that no power of
+    1-p overflows or underflows: where |a| > _FAR_TAIL the power is taken as
+    exp(a) itself and the quantile as exp(a * exponent), exact to double
+    precision there, and finite for every p up to 1 - 2^-53.
     """
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
@@ -61,10 +68,17 @@ def quantile(d: DistSpec, p):
         x = (1.0 - p) ** (-g)
     elif d.family == "burr":
         rho = d.rho
-        x = np.expm1(rho * np.log1p(-p)) ** (-g / rho)
+        a = rho * np.log1p(-p)  # log (1-p)^rho > 0
+        with np.errstate(over="ignore"):
+            x = np.where(a > _FAR_TAIL, np.exp(a * (-g / rho)), np.expm1(a) ** (-g / rho))
     else:  # kumaraswamy
         rho = d.rho
-        x = (-np.log(-np.expm1(-rho * np.log1p(-p)))) ** (g / rho)
+        a = -rho * np.log1p(-p)  # log (1-p)^(-rho) < 0
+        with np.errstate(divide="ignore"):
+            # -log(1 - exp(a)), each form used on the side of -log 2 where
+            # it does not cancel
+            y = np.where(a > -_LOG_2, -np.log(-np.expm1(a)), -np.log1p(-np.exp(a)))
+            x = np.where(a < -_FAR_TAIL, np.exp(a * (g / rho)), y ** (g / rho))
     x = d.scale * x
     return float(x) if x.ndim == 0 else x
 
@@ -79,17 +93,24 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def sample_block(d: DistSpec, n: int, seed: int, stream_keys) -> SampleBlock:
+    """One sample of n i.i.d. draws per stream key, stacked as rows; row i is
+    ``sample(d, n, seed, stream_key=stream_keys[i])``."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    u = np.empty((len(stream_keys), n))
+    for row, key in zip(u, stream_keys):
+        substream(seed, *key).random(out=row)
+    # u is in [0, 1); nudge exact zeros so the quantile argument stays in (0, 1)
+    u[u == 0.0] = 2.0**-53
+    return SampleBlock.from_values(quantile(d, u))
+
+
 def sample(d: DistSpec, n: int, seed: int, *, stream_key: tuple[int, ...] = ()) -> Sample:
     """n i.i.d. draws via inverse transform; identical (d, n, seed) gives
     identical output."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    rng = substream(seed, *stream_key)
-    u = rng.random(n)
-    # u is in [0, 1); nudge exact zeros so the quantile argument stays in (0, 1)
-    u[u == 0.0] = 2.0**-53
-    values = quantile(d, u)
-    return Sample.from_values(np.atleast_1d(values))
+    (s,) = sample_block(d, n, seed, [stream_key]).samples()
+    return s
 
 
 def hall_model(d: DistSpec) -> SecondOrderModel:

@@ -8,6 +8,11 @@ Reproducibility contract: every replication draws from a stream derived from
 (seed, cell_key, replication_index), per-replication results are stored by
 index and reduced in a fixed order, so the report bytes are identical across
 runs and across worker counts.
+
+Replications run in blocks of :data:`_BLOCK_BYTES` of sample data, one
+replication per row, so that the second-order step (the rho sweep and beta)
+costs one set of array operations per block; workers shard whole cells
+across processes.
 """
 
 from __future__ import annotations
@@ -15,21 +20,28 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from . import estimators as est
 from .asymptotics import SecondOrderModel, phi3, psi_H, psi_MR, estimator_limit_constants
-from .distributions import GENERATOR_NAME, DistSpec, hall_model, sample
-from .errors import DomainError, PipelineError
-from .secondorder import _adaptive_from_second_order, _estimate_second_order
+from .distributions import GENERATOR_NAME, DistSpec, hall_model, sample, sample_block
+from .errors import DomainError
+from .secondorder import AdaptiveResult, adaptive_all
 from .stats import Sample
 
 VERSION = "0.1.0"
 
 LABELS = ("hill", "gh", "mr", "gmr")
+#: (j, classical label, tuned label) of the two adaptive pipelines
+_PIPELINES = ((1, "hill", "gh"), (3, "mr", "gmr"))
+
+#: Bytes of sample data per block of replications: 8 rows at n = 1000, one
+#: row from n = 8192 up, where per-call overhead no longer matters.
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,49 +103,40 @@ class SimReport:
     manifest: dict = field(default_factory=dict)
 
 
-def _four_estimates(s: Sample) -> dict[str, float]:
-    """One replication of the four adaptive pipelines; NaN marks a failure."""
-    out = {label: math.nan for label in LABELS}
-    try:
-        rho, beta = _estimate_second_order(s)
-    except PipelineError:
-        return out
-    for j, classical_label, generalized_label in ((1, "hill", "gh"), (3, "mr", "gmr")):
-        try:
-            res = _adaptive_from_second_order(s, j, rho, beta)
-            out[classical_label] = res.classical.gamma_hat
-            out[generalized_label] = res.generalized.gamma_hat
-        except PipelineError:
-            pass
-    return out
+def _dist(cfg: ExperimentConfig, gamma: float, rho: float) -> DistSpec:
+    return DistSpec(cfg.family, gamma, rho if cfg.family != "pareto" else None, scale=cfg.scale)
 
 
-def run_cell(cfg: ExperimentConfig, gamma: float, rho: float, cell_key: int = 0,
-             workers: int = 1) -> CellReport:
-    """Monte-Carlo stats of the four adaptive pipelines at one (gamma, rho)."""
-    dist = DistSpec(cfg.family, gamma, rho if cfg.family != "pareto" else None,
-                    scale=cfg.scale)
+def cell_estimates(cfg: ExperimentConfig, gamma: float, rho: float,
+                   cell_key: int = 0) -> dict[str, np.ndarray]:
+    """Per-replication estimates of the four adaptive pipelines at one
+    (gamma, rho), by label; NaN marks a failed replication."""
+    dist = _dist(cfg, gamma, rho)
     reps = cfg.replications
-    if hall_model(dist).bias_free:
+    values = {label: np.full(reps, np.nan) for label in LABELS}
+    rows = max(1, _BLOCK_BYTES // (8 * cfg.n))
+    for start in range(0, reps, rows):
+        keys = [(cell_key, rep) for rep in range(start, min(start + rows, reps))]
+        block = sample_block(dist, cfg.n, cfg.seed, keys)
+        for rep, results in enumerate(adaptive_all(block), start):
+            for j, classical, generalized in _PIPELINES:
+                res = results[j]
+                if isinstance(res, AdaptiveResult):
+                    values[classical][rep] = res.classical.gamma_hat
+                    values[generalized][rep] = res.generalized.gamma_hat
+    return values
+
+
+def run_cell(cfg: ExperimentConfig, gamma: float, rho: float, cell_key: int = 0) -> CellReport:
+    """Monte-Carlo stats of the four adaptive pipelines at one (gamma, rho)."""
+    reps = cfg.replications
+    if hall_model(_dist(cfg, gamma, rho)).bias_free:
         # exact power law: no second-order structure for the adaptive pipelines
         # to estimate; every replication is recorded as a pipeline failure
         stats = {label: EstimatorCellStats(math.nan, math.nan, math.nan, math.nan, 0, reps)
                  for label in cfg.estimators}
         return CellReport(gamma, rho, stats, reps, degenerate=True)
-    values = {label: np.full(reps, np.nan) for label in LABELS}
-
-    def one(rep: int) -> None:
-        s = sample(dist, cfg.n, cfg.seed, stream_key=(cell_key, rep))
-        for label, v in _four_estimates(s).items():
-            values[label][rep] = v
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(reps)))
-    else:
-        for rep in range(reps):
-            one(rep)
-
+    values = cell_estimates(cfg, gamma, rho, cell_key)
     stats = {}
     for label in cfg.estimators:
         v = values[label]
@@ -153,16 +156,37 @@ def run_cell(cfg: ExperimentConfig, gamma: float, rho: float, cell_key: int = 0,
     return CellReport(gamma, rho, stats, reps, degenerate=worst > reps // 2)
 
 
+def _run_cells(cfg: ExperimentConfig, cells: list, workers: int) -> list[CellReport]:
+    """run_cell on every (gamma, rho) of cells, with its index as cell key.
+
+    Cells are sharded across up to min(workers, cells, cpus) spawned
+    processes; the reports come back in cell order either way.
+    """
+    args = (repeat(cfg), [g for g, _ in cells], [r for _, r in cells], range(len(cells)))
+    processes = min(workers, len(cells), os.cpu_count() or 1)
+    if processes <= 1:
+        return list(map(run_cell, *args))
+    # imported here so that importing gtail does not pay for multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(run_cell, *args))
+
+
 def simulate(cfg: ExperimentConfig, workers: int = 1) -> SimReport:
-    """Run every configured cell and attach the reproducibility manifest."""
+    """Run every configured cell and attach the reproducibility manifest.
+
+    workers > 1 runs cells in that many processes (at most one per cell and
+    per CPU); the report is the same bytes for every worker count.
+    """
     if cfg.grid:
         cells = list(cfg.grid)
     else:
         if cfg.gamma is None or cfg.rho is None:
             raise DomainError("config needs either a grid or a (gamma, rho) pair")
         cells = [(cfg.gamma, cfg.rho)]
-    reports = [run_cell(cfg, g, r, cell_key=i, workers=workers)
-               for i, (g, r) in enumerate(cells)]
+    reports = _run_cells(cfg, cells, workers)
     manifest = {
         "seed": cfg.seed,
         "generator": GENERATOR_NAME,
@@ -201,8 +225,8 @@ def ratio_curve(cfg: ExperimentConfig, gamma: float, rho_values, pair=("mr", "gm
     num, den = pair
     theory = _PAIR_CURVES.get((num, den))
     rows = []
-    for i, rho in enumerate(rho_values):
-        cell = run_cell(cfg, gamma, rho, cell_key=i, workers=workers)
+    for cell in _run_cells(cfg, [(gamma, rho) for rho in rho_values], workers):
+        rho = cell.rho
         st_num, st_den = cell.stats.get(num), cell.stats.get(den)
         if cell.degenerate or st_num is None or st_den is None \
                 or st_num.count == 0 or st_den.count == 0 or st_den.mse == 0.0:

@@ -16,13 +16,21 @@ tuning exponent tau to an external algorithm; here rho_hat(k, tau) is
 evaluated for k in the window [n^0.90, n^0.995] for tau in {0, 1}, the tau
 whose path has the smaller interquartile range wins, and the path median is
 reported.
+
+Steps 1 and 2 run on a :class:`~gtail.stats.SampleBlock` of equal-size
+samples, one replication per row: one prefix-sum log-moment profile per
+block serves both tau, and the rho paths, the tau choice, the median, the
+clamps and beta are array operations over the rows. A single Sample is the
+one-row case. Functions that take either return, for a block, one result per
+row with a failed row's exception in its place, and for a Sample the result
+itself, raising on failure. Steps 3 to 5 run row by row.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from . import estimators
 from .asymptotics import r_star
 from .errors import DegenerateSampleError, DomainError, PipelineError
 from .estimators import Estimate
-from .stats import Sample, log_moment_profile, stat_g
+from .stats import Sample, SampleBlock, log_moment_profile, stat_g
 
 #: rho estimates below this are clamped (with a warning): more negative values
 #: make the (i/k)^(-rho) power sums in beta_hat explode.
@@ -47,7 +55,9 @@ class RhoEstimate:
     rho_hat: float
     tau: int
     k_used: int
-    path: list  # (k, rho_hat(k, tau)) pairs at the chosen tau
+    #: (k, rho_hat(k, tau)) rows over the k window at the chosen tau, finite
+    #: values only
+    path: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,21 @@ class BetaEstimate:
     @property
     def near_zero(self) -> bool:
         return abs(self.beta_hat) < 1e-6
+
+
+def _block(s: Sample | SampleBlock) -> SampleBlock:
+    return s if isinstance(s, SampleBlock) else SampleBlock.of(s)
+
+
+def _per_sample(s: Sample | SampleBlock, results: list):
+    """The per-row results for a block; for a Sample its one result, raised
+    if it is an exception."""
+    if isinstance(s, SampleBlock):
+        return results
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _t_statistic(m1, m2, m3, tau: int):
@@ -89,21 +114,40 @@ def rho_hat(s: Sample, k: int, tau: int) -> float:
     return -abs(3.0 * (t - 1.0) / (t - 3.0))
 
 
-def _rho_path(s: Sample, ks: np.ndarray, tau: int) -> np.ndarray:
-    """Vectorized rho_hat over many k; invalid entries become NaN."""
-    prof = log_moment_profile(s, ks, u_max=3)
-    m1, m2, m3 = prof[:, 0], prof[:, 1] / 2.0, prof[:, 2] / 6.0
-    ok = (m1 > 0) & (m2 > 0) & (m3 > 0)
-    out = np.full(ks.size, np.nan)
-    if not np.any(ok):
-        return out
+def _rho_path(m1, m2, m3, ok, tau: int) -> np.ndarray:
+    """rho_hat over the k window for every row; invalid entries become NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _t_statistic(m1[ok], m2[ok], m3[ok], tau)
+        num, den = _t_statistic(m1, m2, m3, tau)
         t = num / den
-        vals = -np.abs(3.0 * (t - 1.0) / (t - 3.0))
-    vals[~np.isfinite(vals)] = np.nan
-    out[ok] = vals
-    return out
+        path = -np.abs(3.0 * (t - 1.0) / (t - 3.0))
+    path[~(ok & np.isfinite(path))] = np.nan
+    return path
+
+
+def _path_stats(path: np.ndarray):
+    """Per row: the number of valid entries, and the interquartile range and
+    median of the valid entries, from one sort of the block.
+
+    The quartiles interpolate linearly at virtual index (count - 1) * q and
+    an even count takes the midpoint of the two middle values: numpy's
+    default percentile and its median, to the last bit.
+    """
+    srt = np.sort(path, axis=1)  # NaN sorts last
+    count = path.shape[1] - np.isnan(path).sum(axis=1)
+    last = np.maximum(count - 1, 0)
+    rows = np.arange(path.shape[0])
+
+    def quantile(q: float) -> np.ndarray:
+        at = last * q
+        lo = np.floor(at).astype(int)
+        a, b = srt[rows, lo], srt[rows, np.minimum(lo + 1, last)]
+        t = at - lo
+        return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+    half = count // 2
+    odd = srt[rows, half]
+    even = (srt[rows, np.maximum(half - 1, 0)] + odd) / 2
+    return count, quantile(0.75) - quantile(0.25), np.where(count % 2 == 1, odd, even)
 
 
 def _k_window(n: int) -> np.ndarray:
@@ -114,65 +158,105 @@ def _k_window(n: int) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def estimate_rho(s: Sample) -> RhoEstimate:
+def estimate_rho(s: Sample | SampleBlock):
     """Sweep rho_hat over the high-k window, pick the more stable tau by
     interquartile range, and report the path median (clamped to stay in
-    [RHO_FLOOR, RHO_CEILING])."""
-    ks = _k_window(s.n)
-    best = None
-    for tau in (0, 1):
-        path = _rho_path(s, ks, tau)
-        valid = np.isfinite(path)
-        if not np.any(valid):
+    [RHO_FLOOR, RHO_CEILING]).
+
+    One log-moment profile serves both tau. For a block, returns one
+    RhoEstimate per row, or the DegenerateSampleError of a row whose path is
+    invalid over the whole window.
+    """
+    block = _block(s)
+    ks = _k_window(block.n)
+    prof = log_moment_profile(block, ks, u_max=3)
+    # contiguous columns, so that every row goes through the same ufunc loops
+    m1, m2, m3 = prof[..., 0].copy(), prof[..., 1] / 2.0, prof[..., 2] / 6.0
+    del prof
+    ok = (m1 > 0) & (m2 > 0) & (m3 > 0)
+    tau = np.full(block.rows, -1)  # -1 until some tau has a valid path
+    count = np.zeros(block.rows, dtype=int)
+    best_iqr = np.full(block.rows, np.nan)
+    median = np.full(block.rows, np.nan)
+    # (k, rho_hat) pairs of the chosen tau, filled tau by tau
+    pairs = np.empty((block.rows, ks.size, 2))
+    pairs[..., 0] = ks
+    for t in (0, 1):
+        path = _rho_path(m1, m2, m3, ok, t)
+        n_valid, iqr, med = _path_stats(path)
+        better = (n_valid > 0) & ((tau < 0) | (iqr < best_iqr))
+        tau[better], count[better] = t, n_valid[better]
+        best_iqr[better], median[better] = iqr[better], med[better]
+        pairs[better, :, 1] = path[better]
+        del path
+    k_used = min(block.n - 1, int(block.n**_K_WINDOW_HIGH))
+    out = []
+    for row in range(block.rows):
+        if tau[row] < 0:
+            out.append(DegenerateSampleError("rho estimation degenerate over the whole k window"))
             continue
-        vals = path[valid]
-        q1, q3 = np.percentile(vals, [25.0, 75.0])
-        iqr = q3 - q1
-        if best is None or iqr < best[0]:
-            best = (iqr, tau, ks[valid], vals)
-    if best is None:
-        raise DegenerateSampleError("rho estimation degenerate over the whole k window")
-    _, tau, kvals, vals = best
-    rho = float(np.median(vals))
-    if rho < RHO_FLOOR:
-        warnings.warn(f"rho estimate {rho:.2f} clamped to {RHO_FLOOR}", stacklevel=2)
-        rho = RHO_FLOOR
-    if rho > RHO_CEILING:
-        rho = RHO_CEILING
-    k_used = min(s.n - 1, int(s.n**_K_WINDOW_HIGH))
-    return RhoEstimate(rho, tau, k_used, list(zip(kvals.tolist(), vals.tolist())))
+        rho = float(median[row])
+        if rho < RHO_FLOOR:
+            warnings.warn(f"rho estimate {rho:.2f} clamped to {RHO_FLOOR}", stacklevel=2)
+            rho = RHO_FLOOR
+        if rho > RHO_CEILING:
+            rho = RHO_CEILING
+        path = pairs[row]
+        if count[row] < ks.size:
+            path = path[~np.isnan(path[:, 1])]
+        out.append(RhoEstimate(rho, int(tau[row]), k_used, path))
+    return _per_sample(s, out)
 
 
-def beta_hat(s: Sample, k: int, rho: float) -> float:
+def beta_hat(s: Sample | SampleBlock, k: int, rho):
     """Hall-class beta estimate from weighted scaled log-spacings.
 
     Power weights (i/k)^(-rho) and the prefactor (k/n)^rho are taken through
-    exp/log so that strongly negative rho stays finite.
+    exp/log so that strongly negative rho stays finite. For a block, rho
+    holds one value per row and the result is a list with a
+    DegenerateSampleError for each row whose denominator vanishes.
     """
-    if not rho < 0:
-        raise DomainError(f"rho must be < 0, got {rho}")
-    if not (2 <= k <= s.n - 1):
-        raise DomainError(f"k={k} outside [2, n-1] for n={s.n}")
+    block = _block(s)
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), (block.rows,))
+    if not np.all(rho < 0):
+        raise DomainError(f"rho must be < 0, got {rho if block.rows > 1 else rho[0]}")
+    if not (2 <= k <= block.n - 1):
+        raise DomainError(f"k={k} outside [2, n-1] for n={block.n}")
     i = np.arange(1, k + 1, dtype=float)
+    desc = block.sorted_desc
     # i-th scaled log-spacing of consecutive descending order statistics;
     # log of the ratio keeps the estimate exactly scale-free
-    w = i * np.log(s.sorted_desc[: k] / s.sorted_desc[1: k + 1])
-    x = np.exp(-rho * np.log(i / k))
-    a1 = np.mean(x)
-    a2 = np.mean(w)
-    a3 = np.mean(x * w)
-    a4 = np.mean(x * x * w)
+    w = i * np.log(desc[:, :k] / desc[:, 1: k + 1])
+    x = np.exp(-rho[:, None] * np.log(i / k))
+    a1 = np.mean(x, axis=1)
+    a2 = np.mean(w, axis=1)
+    a3 = np.mean(x * w, axis=1)
+    a4 = np.mean(x * x * w, axis=1)
     den = a1 * a3 - a4
-    if den == 0.0:
-        raise DegenerateSampleError("beta estimation degenerate (zero denominator)")
-    prefactor = math.exp(rho * math.log(k / s.n))
-    return prefactor * (a1 * a2 - a3) / den
+    prefactor = np.array([math.exp(r * math.log(k / block.n)) for r in rho])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = prefactor * (a1 * a2 - a3) / den
+    return _per_sample(s, [
+        DegenerateSampleError("beta estimation degenerate (zero denominator)") if d == 0.0
+        else float(b) for b, d in zip(beta, den)])
 
 
-def estimate_beta(s: Sample, rho: RhoEstimate) -> BetaEstimate:
-    """Beta at the same k the rho sweep used."""
-    b = beta_hat(s, rho.k_used, rho.rho_hat)
-    return BetaEstimate(b, rho.k_used)
+def estimate_beta(s: Sample | SampleBlock, rho):
+    """Beta at the same k the rho sweep used.
+
+    For a block, rho is estimate_rho's list for it; a row whose rho failed
+    keeps that exception in the result.
+    """
+    rhos = rho if isinstance(s, SampleBlock) else [rho]
+    found = [r for r in rhos if isinstance(r, RhoEstimate)]
+    if not found:
+        return _per_sample(s, rhos)
+    k = found[0].k_used  # the k window depends on n only
+    betas = beta_hat(_block(s), k, [r.rho_hat if isinstance(r, RhoEstimate) else RHO_CEILING
+                                    for r in rhos])
+    return _per_sample(s, [
+        b if isinstance(b, Exception) else BetaEstimate(b, k) if isinstance(r, RhoEstimate)
+        else r for r, b in zip(rhos, betas)])
 
 
 def adaptive_k(n: int, rho: float, beta: float, j: int, generalized: bool) -> int:
@@ -228,32 +312,75 @@ def adaptive_estimate(s: Sample, j: int) -> AdaptiveResult:
     """
     if j not in (1, 3):
         raise DomainError(f"adaptive pipeline defined for j in {{1, 3}}, got {j}")
-    if s.n < 100:
-        raise DomainError(f"adaptive pipeline needs n >= 100, got {s.n}")
-    rho, beta = _estimate_second_order(s)
-    return _adaptive_from_second_order(s, j, rho, beta)
+    return _adaptive(s, (j,))[j]
 
 
-def adaptive_all(s: Sample) -> dict[int, AdaptiveResult]:
-    """Both adaptive pipelines (j = 1 and j = 3) sharing one rho/beta step."""
-    if s.n < 100:
-        raise DomainError(f"adaptive pipeline needs n >= 100, got {s.n}")
-    rho, beta = _estimate_second_order(s)
-    return {j: _adaptive_from_second_order(s, j, rho, beta) for j in (1, 3)}
+def adaptive_all(s: Sample | SampleBlock):
+    """Both adaptive pipelines (j = 1 and j = 3) sharing one rho/beta step.
+
+    Returns {j: AdaptiveResult} for a Sample, raising the PipelineError of
+    the first failing pipeline; for a block, one such dict per row, in which
+    a failed pipeline holds its PipelineError.
+    """
+    return _adaptive(s, (1, 3))
 
 
-def _estimate_second_order(s: Sample) -> tuple[RhoEstimate, BetaEstimate]:
+def _adaptive(s: Sample | SampleBlock, js: tuple):
+    block = _block(s)
+    if block.n < 100:
+        raise DomainError(f"adaptive pipeline needs n >= 100, got {block.n}")
+    rows = [{j: _pipeline(row, j, second) for j in js}
+            for row, second in zip(block.samples(), _second_order(block))]
+    if isinstance(s, SampleBlock):
+        return rows
+    (results,) = rows
+    for result in results.values():
+        if isinstance(result, PipelineError):
+            raise result
+    return results
+
+
+def _pipeline(s: Sample, j: int, second) -> AdaptiveResult | PipelineError:
+    """Steps 3-5 for one row, given its _second_order result."""
+    if isinstance(second, PipelineError):
+        return second
     try:
-        rho = estimate_rho(s)
-    except Exception as exc:
-        raise PipelineError("rho", str(exc)) from exc
+        return _adaptive_from_second_order(s, j, *second)
+    except PipelineError as exc:
+        return exc
+
+
+def _rowwise(fn, rows: int, *args) -> list:
+    """fn's per-row results; an exception raised for the whole block is the
+    result of every row."""
     try:
-        beta = estimate_beta(s, rho)
+        return fn(*args)
     except Exception as exc:
-        raise PipelineError("beta", str(exc)) from exc
-    if beta.beta_hat == 0.0:
-        raise PipelineError("beta", "beta estimate is exactly zero")
-    return rho, beta
+        return [exc] * rows
+
+
+def _step_error(step: str, exc: Exception) -> PipelineError:
+    err = PipelineError(step, str(exc))
+    err.__cause__ = exc
+    return err
+
+
+def _second_order(block: SampleBlock) -> list:
+    """Per row, (RhoEstimate, BetaEstimate) or the PipelineError of the
+    failed step."""
+    rhos = _rowwise(estimate_rho, block.rows, block)
+    betas = _rowwise(estimate_beta, block.rows, block, rhos)
+    out = []
+    for rho, beta in zip(rhos, betas):
+        if isinstance(rho, Exception):
+            out.append(_step_error("rho", rho))
+        elif isinstance(beta, Exception):
+            out.append(_step_error("beta", beta))
+        elif beta.beta_hat == 0.0:
+            out.append(PipelineError("beta", "beta estimate is exactly zero"))
+        else:
+            out.append((rho, beta))
+    return out
 
 
 def _adaptive_from_second_order(s: Sample, j: int, rho: RhoEstimate,

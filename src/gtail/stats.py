@@ -42,15 +42,7 @@ class Sample:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
             arr = arr.ravel()
-        if arr.size < 3:
-            raise DomainError(f"sample needs at least 3 observations, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample contains non-finite values")
-        if np.any(arr <= 0.0):
-            bad = float(arr[arr <= 0.0][0])
-            raise DomainError(f"sample contains non-positive value {bad}; all observations must be > 0")
-        desc = np.sort(arr)[::-1].copy()
-        return cls(values=arr, sorted_desc=desc, log_desc=np.log(desc))
+        return cls(arr, *_order_statistics(arr))
 
     @classmethod
     def from_file(cls, path) -> "Sample":
@@ -75,6 +67,54 @@ class Sample:
         if c <= 0:
             raise DomainError("scale factor must be > 0")
         return Sample.from_values(self.values * c)
+
+
+@dataclass(frozen=True)
+class SampleBlock:
+    """Equal-size samples stacked as rows, shape (rows, n), for steps that
+    run on many replications at once; row i holds the arrays that
+    ``Sample.from_values(values[i])`` would."""
+
+    values: np.ndarray
+    sorted_desc: np.ndarray
+    log_desc: np.ndarray = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
+
+    @classmethod
+    def from_values(cls, values) -> "SampleBlock":
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 2:
+            raise DomainError(f"a sample block needs a 2-D array, got {arr.ndim}-D")
+        return cls(arr, *_order_statistics(arr))
+
+    @classmethod
+    def of(cls, s: Sample) -> "SampleBlock":
+        """The one-row block of a sample (views, no copies)."""
+        return cls(s.values[None], s.sorted_desc[None], s.log_desc[None])
+
+    def samples(self) -> list[Sample]:
+        """One Sample per row (views into the block)."""
+        return [Sample(v, d, lg) for v, d, lg in zip(self.values, self.sorted_desc, self.log_desc)]
+
+
+def _order_statistics(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked descending order statistics and their logs along the last axis."""
+    if arr.shape[-1] < 3:
+        raise DomainError(f"sample needs at least 3 observations, got {arr.shape[-1]}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("sample contains non-finite values")
+    if np.any(arr <= 0.0):
+        bad = float(arr[arr <= 0.0][0])
+        raise DomainError(f"sample contains non-positive value {bad}; all observations must be > 0")
+    desc = np.sort(arr, axis=-1)[..., ::-1].copy()
+    return desc, np.log(desc)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -138,10 +178,11 @@ def stat_h(s: Sample, k: int, r: float) -> float:
     return (stat_g(s, k, r, 0.0) - 1.0) / r
 
 
-def log_moment_profile(s: Sample, ks: np.ndarray, u_max: int = 3) -> np.ndarray:
+def log_moment_profile(s: Sample | SampleBlock, ks: np.ndarray, u_max: int = 3) -> np.ndarray:
     """G_n(k, 0, u) for u = 1..u_max over many k at once.
 
-    Returns an array of shape (len(ks), u_max). Uses prefix sums of the log
+    Returns an array of shape (len(ks), u_max) for a Sample and
+    (rows, len(ks), u_max) for a SampleBlock. Uses prefix sums of the log
     order statistics, so a full k-sweep costs O(n) instead of O(n^2); used by
     the second-order parameter estimation sweep.
     """
@@ -149,17 +190,18 @@ def log_moment_profile(s: Sample, ks: np.ndarray, u_max: int = 3) -> np.ndarray:
     if ks.size and (ks.min() < 2 or ks.max() > s.n - 1):
         raise DomainError(f"k values outside [2, n-1] for n={s.n}")
     L = s.log_desc
-    p1 = np.cumsum(L)
-    p2 = np.cumsum(L**2)
-    p3 = np.cumsum(L**3)
-    Lk = L[ks]
-    out = np.empty((ks.size, u_max))
-    s1 = p1[ks - 1] - ks * Lk
-    out[:, 0] = s1 / ks
+    # prefix sums of L^u over the top k - 1 values, each kept only at ks
+    p1 = np.cumsum(L, axis=-1)[..., ks - 1]
+    p2 = np.cumsum(L**2, axis=-1)[..., ks - 1]
+    p3 = np.cumsum(L**3, axis=-1)[..., ks - 1]
+    Lk = L[..., ks]
+    out = np.empty(L.shape[:-1] + (ks.size, u_max))
+    s1 = p1 - ks * Lk
+    out[..., 0] = s1 / ks
     if u_max >= 2:
-        s2 = p2[ks - 1] - 2.0 * Lk * p1[ks - 1] + ks * Lk**2
-        out[:, 1] = s2 / ks
+        s2 = p2 - 2.0 * Lk * p1 + ks * Lk**2
+        out[..., 1] = s2 / ks
     if u_max >= 3:
-        s3 = p3[ks - 1] - 3.0 * Lk * p2[ks - 1] + 3.0 * Lk**2 * p1[ks - 1] - ks * Lk**3
-        out[:, 2] = s3 / ks
+        s3 = p3 - 3.0 * Lk * p2 + 3.0 * Lk**2 * p1 - ks * Lk**3
+        out[..., 2] = s3 / ks
     return out

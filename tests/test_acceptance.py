@@ -245,7 +245,7 @@ def test_criterion_9_adaptive_mse_dominance():
     for i, rho in enumerate((-0.5, -1.0, -2.0, -4.0)):
         cfg = mc.ExperimentConfig(family="burr", n=n, replications=reps,
                                   seed=20_240, gamma=1.0, rho=rho)
-        cell = mc.run_cell(cfg, 1.0, rho, cell_key=i, workers=4)
+        cell = mc.run_cell(cfg, 1.0, rho, cell_key=i)
         ratio = cell.stats["mr"].mse / cell.stats["gmr"].mse
         theory = float(asy.psi_MR(rho))
         results.append((rho, ratio, theory))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtail import distributions as dist
 from gtail.errors import DomainError
@@ -92,6 +94,23 @@ class TestQuantile:
         scaled = dist.DistSpec("burr", 1.0, -1.0, scale=3.0)
         p = np.array([0.1, 0.5, 0.9])
         assert dist.quantile(scaled, p) == pytest.approx(3.0 * dist.quantile(base, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=st.floats(0.0, 4.0, exclude_min=True),
+           rho=st.floats(-25.0, -1e-3),
+           p=st.floats(0.0, 1.0 - 2.0**-53, exclude_min=True))
+    def test_finite_over_the_documented_domain(self, gamma, rho, p):
+        for family in dist.FAMILIES:
+            d = dist.DistSpec(family, gamma, rho if family != "pareto" else None)
+            assert math.isfinite(dist.quantile(d, p)), (family, gamma, rho, p)
+
+    def test_finite_at_the_top_of_the_unit_interval(self):
+        # (1-p)^(-rho) drops below machine epsilon long before p = 1 - 2^-53
+        p = np.array([1.0 - 1e-6, 1.0 - 2.0**-40, 1.0 - 2.0**-53])
+        for rho in (-2.0, -4.95, -25.0):
+            for family in ("burr", "kumaraswamy"):
+                q = dist.quantile(dist.DistSpec(family, 4.0, rho), p)
+                assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0), (family, rho, q)
 
     def test_tail_constant(self):
         # 1 - F(x) ~ C^(1/gamma) x^(-1/gamma): at x = 1e6 the Burr(rho=-1)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
 
+import gtail
 from gtail import montecarlo as mc
 from gtail.asymptotics import psi_MR
 from gtail.errors import DomainError
@@ -38,6 +41,43 @@ class TestRunCell:
         b = mc.run_cell(cfg, 1.0, -1.0)
         assert a == b
 
+    @pytest.mark.parametrize("family, n, gamma, rho, reps", [
+        ("burr", 1000, 1.0, -1.0, 20),                 # blocks of 8 rows: 8 + 8 + 4
+        ("kumaraswamy", 100, 1.5e-17, -0.5, 90),       # near-tied values: rows fail at
+                                                       # rho, classical and r_star
+        ("burr", 1000, 6e-16, -15.0, 100),             # rho-floor clamps
+    ])
+    def test_blocks_match_the_per_sample_pipeline(self, family, n, gamma, rho, reps):
+        cfg = small_cfg(family=family, n=n, replications=reps, seed=7, gamma=gamma, rho=rho)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = mc.cell_estimates(cfg, gamma, rho, cell_key=5)
+        block_clamps = sum(str(w.message).startswith("rho estimate") for w in caught)
+
+        spec = gtail.DistSpec(family, gamma, rho)
+        want = {label: np.full(reps, np.nan) for label in mc.LABELS}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for rep in range(reps):
+                s = gtail.sample(spec, n, 7, stream_key=(5, rep))
+                for j, classical, generalized in ((1, "hill", "gh"), (3, "mr", "gmr")):
+                    try:
+                        res = gtail.adaptive_estimate(s, j)
+                    except gtail.PipelineError:
+                        continue
+                    want[classical][rep] = res.classical.gamma_hat
+                    want[generalized][rep] = res.generalized.gamma_hat
+        # adaptive_estimate runs the rho step once per pipeline
+        sample_clamps = sum(str(w.message).startswith("rho estimate") for w in caught) // 2
+
+        for label in mc.LABELS:
+            assert np.array_equal(got[label], want[label], equal_nan=True), label
+        assert block_clamps == sample_clamps
+        if rho == -15.0:
+            assert block_clamps > 0
+        if n == 100:
+            assert 0 < sum(np.isnan(v).sum() for v in got.values()) < 4 * reps
+
     def test_workers_do_not_change_bytes(self):
         cfg = small_cfg(replications=12)
         rep1 = mc.simulate(cfg, workers=1)
@@ -56,6 +96,10 @@ class TestRunCell:
         for st in cell.stats.values():
             assert st.count + st.failures == 10
 
+    def test_below_the_pipeline_minimum(self):
+        with pytest.raises(DomainError):
+            mc.run_cell(small_cfg(n=99), 1.0, -1.0)
+
     def test_pareto_cell_is_degenerate(self):
         cfg = small_cfg(family="pareto", rho=None)
         cell = mc.run_cell(cfg, 1.0, -1.0)
@@ -66,6 +110,14 @@ class TestRunCell:
 
 
 class TestSimulate:
+    def test_kumaraswamy_far_tail_cell_runs(self):
+        # the quantile used to overflow to inf for p > 1 - 6e-4 at rho = -4.95,
+        # so sampling raised DomainError and aborted the whole grid
+        cfg = small_cfg(family="kumaraswamy", n=1000, replications=4, seed=20240,
+                        gamma=0.05, rho=-4.95)
+        rep = mc.simulate(cfg)
+        assert all(st.count + st.failures == 4 for st in rep.cells[0].stats.values())
+
     def test_grid_and_manifest(self):
         grid = ((0.5, -1.0), (1.0, -0.5))
         cfg = small_cfg(gamma=None, rho=None, grid=grid, replications=4)
@@ -75,6 +127,15 @@ class TestSimulate:
         assert rep.manifest["generator"] == mc.GENERATOR_NAME
         assert rep.manifest["config_digest"] == cfg.digest()
         json.dumps(rep.manifest)  # serializable
+
+    def test_cell_processes_match_serial(self):
+        grid = ((0.5, -1.0), (1.0, -0.5), (2.0, -2.0))
+        cfg = small_cfg(gamma=None, rho=None, grid=grid, replications=6)
+        serial = mc.simulate(cfg)
+        sharded = mc.simulate(cfg, workers=3)
+        assert mc.report_to_csv(serial) == mc.report_to_csv(sharded)
+        assert multiprocessing.active_children() == []  # the pool was shut down
+        assert [(c.gamma, c.rho) for c in sharded.cells] == list(grid)
 
     def test_needs_cell_or_grid(self):
         with pytest.raises(DomainError):

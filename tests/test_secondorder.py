@@ -7,8 +7,8 @@ import pytest
 from gtail import secondorder as so
 from gtail.asymptotics import SecondOrderModel, k_star, r_star
 from gtail.distributions import DistSpec, sample
-from gtail.errors import DegenerateSampleError, DomainError
-from gtail.stats import Sample
+from gtail.errors import DegenerateSampleError, DomainError, PipelineError
+from gtail.stats import Sample, SampleBlock
 
 
 def burr_sample(gamma, rho, n, seed):
@@ -65,6 +65,56 @@ class TestEstimateRho:
         assert so.RHO_FLOOR <= r.rho_hat <= so.RHO_CEILING
         assert r.tau in (0, 1)
         assert r.k_used == int(2000**0.995)
+
+    def test_path_is_a_k_rho_array(self):
+        s = burr_sample(1.0, -1.0, 1000, 3)
+        r = so.estimate_rho(s)
+        ks = np.arange(int(1000**0.90), int(1000**0.995) + 1)
+        assert r.path.shape == (ks.size, 2)
+        assert np.array_equal(r.path[:, 0], ks)
+        assert np.all(r.path[:, 1] <= 0.0)
+        assert "path" not in repr(r)
+        assert r == so.RhoEstimate(r.rho_hat, r.tau, r.k_used, r.path[:3])
+
+    def test_block_rows_match_single_samples(self):
+        samples = [burr_sample(1.0, -1.0, 500, seed) for seed in range(5)]
+        block = SampleBlock.from_values(np.stack([s.values for s in samples]))
+        for s, row in zip(samples, so.estimate_rho(block)):
+            one = so.estimate_rho(s)
+            assert (row.rho_hat, row.tau, row.k_used) == (one.rho_hat, one.tau, one.k_used)
+            assert np.array_equal(row.path, one.path)
+        for s, row in zip(samples, so.adaptive_all(block)):
+            one = so.adaptive_all(s)
+            for j in (1, 3):
+                assert row[j].generalized.gamma_hat == one[j].generalized.gamma_hat
+                assert row[j].beta.beta_hat == one[j].beta.beta_hat
+
+    def test_block_row_failure_stays_in_its_row(self):
+        good = burr_sample(1.0, -1.0, 200, 1).values
+        # the top 196 values tie, so every log-moment in the k window is 0
+        tied = np.concatenate([np.full(196, 2.0), [0.5, 0.6, 0.7, 0.8]])
+        results = so.adaptive_all(SampleBlock.from_values(np.stack([good, tied])))
+        assert isinstance(results[0][1], so.AdaptiveResult)
+        assert isinstance(results[1][1], PipelineError)
+        assert results[1][1].step == "rho"
+        with pytest.raises(PipelineError):
+            so.adaptive_all(Sample.from_values(tied))
+
+    def test_path_stats_are_numpy_percentile_and_median(self):
+        rng = np.random.default_rng(4)
+        path = -np.abs(rng.normal(1.0, 0.5, size=(40, 57)))
+        path[rng.random(path.shape) < 0.3] = np.nan
+        path[0] = np.nan
+        path[1, 1:] = np.nan
+        path[2, 2:] = np.nan
+        count, iqr, median = so._path_stats(path)
+        assert count[0] == 0
+        for row in range(1, 40):
+            vals = path[row][~np.isnan(path[row])]
+            q1, q3 = np.percentile(vals, [25.0, 75.0])
+            assert count[row] == vals.size
+            assert iqr[row] == q3 - q1
+            assert median[row] == np.median(vals)
 
     def test_path_matches_pointwise(self):
         s = burr_sample(1.0, -1.0, 1000, 3)
