@@ -254,9 +254,13 @@ def estimate_beta(s: Sample | SampleBlock, rho):
     k = found[0].k_used  # the k window depends on n only
     betas = beta_hat(_block(s), k, [r.rho_hat if isinstance(r, RhoEstimate) else RHO_CEILING
                                     for r in rhos])
-    return _per_sample(s, [
-        b if isinstance(b, Exception) else BetaEstimate(b, k) if isinstance(r, RhoEstimate)
-        else r for r, b in zip(rhos, betas)])
+    out = []
+    for r, b in zip(rhos, betas):
+        if not isinstance(r, RhoEstimate):
+            out.append(r)
+        else:
+            out.append(b if isinstance(b, Exception) else BetaEstimate(b, k))
+    return _per_sample(s, out)
 
 
 def adaptive_k(n: int, rho: float, beta: float, j: int, generalized: bool) -> int:

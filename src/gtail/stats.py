@@ -190,7 +190,7 @@ def log_moment_profile(s: Sample | SampleBlock, ks: np.ndarray, u_max: int = 3) 
     if ks.size and (ks.min() < 2 or ks.max() > s.n - 1):
         raise DomainError(f"k values outside [2, n-1] for n={s.n}")
     L = s.log_desc
-    # prefix sums of L^u over the top k - 1 values, each kept only at ks
+    # sums of L^u over the top k values, for each k in ks
     p1 = np.cumsum(L, axis=-1)[..., ks - 1]
     p2 = np.cumsum(L**2, axis=-1)[..., ks - 1]
     p3 = np.cumsum(L**3, axis=-1)[..., ks - 1]
