@@ -11,8 +11,9 @@ Library layout:
 * :mod:`gtail.cli` -- command-line interface.
 """
 
+__version__ = "0.1.0"
+
 from .asymptotics import (
-    AsymptoticReport,
     SecondOrderModel,
     amse,
     eta,
@@ -59,4 +60,3 @@ from .secondorder import (
 )
 from .stats import Sample, SampleBlock, power_log, stat_g, stat_h
 
-__version__ = "0.1.0"

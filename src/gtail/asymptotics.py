@@ -76,16 +76,6 @@ class JointLimitConstants:
     s12: float
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    estimator_index: int
-    r: float
-    nu: float
-    sigma2: float
-    k_star: int
-    amse_at_k_star: float
-
-
 def d_r(gamma: float, r: float, k: int) -> float:
     """The recurring factor 1 - k*gamma*r; shared verbatim by every formula."""
     return 1.0 - k * gamma * r
@@ -227,13 +217,24 @@ def r2_polynomial_coeffs(rho: float) -> np.ndarray:
     ])
 
 
-def r_star(rho: float, j: int) -> float:
+def r_star(rho, j: int):
     """Optimal scaled tuning R*_j = gamma * r*_j as a function of rho alone.
 
     j = 1 and j = 3 have closed forms (roots of quadratics); j = 2 requires
     all real roots of a degree-9 polynomial, found via the companion matrix,
     each admissible root scored by eta and the minimizer returned.
+
+    For an array of rho the result is the array of the values at each entry,
+    each equal to the scalar one to the last bit: the closed forms square
+    with Python's pow, which rounds differently from numpy's square for a
+    few inputs in 10^4.
     """
+    if np.ndim(rho):
+        return np.array([_r_star(x, j) for x in np.asarray(rho, dtype=float).tolist()])
+    return _r_star(float(rho), j)
+
+
+def _r_star(rho: float, j: int) -> float:
     if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
     if j == 1:
@@ -321,8 +322,3 @@ def robustness_limit(gamma: float, r: float, j: int = 1) -> float:
         return math.inf
     return (1.0 - gamma * r) / r
 
-
-def asymptotic_report(m: SecondOrderModel, r: float, j: int, n: int) -> AsymptoticReport:
-    nu, sigma2 = estimator_limit_constants(m, r, j)
-    k = k_star(m, r, j, n)
-    return AsymptoticReport(j, r, nu, sigma2, k, amse(m, r, j, k, n))

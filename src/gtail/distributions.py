@@ -93,9 +93,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_block(d: DistSpec, n: int, seed: int, stream_keys) -> SampleBlock:
-    """One sample of n i.i.d. draws per stream key, stacked as rows; row i is
-    ``sample(d, n, seed, stream_key=stream_keys[i])``."""
+def draw_block(d: DistSpec, n: int, seed: int, stream_keys) -> np.ndarray:
+    """n i.i.d. draws per stream key, stacked as rows, unchecked: where a
+    quantile underflows to 0.0 the row is not a valid sample."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     u = np.empty((len(stream_keys), n))
@@ -103,7 +103,13 @@ def sample_block(d: DistSpec, n: int, seed: int, stream_keys) -> SampleBlock:
         substream(seed, *key).random(out=row)
     # u is in [0, 1); nudge exact zeros so the quantile argument stays in (0, 1)
     u[u == 0.0] = 2.0**-53
-    return SampleBlock.from_values(quantile(d, u))
+    return quantile(d, u)
+
+
+def sample_block(d: DistSpec, n: int, seed: int, stream_keys) -> SampleBlock:
+    """One sample of n i.i.d. draws per stream key, stacked as rows; row i is
+    ``sample(d, n, seed, stream_key=stream_keys[i])``."""
+    return SampleBlock.from_values(draw_block(d, n, seed, stream_keys))
 
 
 def sample(d: DistSpec, n: int, seed: int, *, stream_key: tuple[int, ...] = ()) -> Sample:

@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateSampleError, DomainError
-from .stats import SMALL_R, Sample, stat_g
+from .stats import SMALL_R, Sample, SampleBlock, stat_g, stat_g_rows
 
 KINDS = ("hill", "moment", "moment_ratio", "g1", "g2", "g3", "hme")
 
@@ -49,6 +51,21 @@ class Estimate:
             raise DegenerateSampleError(f"non-finite estimate {self.gamma_hat}")
 
 
+# Closed forms of the estimators in their statistics (array-safe), shared by
+# the per-sample estimators and generalized_rows.
+
+def _moment_ratio_form(g01, g02):
+    return g02 / (2.0 * g01)
+
+
+def _g1_form(g_r0, r):
+    return (g_r0 - 1.0) / (r * g_r0)
+
+
+def _g3_form(g_r0, g_r1, r):
+    return (r * g_r1 - g_r0 + 1.0) / (r * r * g_r1)
+
+
 def hill(s: Sample, k: int) -> Estimate:
     """Mean log-ratio of the top k observations to the threshold."""
     g01 = stat_g(s, k, 0.0, 1.0)
@@ -74,7 +91,7 @@ def moment_ratio(s: Sample, k: int) -> Estimate:
     g2_ = stat_g(s, k, 0.0, 2.0)
     if g1_ == 0.0:
         raise DegenerateSampleError("all top ratios tie the threshold")
-    return Estimate(g2_ / (2.0 * g1_), EstimatorSpec("moment_ratio", k), s.n,
+    return Estimate(_moment_ratio_form(g1_, g2_), EstimatorSpec("moment_ratio", k), s.n,
                     {"g_r1": g1_, "g_r2": g2_})
 
 
@@ -84,7 +101,7 @@ def g1(s: Sample, k: int, r: float) -> Estimate:
         e = hill(s, k)
         return Estimate(e.gamma_hat, EstimatorSpec("g1", k, r=0.0), s.n, e.diagnostics)
     g_r0 = stat_g(s, k, r, 0.0)
-    gamma = (g_r0 - 1.0) / (r * g_r0)
+    gamma = _g1_form(g_r0, r)
     return Estimate(gamma, EstimatorSpec("g1", k, r=r), s.n, {"g_r0": g_r0})
 
 
@@ -107,8 +124,57 @@ def g3(s: Sample, k: int, r: float) -> Estimate:
     g_r1 = stat_g(s, k, r, 1.0)
     if g_r1 == 0.0:
         raise DegenerateSampleError("all top ratios tie the threshold")
-    gamma = (r * g_r1 - g_r0 + 1.0) / (r * r * g_r1)
+    gamma = _g3_form(g_r0, g_r1, r)
     return Estimate(gamma, EstimatorSpec("g3", k, r=r), s.n, {"g_r0": g_r0, "g_r1": g_r1})
+
+
+def generalized_rows(block: SampleBlock, j: int, ks, r) -> list:
+    """g1 (j = 1) or g3 (j = 3) on every row of a block at the row's own k
+    and r: entry i is ``g1(row i, ks[i], r[i])`` (or g3), bit for bit, or
+    the DegenerateSampleError that call raises. r = 0 gives the classical
+    estimates.
+    """
+    if j not in (1, 3):
+        raise DomainError(f"generalized_rows is defined for j in {{1, 3}}, got {j}")
+    ks = np.asarray(ks, dtype=int)
+    r = np.asarray(r, dtype=float)
+    rs = r.tolist() if r.ndim else [float(r)] * block.rows
+    at_zero = [abs(x) < SMALL_R for x in rs]  # rows that take the exact r = 0 branch
+    branches = {zero: _branch_rows(block, j, ks, r, zero) for zero in set(at_zero)}
+    kind = "g1" if j == 1 else "g3"
+    out = []
+    for i, (k, r_i, zero) in enumerate(zip(ks.tolist(), rs, at_zero)):
+        gamma, tie, diagnostics = branches[zero]
+        if tie[i]:
+            out.append(DegenerateSampleError("all top ratios tie the threshold"))
+            continue
+        spec = EstimatorSpec(kind, k, r=0.0 if zero else r_i)
+        try:
+            out.append(Estimate(gamma[i], spec, block.n, diagnostics[i]))
+        except DegenerateSampleError as exc:
+            out.append(exc)
+    return out
+
+
+def _branch_rows(block: SampleBlock, j: int, ks: np.ndarray, r: np.ndarray, at_zero: bool):
+    """Per row, as lists: gamma, whether it ties the threshold, and the
+    diagnostics, for one branch of g1/g3: the r = 0 one (hill,
+    moment_ratio) or the tuned one."""
+    if at_zero:
+        names, us, r = ("g_r1", "g_r2"), (1.0, 2.0), 0.0
+    else:
+        names, us = ("g_r0", "g_r1"), (0.0, 1.0)
+    if j == 1:
+        names, us = names[:1], us[:1]
+    g = stat_g_rows(block, ks, r, us)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if j == 1:
+            gamma = g[0] if at_zero else _g1_form(g[0], r)
+        else:
+            gamma = _moment_ratio_form(g[0], g[1]) if at_zero else _g3_form(g[0], g[1], r)
+    # moment_ratio and g3 divide by the u = 1 statistic
+    tie = [False] * block.rows if j == 1 else (g[names.index("g_r1")] == 0.0).tolist()
+    return gamma.tolist(), tie, [dict(zip(names, col)) for col in g.T.tolist()]
 
 
 def hme(s: Sample, k: int, beta: float) -> Estimate:

@@ -26,14 +26,13 @@ from itertools import repeat
 
 import numpy as np
 
+from . import __version__
 from . import estimators as est
 from .asymptotics import SecondOrderModel, phi3, psi_H, psi_MR, estimator_limit_constants
-from .distributions import GENERATOR_NAME, DistSpec, hall_model, sample, sample_block
+from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample
 from .errors import DomainError
 from .secondorder import AdaptiveResult, adaptive_all
-from .stats import Sample
-
-VERSION = "0.1.0"
+from .stats import Sample, SampleBlock
 
 LABELS = ("hill", "gh", "mr", "gmr")
 #: (j, classical label, tuned label) of the two adaptive pipelines
@@ -110,15 +109,23 @@ def _dist(cfg: ExperimentConfig, gamma: float, rho: float) -> DistSpec:
 def cell_estimates(cfg: ExperimentConfig, gamma: float, rho: float,
                    cell_key: int = 0) -> dict[str, np.ndarray]:
     """Per-replication estimates of the four adaptive pipelines at one
-    (gamma, rho), by label; NaN marks a failed replication."""
+    (gamma, rho), by label; NaN marks a failed replication, including one
+    whose draws are not a valid sample."""
     dist = _dist(cfg, gamma, rho)
     reps = cfg.replications
     values = {label: np.full(reps, np.nan) for label in LABELS}
     rows = max(1, _BLOCK_BYTES // (8 * cfg.n))
     for start in range(0, reps, rows):
-        keys = [(cell_key, rep) for rep in range(start, min(start + rows, reps))]
-        block = sample_block(dist, cfg.n, cfg.seed, keys)
-        for rep, results in enumerate(adaptive_all(block), start):
+        block_reps = range(start, min(start + rows, reps))
+        draws = draw_block(dist, cfg.n, cfg.seed, [(cell_key, rep) for rep in block_reps])
+        # a replication whose draws leave the sample domain (a quantile that
+        # underflows to 0.0) fails on its own: rows do not affect each other
+        ok = np.all((draws > 0.0) & (draws < np.inf), axis=1)
+        if not ok.any():
+            continue
+        block = SampleBlock.from_values(draws[ok])
+        good_reps = [rep for rep, good in zip(block_reps, ok) if good]
+        for rep, results in zip(good_reps, adaptive_all(block)):
             for j, classical, generalized in _PIPELINES:
                 res = results[j]
                 if isinstance(res, AdaptiveResult):
@@ -192,7 +199,7 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> SimReport:
         "generator": GENERATOR_NAME,
         "config": cfg.canonical(),
         "config_digest": cfg.digest(),
-        "version": VERSION,
+        "version": __version__,
     }
     return SimReport(reports, manifest)
 

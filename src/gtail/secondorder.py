@@ -20,10 +20,12 @@ reported.
 Steps 1 and 2 run on a :class:`~gtail.stats.SampleBlock` of equal-size
 samples, one replication per row: one prefix-sum log-moment profile per
 block serves both tau, and the rho paths, the tau choice, the median, the
-clamps and beta are array operations over the rows. A single Sample is the
-one-row case. Functions that take either return, for a block, one result per
-row with a failed row's exception in its place, and for a Sample the result
-itself, raising on failure. Steps 3 to 5 run row by row.
+clamps and beta are array operations over the rows. Steps 3 to 5 are too:
+the tail sizes, R*, r and both estimates are computed for all rows at once,
+each row's value bit for bit the one a single sample gets. A single Sample is
+the one-row case. Functions that take either return, for a block, one result
+per row with a failed row's exception in its place, and for a Sample the
+result itself, raising on failure.
 """
 
 from __future__ import annotations
@@ -263,33 +265,50 @@ def estimate_beta(s: Sample | SampleBlock, rho):
     return _per_sample(s, out)
 
 
-def adaptive_k(n: int, rho: float, beta: float, j: int, generalized: bool) -> int:
+def adaptive_k(n: int, rho, beta, j: int, generalized: bool):
     """Plug-in AMSE-optimal tail size, rounded and clamped to [2, n-1].
 
     These are the printed specializations of the generic optimum for the
     classical (r = 0) and optimally tuned routes of estimators 1 and 3.
+    rho and beta may be arrays (one entry per row of a block); the result is
+    then a float array of tail sizes with NaN where the optimum is not a
+    finite positive number, where a scalar call raises DomainError.
     """
-    if not rho < 0:
+    rho_a, beta_a = np.asarray(rho, dtype=float), np.asarray(beta, dtype=float)
+    if not (rho_a < 0).all():
         raise DomainError(f"rho must be < 0, got {rho}")
-    if beta == 0.0:
+    if (beta_a == 0.0).any():
         raise DomainError("beta must be nonzero")
-    if j == 1:
-        if generalized:
-            R = r_star(rho, 1)
-            base = (1.0 - rho - R) ** 2 / (-2.0 * rho * beta**2 * (1.0 - 2.0 * R))
-        else:
-            base = (1.0 - rho) ** 2 / (-2.0 * rho * beta**2)
-    elif j == 3:
-        if generalized:
-            R = r_star(rho, 3)
-            base = (1.0 - rho - R) ** 4 / (-rho * beta**2 * (1.0 - 2.0 * R) ** 3)
-        else:
-            base = (1.0 - rho) ** 4 / (-rho * beta**2)
-    else:
+    if j not in (1, 3):
         raise DomainError(f"adaptive tail size defined for j in {{1, 3}}, got {j}")
-    ln_k = math.log(base) / (1.0 - 2.0 * rho) - 2.0 * rho / (1.0 - 2.0 * rho) * math.log(n)
-    k = int(round(math.exp(ln_k)))
-    return min(max(k, 2), n - 1)
+    with np.errstate(all="ignore"):
+        b2 = beta_a**2
+        if j == 1 and generalized:
+            R = r_star(rho_a, 1)
+            base = (1.0 - rho_a - R) ** 2 / (-2.0 * rho_a * b2 * (1.0 - 2.0 * R))
+        elif j == 1:
+            base = (1.0 - rho_a) ** 2 / (-2.0 * rho_a * b2)
+        elif generalized:
+            R = r_star(rho_a, 3)
+            base = (1.0 - rho_a - R) ** 4 / (-rho_a * b2 * (1.0 - 2.0 * R) ** 3)
+        else:
+            base = (1.0 - rho_a) ** 4 / (-rho_a * b2)
+        ln_k = np.log(base) / (1.0 - 2.0 * rho_a) \
+            - 2.0 * rho_a / (1.0 - 2.0 * rho_a) * math.log(n)
+        k_real = np.exp(ln_k)
+    # base is 0 or inf where beta^2 overflows or underflows
+    finite = (base > 0.0) & (k_real < np.inf)
+    k = np.minimum(np.maximum(np.rint(k_real), 2), n - 1)
+    if k.ndim:
+        k[~finite] = np.nan
+        return k
+    if not finite:
+        raise _no_tail_size(rho, beta)
+    return int(k)
+
+
+def _no_tail_size(rho: float, beta: float) -> DomainError:
+    return DomainError(f"no finite AMSE-optimal tail size at rho={rho}, beta={beta}")
 
 
 @dataclass(frozen=True)
@@ -299,14 +318,6 @@ class AdaptiveResult:
     rho: RhoEstimate
     beta: BetaEstimate
     r_generalized: float
-
-
-def _classical(s: Sample, k: int, j: int) -> Estimate:
-    return estimators.g1(s, k, 0.0) if j == 1 else estimators.g3(s, k, 0.0)
-
-
-def _generalized(s: Sample, k: int, r: float, j: int) -> Estimate:
-    return estimators.g1(s, k, r) if j == 1 else estimators.g3(s, k, r)
 
 
 def adaptive_estimate(s: Sample, j: int) -> AdaptiveResult:
@@ -333,8 +344,9 @@ def _adaptive(s: Sample | SampleBlock, js: tuple):
     block = _block(s)
     if block.n < 100:
         raise DomainError(f"adaptive pipeline needs n >= 100, got {block.n}")
-    rows = [{j: _pipeline(row, j, second) for j in js}
-            for row, second in zip(block.samples(), _second_order(block))]
+    second = _second_order(block)
+    steps = {j: _tail_steps(block, j, second) for j in js}
+    rows = [{j: steps[j][i] for j in js} for i in range(block.rows)]
     if isinstance(s, SampleBlock):
         return rows
     (results,) = rows
@@ -342,16 +354,6 @@ def _adaptive(s: Sample | SampleBlock, js: tuple):
         if isinstance(result, PipelineError):
             raise result
     return results
-
-
-def _pipeline(s: Sample, j: int, second) -> AdaptiveResult | PipelineError:
-    """Steps 3-5 for one row, given its _second_order result."""
-    if isinstance(second, PipelineError):
-        return second
-    try:
-        return _adaptive_from_second_order(s, j, *second)
-    except PipelineError as exc:
-        return exc
 
 
 def _rowwise(fn, rows: int, *args) -> list:
@@ -387,30 +389,47 @@ def _second_order(block: SampleBlock) -> list:
     return out
 
 
-def _adaptive_from_second_order(s: Sample, j: int, rho: RhoEstimate,
-                                beta: BetaEstimate) -> AdaptiveResult:
-    try:
-        k_c = adaptive_k(s.n, rho.rho_hat, beta.beta_hat, j, generalized=False)
-    except Exception as exc:
-        raise PipelineError("k_classical", str(exc)) from exc
-    try:
-        classical = _classical(s, k_c, j)
-    except Exception as exc:
-        raise PipelineError("classical", str(exc)) from exc
-    try:
-        if classical.gamma_hat <= 0.0:
-            raise DegenerateSampleError(f"classical estimate {classical.gamma_hat} is not positive")
-        r = r_star(rho.rho_hat, j) / classical.gamma_hat
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("r_star", str(exc)) from exc
-    try:
-        k_g = adaptive_k(s.n, rho.rho_hat, beta.beta_hat, j, generalized=True)
-    except Exception as exc:
-        raise PipelineError("k_generalized", str(exc)) from exc
-    try:
-        generalized = _generalized(s, k_g, r, j)
-    except Exception as exc:
-        raise PipelineError("generalized", str(exc)) from exc
-    return AdaptiveResult(classical, generalized, rho, beta, r)
+def _valid_or_2(k: np.ndarray) -> np.ndarray:
+    """Tail sizes with k = 2 in place of NaN, for rows whose result is unused."""
+    return np.where(np.isnan(k), 2, k).astype(int)
+
+
+def _tail_steps(block: SampleBlock, j: int, second: list) -> list:
+    """Steps 3-5 of pipeline j on every row of a block, given _second_order's
+    per-row results: per row an AdaptiveResult or the PipelineError of the
+    failed step.
+
+    Rows whose second-order step failed go through the array steps with
+    placeholder values (rho = -1, beta = 1) and keep their error.
+    """
+    failed = [isinstance(x, PipelineError) for x in second]
+    rho = np.array([-1.0 if bad else x[0].rho_hat for x, bad in zip(second, failed)])
+    beta = np.array([1.0 if bad else x[1].beta_hat for x, bad in zip(second, failed)])
+    k_c = adaptive_k(block.n, rho, beta, j, generalized=False)
+    classical = estimators.generalized_rows(block, j, _valid_or_2(k_c), 0.0)
+    gamma_c = np.array([e.gamma_hat if isinstance(e, Estimate) else np.nan for e in classical])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = r_star(rho, j) / gamma_c
+    k_g = adaptive_k(block.n, rho, beta, j, generalized=True)
+    tuned = estimators.generalized_rows(block, j, _valid_or_2(k_g),
+                                        np.where(gamma_c > 0.0, r, 0.0))
+    out = []
+    for x, bad, rho_i, beta_i, kc_i, c, r_i, kg_i, t in zip(
+            second, failed, rho.tolist(), beta.tolist(), k_c.tolist(), classical,
+            r.tolist(), k_g.tolist(), tuned):
+        if bad:
+            out.append(x)
+        elif math.isnan(kc_i):
+            out.append(_step_error("k_classical", _no_tail_size(rho_i, beta_i)))
+        elif isinstance(c, Exception):
+            out.append(_step_error("classical", c))
+        elif not c.gamma_hat > 0.0:
+            out.append(_step_error("r_star", DegenerateSampleError(
+                f"classical estimate {c.gamma_hat} is not positive")))
+        elif math.isnan(kg_i):
+            out.append(_step_error("k_generalized", _no_tail_size(rho_i, beta_i)))
+        elif isinstance(t, Exception):
+            out.append(_step_error("generalized", t))
+        else:
+            out.append(AdaptiveResult(c, t, *x, r_i))
+    return out

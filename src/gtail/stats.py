@@ -14,7 +14,9 @@ generalizations are all simple functions of these statistics.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,22 +48,27 @@ class Sample:
 
     @classmethod
     def from_file(cls, path) -> "Sample":
-        """Read one numeric value per line; a non-numeric first line is a header."""
-        values = []
+        """Read one numeric value per line; a non-numeric first line is a
+        header and blank lines are skipped.
+
+        numpy's loadtxt parses a well-formed file; anything it rejects or
+        reads as other than one column (a bad line, several values on a line,
+        no values, or a number only float() reads, such as ``1_000``) is read
+        again line by line, which reports the first bad line.
+        """
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    if lineno == 1 and not values:
-                        continue  # header
-                    raise ParseError(f"line {lineno}: not a number: {line!r}", line_number=lineno) from None
-        if not values:
-            raise ParseError("no numeric values found", line_number=None)
-        return cls.from_values(values)
+            try:
+                header = _is_header(fh.readline())
+                fh.seek(0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # loadtxt warns on a file without data
+                    arr = np.loadtxt(fh, comments=None, skiprows=int(header), ndmin=2)
+            except ValueError:
+                arr = None
+            if arr is None or arr.shape[0] == 0 or arr.shape[1] != 1:
+                fh.seek(0)
+                return cls.from_values(_parse_lines(fh))
+        return cls.from_values(arr[:, 0])
 
     def scaled(self, c: float) -> "Sample":
         if c <= 0:
@@ -102,6 +109,34 @@ class SampleBlock:
     def samples(self) -> list[Sample]:
         """One Sample per row (views into the block)."""
         return [Sample(v, d, lg) for v, d, lg in zip(self.values, self.sorted_desc, self.log_desc)]
+
+
+def _is_header(line: str) -> bool:
+    line = line.strip()
+    try:
+        float(line)
+    except ValueError:
+        return bool(line)
+    return False
+
+
+def _parse_lines(fh) -> list[float]:
+    """One float per non-blank line; ParseError at the first line that is
+    not a number, unless it is the first line (a header)."""
+    values = []
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            if lineno == 1 and not values:
+                continue  # header
+            raise ParseError(f"line {lineno}: not a number: {line!r}", line_number=lineno) from None
+    if not values:
+        raise ParseError("no numeric values found", line_number=None)
+    return values
 
 
 def _order_statistics(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,6 +201,32 @@ def stat_g(s: Sample, k: int, r: float, u: float) -> float:
     else:
         terms = np.exp(r * logs) * logs**u
     return float(np.mean(terms))
+
+
+def stat_g_rows(block: SampleBlock, ks, r, us) -> np.ndarray:
+    """G_n(k, r, u) of every row of a block at the row's own k and r, for each
+    u >= 0 in us; shape (len(us), rows).
+
+    Entry [a, i] equals ``stat_g(row i, ks[i], r[i], us[a])`` bit for bit:
+    the top-k log-ratios of all rows go through exp and the powers as one
+    flat array, and each row's terms are summed on their own by the pairwise
+    sum that np.mean uses (a padded or segmented sum rounds differently).
+    """
+    ks = np.asarray(ks, dtype=int).tolist()
+    if min(ks) < 2 or max(ks) > block.n - 1:
+        raise DomainError(f"k values outside [2, n-1] for n={block.n}")
+    if min(us) < 0:
+        raise DomainError(f"u must be >= 0, got {min(us)}")
+    # the rows' _top_logs one after another
+    logs = np.log(np.concatenate([d[:k] / d[k] for d, k in zip(block.sorted_desc, ks)]))
+    e = np.exp((np.repeat(r, ks) if np.ndim(r) else r) * logs)
+    ends = list(accumulate(ks))
+    bounds = list(zip([0] + ends[:-1], ends))
+    sums = np.empty((len(us), block.rows))
+    for a, u in enumerate(us):
+        terms = e if u == 0 else e * logs**u
+        sums[a] = [np.add.reduce(terms[lo:hi]) for lo, hi in bounds]
+    return sums / ks
 
 
 def stat_h(s: Sample, k: int, r: float) -> float:

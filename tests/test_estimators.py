@@ -6,7 +6,7 @@ import pytest
 from gtail import estimators as est
 from gtail.distributions import DistSpec, sample
 from gtail.errors import DegenerateSampleError, DomainError
-from gtail.stats import Sample, stat_g
+from gtail.stats import SMALL_R, Sample, SampleBlock, stat_g
 
 E = math.e
 
@@ -174,6 +174,61 @@ def test_scale_invariance_all_estimators():
         base = fn(s, *args).gamma_hat
         assert fn(s2, *args).gamma_hat == base
         assert fn(s3, *args).gamma_hat == pytest.approx(base, rel=1e-11)
+
+
+class TestGeneralizedRows:
+    """The block form of g1/g3: each row's entry is the per-sample call's
+    Estimate, equal in every field, or the error it raises."""
+
+    @staticmethod
+    def per_row(block, j, ks, r):
+        fn = est.g1 if j == 1 else est.g3
+        out = []
+        for s, k, r_i in zip(block.samples(), ks, r):
+            try:
+                out.append(fn(s, int(k), float(r_i)))
+            except DegenerateSampleError as exc:
+                out.append(exc)
+        return out
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_rows_are_the_per_sample_estimates(self, j):
+        rng = np.random.default_rng(8)
+        block = SampleBlock.from_values(rng.pareto(1.0, size=(8, 300)) + 1.0)
+        ks = rng.integers(2, 300, 8)
+        # zero, below SMALL_R (the r = 0 branch), and tuned rows in one call
+        r = np.array([0.0, SMALL_R / 2, -SMALL_R / 3, 0.3, -0.7, 1e-3, 0.0, 2.0])
+        got = est.generalized_rows(block, j, ks, r)
+        assert got == self.per_row(block, j, ks, r)
+        assert [e.spec.r for e in got] == [0.0, 0.0, 0.0, 0.3, -0.7, 1e-3, 0.0, 2.0]
+        assert est.generalized_rows(block, j, ks, 0.0) == self.per_row(block, j, ks, [0.0] * 8)
+
+    def test_classical_rows_are_hill_and_moment_ratio(self):
+        rng = np.random.default_rng(9)
+        block = SampleBlock.from_values(rng.lognormal(0.0, 1.0, size=(5, 200)))
+        ks = [3, 50, 120, 199, 17]
+        for j, classical in ((1, est.hill), (3, est.moment_ratio)):
+            for e, s, k in zip(est.generalized_rows(block, j, ks, 0.0), block.samples(), ks):
+                assert e.gamma_hat == classical(s, k).gamma_hat
+                assert e.diagnostics == classical(s, k).diagnostics
+
+    def test_tied_row_fails_alone(self):
+        good = np.linspace(1.0, 9.0, 12)
+        tied = np.concatenate([np.full(10, 4.0), [1.0, 2.0]])  # top 10 tie the threshold
+        block = SampleBlock.from_values(np.stack([good, tied]))
+        for r in (0.0, 0.5):
+            got = est.generalized_rows(block, 3, [5, 5], r)
+            assert got[0] == est.g3(block.samples()[0], 5, r)
+            assert isinstance(got[1], DegenerateSampleError)
+            with pytest.raises(DegenerateSampleError, match=str(got[1])):
+                est.g3(block.samples()[1], 5, r)
+
+    def test_domain(self):
+        block = SampleBlock.from_values(np.arange(1.0, 21.0).reshape(2, 10))
+        with pytest.raises(DomainError):
+            est.generalized_rows(block, 2, [3, 3], 0.1)
+        with pytest.raises(DomainError):
+            est.generalized_rows(block, 1, [3, 10], 0.1)
 
 
 def test_evaluate_dispatch():

@@ -20,6 +20,29 @@ def small_cfg(**over):
     return mc.ExperimentConfig(**base)
 
 
+def per_sample_estimates(cfg, gamma, rho, cell_key):
+    """cell_estimates replayed one replication at a time through gtail.sample
+    and adaptive_estimate, the reference; also the replications whose draws
+    are not a valid sample."""
+    spec = gtail.DistSpec(cfg.family, gamma, rho)
+    want = {label: np.full(cfg.replications, np.nan) for label in mc.LABELS}
+    unsampleable = []
+    for rep in range(cfg.replications):
+        try:
+            s = gtail.sample(spec, cfg.n, cfg.seed, stream_key=(cell_key, rep))
+        except DomainError:
+            unsampleable.append(rep)
+            continue
+        for j, classical, generalized in ((1, "hill", "gh"), (3, "mr", "gmr")):
+            try:
+                res = gtail.adaptive_estimate(s, j)
+            except gtail.PipelineError:
+                continue
+            want[classical][rep] = res.classical.gamma_hat
+            want[generalized][rep] = res.generalized.gamma_hat
+    return want, unsampleable
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -54,19 +77,9 @@ class TestRunCell:
             got = mc.cell_estimates(cfg, gamma, rho, cell_key=5)
         block_clamps = sum(str(w.message).startswith("rho estimate") for w in caught)
 
-        spec = gtail.DistSpec(family, gamma, rho)
-        want = {label: np.full(reps, np.nan) for label in mc.LABELS}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for rep in range(reps):
-                s = gtail.sample(spec, n, 7, stream_key=(5, rep))
-                for j, classical, generalized in ((1, "hill", "gh"), (3, "mr", "gmr")):
-                    try:
-                        res = gtail.adaptive_estimate(s, j)
-                    except gtail.PipelineError:
-                        continue
-                    want[classical][rep] = res.classical.gamma_hat
-                    want[generalized][rep] = res.generalized.gamma_hat
+            want, _ = per_sample_estimates(cfg, gamma, rho, cell_key=5)
         # adaptive_estimate runs the rho step once per pipeline
         sample_clamps = sum(str(w.message).startswith("rho estimate") for w in caught) // 2
 
@@ -117,6 +130,33 @@ class TestSimulate:
                         gamma=0.05, rho=-4.95)
         rep = mc.simulate(cfg)
         assert all(st.count + st.failures == 4 for st in rep.cells[0].stats.values())
+
+    @pytest.mark.parametrize("gamma, rho", [(1.0, -0.01), (1.0, -0.02), (3.95, -0.01)])
+    def test_unsampleable_replications_fail_alone(self, gamma, rho):
+        # the Burr quantile underflows to 0.0 in the lower tail here, so some
+        # replications draw no valid sample; simulate used to raise DomainError
+        cfg = mc.ExperimentConfig("burr", 100, 200, 20240, gamma=gamma, rho=rho)
+        got = mc.cell_estimates(cfg, gamma, rho)
+        want, unsampleable = per_sample_estimates(cfg, gamma, rho, cell_key=0)
+        assert unsampleable
+        for label in mc.LABELS:
+            assert np.array_equal(got[label], want[label], equal_nan=True), label
+        cell = mc.simulate(cfg).cells[0]
+        for st in cell.stats.values():
+            assert st.count + st.failures == 200
+            assert st.failures >= len(unsampleable)
+
+    def test_unsampleable_cells_leave_the_others_alone(self):
+        good = ((1.0, -1.0), (0.5, -2.0))
+        cfg = small_cfg(n=100, replications=20, seed=20240, gamma=None, rho=None,
+                        grid=good + ((3.95, -0.01), (1.0, -0.01)))
+        rep = mc.simulate(cfg)
+        alone = mc.report_to_csv(mc.simulate(small_cfg(n=100, replications=20, seed=20240,
+                                                       gamma=None, rho=None, grid=good)))
+        assert mc.report_to_csv(rep).startswith(alone)
+        for cell in rep.cells[2:]:
+            assert cell.degenerate
+            assert all(st.failures == 20 for st in cell.stats.values())
 
     def test_grid_and_manifest(self):
         grid = ((0.5, -1.0), (1.0, -0.5))
@@ -194,7 +234,7 @@ class TestSerialization:
 
     def test_manifest_json_round_trip(self):
         rep = mc.simulate(small_cfg(replications=4))
-        assert json.loads(mc.manifest_json(rep))["version"] == mc.VERSION
+        assert json.loads(mc.manifest_json(rep))["version"] == gtail.__version__
 
 
 def test_golden_report_digest():

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from gtail import estimators as est
 from gtail import secondorder as so
 from gtail.asymptotics import SecondOrderModel, k_star, r_star
-from gtail.distributions import DistSpec, sample
+from gtail.distributions import DistSpec, sample, sample_block
 from gtail.errors import DegenerateSampleError, DomainError, PipelineError
-from gtail.stats import Sample, SampleBlock
+from gtail.stats import SMALL_R, Sample, SampleBlock
 
 
 def burr_sample(gamma, rho, n, seed):
@@ -178,6 +179,49 @@ class TestAdaptiveK:
                             assert abs(got - expected) <= 1, \
                                 (rho, beta, n, j, generalized, got, expected)
 
+    @staticmethod
+    def printed_formula(n, rho, beta, j, generalized):
+        """The scalar plug-in tail size in Python floats, as adaptive_k computed
+        it before it took arrays: the reference."""
+        if j == 1:
+            if generalized:
+                R = r_star(rho, 1)
+                base = (1.0 - rho - R) ** 2 / (-2.0 * rho * beta**2 * (1.0 - 2.0 * R))
+            else:
+                base = (1.0 - rho) ** 2 / (-2.0 * rho * beta**2)
+        else:
+            if generalized:
+                R = r_star(rho, 3)
+                base = (1.0 - rho - R) ** 4 / (-rho * beta**2 * (1.0 - 2.0 * R) ** 3)
+            else:
+                base = (1.0 - rho) ** 4 / (-rho * beta**2)
+        ln_k = math.log(base) / (1.0 - 2.0 * rho) - 2.0 * rho / (1.0 - 2.0 * rho) * math.log(n)
+        return min(max(int(round(math.exp(ln_k))), 2), n - 1)
+
+    def test_arrays_match_the_printed_formula(self):
+        """Entry by entry, NaN (DomainError for a scalar) exactly where the
+        Python-float formula fails: beta^2 overflowing or underflowing, or
+        the tail size overflowing."""
+        rng = np.random.default_rng(2)
+        rho = -np.exp(rng.uniform(math.log(1e-6), math.log(25.0), 3000))
+        beta = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-170.0, 170.0, 3000)
+        for n in (100, 1000, 10**6):
+            for j in (1, 3):
+                for generalized in (False, True):
+                    ks = so.adaptive_k(n, rho, beta, j, generalized)
+                    for k, r, b in zip(ks.tolist(), rho.tolist(), beta.tolist()):
+                        try:
+                            want = self.printed_formula(n, r, b, j, generalized)
+                        except (ArithmeticError, ValueError):
+                            assert math.isnan(k)
+                            with pytest.raises(DomainError):
+                                so.adaptive_k(n, r, b, j, generalized)
+                            continue
+                        assert k == want
+                    assert 0 < np.isnan(ks).sum() < ks.size
+        got = so.adaptive_k(1000, -1.0, 1.0, 1, generalized=False)
+        assert type(got) is int
+
     def test_monotone_in_n(self):
         ks = [so.adaptive_k(n, -1.0, 1.0, 3, True) for n in (200, 2000, 20000, 200000)]
         assert ks == sorted(ks)
@@ -190,6 +234,73 @@ class TestAdaptiveK:
             so.adaptive_k(1000, -1.0, 0.0, 1, False)
         with pytest.raises(DomainError):
             so.adaptive_k(1000, -1.0, 1.0, 2, False)
+
+
+class TestBlockTailSteps:
+    """Steps 3-5 on a block: every row gets the estimators' own values at its
+    tail sizes and tuning, bit for bit, whatever the other rows hold."""
+
+    CELLS = [("burr", 1.0, -1.0, 1000), ("kumaraswamy", 0.5, -2.0, 500),
+             # near-tied values: rows fail at rho, classical and r_star
+             ("kumaraswamy", 1.5e-17, -0.5, 100)]
+
+    @staticmethod
+    def outcome(results):
+        return {j: (res.step, str(res)) if isinstance(res, PipelineError) else res
+                for j, res in results.items()}
+
+    @pytest.mark.parametrize("family, gamma, rho, n", CELLS)
+    def test_rows_are_the_estimators_at_their_k_and_r(self, family, gamma, rho, n):
+        block = sample_block(DistSpec(family, gamma, rho), n, 7, [(0, i) for i in range(8)])
+        checked = 0
+        for s, row in zip(block.samples(), so.adaptive_all(block)):
+            for j, classical, tuned in ((1, est.hill, est.g1), (3, est.moment_ratio, est.g3)):
+                res = row[j]
+                if isinstance(res, PipelineError) and res.step == "rho":
+                    continue
+                rho_hat = so.estimate_rho(s).rho_hat
+                beta_hat = so.beta_hat(s, int(n**0.995), rho_hat)
+                k_c = so.adaptive_k(n, rho_hat, beta_hat, j, generalized=False)
+                checked += 1
+                if isinstance(res, PipelineError):
+                    assert res.step in ("classical", "r_star")
+                    if res.step == "classical":
+                        with pytest.raises(DegenerateSampleError, match=str(res.__cause__)):
+                            classical(s, k_c)
+                    else:
+                        assert classical(s, k_c).gamma_hat <= 0.0
+                    continue
+                k_g = so.adaptive_k(n, rho_hat, beta_hat, j, generalized=True)
+                assert res.classical.gamma_hat == classical(s, k_c).gamma_hat
+                assert res.classical == tuned(s, k_c, 0.0)
+                assert res.r_generalized == r_star(rho_hat, j) / res.classical.gamma_hat
+                assert res.generalized == tuned(s, k_g, res.r_generalized)
+        assert checked > 0
+
+    @pytest.mark.parametrize("family, gamma, rho, n", CELLS)
+    def test_block_size_does_not_change_a_row(self, family, gamma, rho, n):
+        values = sample_block(DistSpec(family, gamma, rho), n, 7, [(1, i) for i in range(8)]).values
+        eight = so.adaptive_all(SampleBlock.from_values(values))
+        threes = [row for lo in range(0, 8, 3)
+                  for row in so.adaptive_all(SampleBlock.from_values(values[lo:lo + 3]))]
+        ones = [so.adaptive_all(SampleBlock.from_values(v[None]))[0] for v in values]
+        for v, a, b, c in zip(values, eight, threes, ones):
+            assert self.outcome(a) == self.outcome(b) == self.outcome(c)
+            if not any(isinstance(res, PipelineError) for res in a.values()):
+                assert so.adaptive_all(Sample.from_values(v)) == a
+
+    def test_tuning_below_small_r_takes_the_r_zero_branch(self):
+        # with rho_hat at RHO_CEILING, R*_3 ~ rho/2 = -5e-7, so a classical
+        # estimate above 50 puts r = R*/gamma_c below SMALL_R, where g3 is
+        # the moment ratio
+        s = Sample.from_values(sample(DistSpec("pareto", 1.0), 400, 3).values ** 60)
+        k = int(s.n**0.995)
+        second = [(so.RhoEstimate(so.RHO_CEILING, 0, k, np.empty((0, 2))), so.BetaEstimate(1.0, k))]
+        (res,) = so._tail_steps(SampleBlock.of(s), 3, second)
+        assert 0.0 < abs(res.r_generalized) < SMALL_R
+        assert res.generalized.spec.r == 0.0
+        assert res.generalized == est.g3(s, res.generalized.spec.k, res.r_generalized)
+        assert res.generalized.gamma_hat == est.moment_ratio(s, res.generalized.spec.k).gamma_hat
 
 
 class TestAdaptivePipeline:

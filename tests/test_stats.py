@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtail.errors import DegenerateSampleError, DomainError, ParseError
-from gtail.stats import Sample, log_moment_profile, power_log, stat_g, stat_h
+from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
+from gtail.stats import (Sample, SampleBlock, log_moment_profile, power_log, stat_g, stat_g_rows,
+                         stat_h)
 
 E = math.e
 
@@ -66,6 +67,62 @@ class TestSample:
         with pytest.raises(ParseError) as exc:
             Sample.from_file(p)
         assert exc.value.line_number == 3
+
+
+def _read_lines(path) -> Sample:
+    """The line-by-line reader that from_file had before it parsed with
+    loadtxt, kept as the reference."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                if lineno == 1 and not values:
+                    continue  # header
+                raise ParseError(f"line {lineno}: not a number: {line!r}", line_number=lineno) from None
+    if not values:
+        raise ParseError("no numeric values found", line_number=None)
+    return Sample.from_values(values)
+
+
+def _outcome(read, path):
+    try:
+        s = read(path)
+    except GtailError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return s.values.tobytes()
+
+
+_LINES = st.one_of(
+    st.floats().map(repr),
+    st.floats(1e-300, 1e300).map(lambda x: f" {x:.6e}\t"),
+    st.sampled_from(["", "  ", "value", "x y", "1 2", "3 4 5", "1_000", "\u0663", "1e999",
+                     "-0", "0", "+7", " nan", "-inf", "1,5", "1.5\xa0", "\x0c2", "0x10"]),
+    st.text(alphabet="0123456789.eE+- \t_x", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       trailing=st.booleans())
+@example(lines=["value", "1 2 3"], newline="\n", trailing=True)  # one row, several columns
+@example(lines=["", "4 5 6", ""], newline="\r\n", trailing=False)
+@example(lines=["x", "1", "2 3", "4"], newline="\n", trailing=True)
+@example(lines=["value", "1_000", "2", "3"], newline="\r\n", trailing=True)
+@example(lines=["\u0663", "1", "2", "3"], newline="\n", trailing=False)
+@example(lines=["1", "", "2", "oops"], newline="\r", trailing=True)
+@example(lines=["value"], newline="\n", trailing=True)
+def test_from_file_matches_the_line_reader(tmp_path_factory, lines, newline, trailing):
+    """Same values to the bit, or the same error (class, message, line), on
+    headers, blank lines, CRLF, multi-column lines and bad lines."""
+    path = tmp_path_factory.mktemp("data") / "values.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + (newline if trailing else ""))
+    assert _outcome(Sample.from_file, path) == _outcome(_read_lines, path)
 
 
 class TestStatG:
@@ -138,6 +195,36 @@ def test_scale_and_permutation_invariance(values, scale_pow, r, u):
     # power-of-two rescaling is exact in binary floating point
     scaled = Sample.from_values([v * 2.0**scale_pow for v in values])
     assert stat_g(scaled, k, r, u) == base
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), n=st.integers(3, 300),
+       spread=st.floats(1e-3, 690.0), data=st.data())
+def test_stat_g_rows_is_stat_g_of_each_row(seed, rows, n, spread, data):
+    """Bit for bit, with data spanning up to 1e-300..1e300."""
+    rng = np.random.default_rng(seed)
+    block = SampleBlock.from_values(np.exp(rng.uniform(-spread, spread, (rows, n))))
+    ks = data.draw(st.lists(st.integers(2, n - 1), min_size=rows, max_size=rows))
+    r = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1e-9, -0.5, 1.0]), st.floats(-3.0, 3.0)),
+                           min_size=rows, max_size=rows))
+    us = (0.0, 1.0, 2.0, 3.0)
+    with np.errstate(all="ignore"):
+        got = stat_g_rows(block, ks, np.array(r), us)
+        for i, s in enumerate(block.samples()):
+            want = [stat_g(s, ks[i], r[i], u) for u in us]
+            assert np.array_equal(got[:, i], want, equal_nan=True)
+        if len(set(r)) == 1:
+            assert np.array_equal(stat_g_rows(block, ks, r[0], us), got, equal_nan=True)
+
+
+def test_stat_g_rows_domain():
+    block = SampleBlock.from_values(np.arange(1.0, 21.0).reshape(2, 10))
+    with pytest.raises(DomainError):
+        stat_g_rows(block, [2, 10], 0.0, (1.0,))
+    with pytest.raises(DomainError):
+        stat_g_rows(block, [1, 5], 0.0, (1.0,))
+    with pytest.raises(DomainError):
+        stat_g_rows(block, [3, 5], 0.0, (-0.5,))
 
 
 def test_scale_invariance_arbitrary_factor():
