@@ -59,4 +59,3 @@ from .secondorder import (
     rho_hat,
 )
 from .stats import Sample, SampleBlock, power_log, stat_g, stat_h
-

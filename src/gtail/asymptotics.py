@@ -229,9 +229,9 @@ def r_star(rho, j: int):
     with Python's pow, which rounds differently from numpy's square for a
     few inputs in 10^4.
     """
-    if np.ndim(rho):
-        return np.array([_r_star(x, j) for x in np.asarray(rho, dtype=float).tolist()])
-    return _r_star(float(rho), j)
+    if isinstance(rho, (int, float)) or not np.ndim(rho):
+        return _r_star(float(rho), j)
+    return np.array([_r_star(x, j) for x in np.asarray(rho, dtype=float).tolist()])
 
 
 def _r_star(rho: float, j: int) -> float:
@@ -321,4 +321,3 @@ def robustness_limit(gamma: float, r: float, j: int = 1) -> float:
     if r == 0:
         return math.inf
     return (1.0 - gamma * r) / r
-

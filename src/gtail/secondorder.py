@@ -20,8 +20,8 @@ reported.
 Steps 1 and 2 run on a :class:`~gtail.stats.SampleBlock` of equal-size
 samples, one replication per row: one prefix-sum log-moment profile per
 block serves both tau, and the rho paths, the tau choice, the median, the
-clamps and beta are array operations over the rows. Steps 3 to 5 are too:
-the tail sizes, R*, r and both estimates are computed for all rows at once,
+clamps and beta are array operations over the rows. So are steps 3 to 5:
+one call each gives the tail sizes, R*, r and both estimates of all rows,
 each row's value bit for bit the one a single sample gets. A single Sample is
 the one-row case. Functions that take either return, for a block, one result
 per row with a failed row's exception in its place, and for a Sample the
@@ -270,41 +270,49 @@ def adaptive_k(n: int, rho, beta, j: int, generalized: bool):
 
     These are the printed specializations of the generic optimum for the
     classical (r = 0) and optimally tuned routes of estimators 1 and 3.
-    rho and beta may be arrays (one entry per row of a block); the result is
-    then a float array of tail sizes with NaN where the optimum is not a
-    finite positive number, where a scalar call raises DomainError.
+    rho and beta may be arrays (one entry per row of a block): the result is
+    then a float array of the entries' tail sizes, NaN where a scalar call
+    raises DomainError because the optimum is not finite (beta^2 overflows
+    or underflows, or the tail size overflows). Each entry is the formula in
+    Python floats, as for a scalar: at the few rows of a block that is
+    faster than a pass of numpy calls, whose per-call cost dominates there.
     """
-    rho_a, beta_a = np.asarray(rho, dtype=float), np.asarray(beta, dtype=float)
-    if not (rho_a < 0).all():
-        raise DomainError(f"rho must be < 0, got {rho}")
-    if (beta_a == 0.0).any():
-        raise DomainError("beta must be nonzero")
     if j not in (1, 3):
         raise DomainError(f"adaptive tail size defined for j in {{1, 3}}, got {j}")
-    with np.errstate(all="ignore"):
-        b2 = beta_a**2
-        if j == 1 and generalized:
-            R = r_star(rho_a, 1)
-            base = (1.0 - rho_a - R) ** 2 / (-2.0 * rho_a * b2 * (1.0 - 2.0 * R))
-        elif j == 1:
-            base = (1.0 - rho_a) ** 2 / (-2.0 * rho_a * b2)
-        elif generalized:
-            R = r_star(rho_a, 3)
-            base = (1.0 - rho_a - R) ** 4 / (-rho_a * b2 * (1.0 - 2.0 * R) ** 3)
-        else:
-            base = (1.0 - rho_a) ** 4 / (-rho_a * b2)
-        ln_k = np.log(base) / (1.0 - 2.0 * rho_a) \
-            - 2.0 * rho_a / (1.0 - 2.0 * rho_a) * math.log(n)
-        k_real = np.exp(ln_k)
-    # base is 0 or inf where beta^2 overflows or underflows
-    finite = (base > 0.0) & (k_real < np.inf)
-    k = np.minimum(np.maximum(np.rint(k_real), 2), n - 1)
-    if k.ndim:
-        k[~finite] = np.nan
+    if not (np.ndim(rho) or np.ndim(beta)):
+        rho, beta = float(rho), float(beta)
+        k = _tail_size(n, rho, beta, j, r_star(rho, j) if generalized else None)
+        if k is None:
+            raise _no_tail_size(rho, beta)
         return k
-    if not finite:
-        raise _no_tail_size(rho, beta)
-    return int(k)
+    rho, beta = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(beta, dtype=float))
+    R = r_star(rho, j).tolist() if generalized else [None] * rho.size
+    ks = [_tail_size(n, rho_i, beta_i, j, R_i)
+          for rho_i, beta_i, R_i in zip(rho.tolist(), beta.tolist(), R)]
+    return np.array([math.nan if k is None else k for k in ks])
+
+
+def _tail_size(n: int, rho: float, beta: float, j: int, R: float | None) -> int | None:
+    """adaptive_k at one (rho, beta), tuned at R = R*_j(rho) or classical
+    for R = None; None where the optimum is not finite."""
+    if not rho < 0:
+        raise DomainError(f"rho must be < 0, got {rho}")
+    if beta == 0.0:
+        raise DomainError("beta must be nonzero")
+    try:
+        if j == 1 and R is not None:
+            base = (1.0 - rho - R) ** 2 / (-2.0 * rho * beta**2 * (1.0 - 2.0 * R))
+        elif j == 1:
+            base = (1.0 - rho) ** 2 / (-2.0 * rho * beta**2)
+        elif R is not None:
+            base = (1.0 - rho - R) ** 4 / (-rho * beta**2 * (1.0 - 2.0 * R) ** 3)
+        else:
+            base = (1.0 - rho) ** 4 / (-rho * beta**2)
+        ln_k = math.log(base) / (1.0 - 2.0 * rho) - 2.0 * rho / (1.0 - 2.0 * rho) * math.log(n)
+        k = int(round(math.exp(ln_k)))
+    except (ArithmeticError, ValueError):  # overflow, division by zero, log of 0 or NaN
+        return None
+    return min(max(k, 2), n - 1)
 
 
 def _no_tail_size(rho: float, beta: float) -> DomainError:

@@ -204,8 +204,9 @@ def stat_g(s: Sample, k: int, r: float, u: float) -> float:
 
 
 def stat_g_rows(block: SampleBlock, ks, r, us) -> np.ndarray:
-    """G_n(k, r, u) of every row of a block at the row's own k and r, for each
-    u >= 0 in us; shape (len(us), rows).
+    """G_n(k, r, u) of every row of a block at the row's own k and r (a
+    scalar or one value per row), for each u >= 0 in us; shape
+    (len(us), rows).
 
     Entry [a, i] equals ``stat_g(row i, ks[i], r[i], us[a])`` bit for bit:
     the top-k log-ratios of all rows go through exp and the powers as one
@@ -251,10 +252,12 @@ def log_moment_profile(s: Sample | SampleBlock, ks: np.ndarray, u_max: int = 3) 
     if ks.size and (ks.min() < 2 or ks.max() > s.n - 1):
         raise DomainError(f"k values outside [2, n-1] for n={s.n}")
     L = s.log_desc
-    # sums of L^u over the top k values, for each k in ks
+    # sums of L^u over the top k values, for each k in ks; cubes are taken by
+    # multiplication, as numpy's power is several times slower on the
+    # negative logs of values below 1
     p1 = np.cumsum(L, axis=-1)[..., ks - 1]
     p2 = np.cumsum(L**2, axis=-1)[..., ks - 1]
-    p3 = np.cumsum(L**3, axis=-1)[..., ks - 1]
+    p3 = np.cumsum((L * L) * L, axis=-1)[..., ks - 1]
     Lk = L[..., ks]
     out = np.empty(L.shape[:-1] + (ks.size, u_max))
     s1 = p1 - ks * Lk
@@ -263,6 +266,6 @@ def log_moment_profile(s: Sample | SampleBlock, ks: np.ndarray, u_max: int = 3) 
         s2 = p2 - 2.0 * Lk * p1 + ks * Lk**2
         out[..., 1] = s2 / ks
     if u_max >= 3:
-        s3 = p3 - 3.0 * Lk * p2 + 3.0 * Lk**2 * p1 - ks * Lk**3
+        s3 = p3 - 3.0 * Lk * p2 + 3.0 * Lk**2 * p1 - ks * ((Lk * Lk) * Lk)
         out[..., 2] = s3 / ks
     return out

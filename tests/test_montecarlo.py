@@ -246,4 +246,4 @@ def test_golden_report_digest():
     rep = mc.simulate(cfg)
     text = mc.report_to_csv(rep) + mc.dominance_to_csv(mc.dominance_map(rep))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "3816f10ee25c5d51e9de5130785a15c82faddf2bbbe6bcc3811f2170146804d7"
+        "a9482d76954bf34fef745459d77a18705b7d2ece8d9db3460456d09ff2d1aabc"
