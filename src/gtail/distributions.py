@@ -58,7 +58,10 @@ def quantile(d: DistSpec, p):
     Burr and Kumaraswamy work with a = log (1-p)^(+-rho) so that no power of
     1-p overflows or underflows: where |a| > _FAR_TAIL the power is taken as
     exp(a) itself and the quantile as exp(a * exponent), exact to double
-    precision there, and finite for every p up to 1 - 2^-53.
+    precision there, and finite for every p up to 1 - 2^-53. The far-tail
+    form is computed only on the entries that take it (a scalar p goes
+    through 0-d arrays, which keep numpy's scalar arithmetic and take masked
+    assignment).
     """
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
@@ -68,17 +71,23 @@ def quantile(d: DistSpec, p):
         x = (1.0 - p) ** (-g)
     elif d.family == "burr":
         rho = d.rho
-        a = rho * np.log1p(-p)  # log (1-p)^rho > 0
+        a = np.asarray(rho * np.log1p(-p))  # log (1-p)^rho > 0
         with np.errstate(over="ignore"):
-            x = np.where(a > _FAR_TAIL, np.exp(a * (-g / rho)), np.expm1(a) ** (-g / rho))
+            x = np.asarray(np.expm1(a) ** (-g / rho))
+            far = a > _FAR_TAIL
+            if far.any():
+                x[far] = np.exp(a[far] * (-g / rho))
     else:  # kumaraswamy
         rho = d.rho
-        a = -rho * np.log1p(-p)  # log (1-p)^(-rho) < 0
+        a = np.asarray(-rho * np.log1p(-p))  # log (1-p)^(-rho) < 0
         with np.errstate(divide="ignore"):
             # -log(1 - exp(a)), each form used on the side of -log 2 where
             # it does not cancel
             y = np.where(a > -_LOG_2, -np.log(-np.expm1(a)), -np.log1p(-np.exp(a)))
-            x = np.where(a < -_FAR_TAIL, np.exp(a * (g / rho)), y ** (g / rho))
+            x = np.asarray(y ** (g / rho))
+            far = a < -_FAR_TAIL
+            if far.any():
+                x[far] = np.exp(a[far] * (g / rho))
     x = d.scale * x
     return float(x) if x.ndim == 0 else x
 

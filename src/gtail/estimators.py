@@ -9,7 +9,9 @@ Seven estimators, all expressed through the statistics in :mod:`gtail.stats`:
   reparametrization r = 1 - beta.
 
 Every estimate carries the statistics it consumed as diagnostics so that
-downstream variance formulas can reuse them without recomputation.
+downstream variance formulas can reuse them without recomputation. Every
+estimator raises DegenerateSampleError at a tail size k whose top k values
+all tie the threshold X_(k+1), where no estimate is defined.
 """
 
 from __future__ import annotations
@@ -52,32 +54,53 @@ class Estimate:
 
 
 # Closed forms of the estimators in their statistics (array-safe), shared by
-# the per-sample estimators and generalized_rows.
+# the per-sample estimators and generalized_arrays.
+
+def _quotient(num, den):
+    """num / den, with the IEEE result (inf or NaN) also for a float den of
+    0, where Python raises ZeroDivisionError."""
+    if isinstance(den, float) and den == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(num) / den)
+    return num / den
+
 
 def _moment_ratio_form(g01, g02):
     return g02 / (2.0 * g01)
 
 
 def _g1_form(g_r0, r):
-    return (g_r0 - 1.0) / (r * g_r0)
+    return _quotient(g_r0 - 1.0, r * g_r0)
 
 
 def _g3_form(g_r0, g_r1, r):
-    return (r * g_r1 - g_r0 + 1.0) / (r * r * g_r1)
+    return _quotient(r * g_r1 - g_r0 + 1.0, r * r * g_r1)
+
+
+#: The error of every estimator at a tail size whose top k values all equal
+#: the threshold X_(k+1): each log-ratio is 0, so no estimate is defined.
+TIE_MESSAGE = "all top ratios tie the threshold"
+
+
+def _check_tie(s: Sample, k: int) -> None:
+    """Raise the tie error if sorted_desc[0] == sorted_desc[k]; k is checked
+    by the statistic computed before."""
+    if s.sorted_desc[0] == s.sorted_desc[k]:
+        raise DegenerateSampleError(TIE_MESSAGE)
 
 
 def hill(s: Sample, k: int) -> Estimate:
     """Mean log-ratio of the top k observations to the threshold."""
     g01 = stat_g(s, k, 0.0, 1.0)
+    _check_tie(s, k)
     return Estimate(g01, EstimatorSpec("hill", k), s.n, {"g_r1": g01})
 
 
 def moment(s: Sample, k: int) -> Estimate:
     """Dekkers-Einmahl-de Haan moment estimator (classical form, r = 0)."""
     g1_ = stat_g(s, k, 0.0, 1.0)
+    _check_tie(s, k)
     g2_ = stat_g(s, k, 0.0, 2.0)
-    if g1_ == 0.0:
-        raise DegenerateSampleError("all top ratios tie the threshold")
     ratio = g2_ / g1_**2
     if ratio == 1.0:
         raise DegenerateSampleError("moment estimator undefined: G(k,0,2)/G(k,0,1)^2 = 1")
@@ -88,9 +111,8 @@ def moment(s: Sample, k: int) -> Estimate:
 def moment_ratio(s: Sample, k: int) -> Estimate:
     """Ratio of the second to twice the first log-moment."""
     g1_ = stat_g(s, k, 0.0, 1.0)
+    _check_tie(s, k)
     g2_ = stat_g(s, k, 0.0, 2.0)
-    if g1_ == 0.0:
-        raise DegenerateSampleError("all top ratios tie the threshold")
     return Estimate(_moment_ratio_form(g1_, g2_), EstimatorSpec("moment_ratio", k), s.n,
                     {"g_r1": g1_, "g_r2": g2_})
 
@@ -101,13 +123,14 @@ def g1(s: Sample, k: int, r: float) -> Estimate:
         e = hill(s, k)
         return Estimate(e.gamma_hat, EstimatorSpec("g1", k, r=0.0), s.n, e.diagnostics)
     g_r0 = stat_g(s, k, r, 0.0)
-    gamma = _g1_form(g_r0, r)
-    return Estimate(gamma, EstimatorSpec("g1", k, r=r), s.n, {"g_r0": g_r0})
+    _check_tie(s, k)
+    return Estimate(_g1_form(g_r0, r), EstimatorSpec("g1", k, r=r), s.n, {"g_r0": g_r0})
 
 
 def g2(s: Sample, k: int, r: float) -> Estimate:
     """Second generalization of the Hill estimator, built from G_n(k,r,1)."""
     g_r1 = stat_g(s, k, r, 1.0)
+    _check_tie(s, k)
     disc = 4.0 * r * g_r1 + 1.0
     if disc < 0.0:
         raise DomainError(f"g2 discriminant negative: 4*r*G(k,r,1)+1 = {disc}")
@@ -121,11 +144,76 @@ def g3(s: Sample, k: int, r: float) -> Estimate:
         e = moment_ratio(s, k)
         return Estimate(e.gamma_hat, EstimatorSpec("g3", k, r=0.0), s.n, e.diagnostics)
     g_r0 = stat_g(s, k, r, 0.0)
+    _check_tie(s, k)
     g_r1 = stat_g(s, k, r, 1.0)
-    if g_r1 == 0.0:
-        raise DegenerateSampleError("all top ratios tie the threshold")
-    gamma = _g3_form(g_r0, g_r1, r)
-    return Estimate(gamma, EstimatorSpec("g3", k, r=r), s.n, {"g_r0": g_r0, "g_r1": g_r1})
+    return Estimate(_g3_form(g_r0, g_r1, r), EstimatorSpec("g3", k, r=r), s.n,
+                    {"g_r0": g_r0, "g_r1": g_r1})
+
+
+@dataclass(frozen=True)
+class GeneralizedArrays:
+    """g1 (j = 1) or g3 (j = 3) on every row of a block at the row's own k
+    and r, as arrays: ``gamma[i]`` is the value ``g1(row i, ks[i], r[i])``
+    (or g3) computes, ``tie[i]`` whether that call raises the tie error, and
+    ``stats[:, i]`` the statistics it consumed (the diagnostics of its
+    Estimate). A row whose gamma is not finite raises the Estimate's own
+    error instead."""
+
+    j: int
+    n: int
+    ks: np.ndarray
+    r: np.ndarray  # the tuning of each row, 0.0 where the r = 0 branch is taken
+    gamma: np.ndarray
+    tie: np.ndarray
+    stats: np.ndarray = field(repr=False)
+
+    def row(self, i: int) -> Estimate | DegenerateSampleError:
+        """Row i as the per-sample call's Estimate, or the error it raises."""
+        if self.tie[i]:
+            return DegenerateSampleError(TIE_MESSAGE)
+        r = float(self.r[i])
+        names = (("g_r1", "g_r2") if r == 0.0 else ("g_r0", "g_r1"))[:1 if self.j == 1 else 2]
+        spec = EstimatorSpec("g1" if self.j == 1 else "g3", int(self.ks[i]), r=r)
+        try:
+            return Estimate(float(self.gamma[i]), spec, self.n,
+                            dict(zip(names, self.stats[:, i].tolist())))
+        except DegenerateSampleError as exc:
+            return exc
+
+
+def generalized_arrays(block: SampleBlock, j: int, ks, r) -> GeneralizedArrays:
+    """g1 (j = 1) or g3 (j = 3) on every row of a block at the row's own k
+    and r (a scalar or one value per row), bit for bit the per-sample
+    values; r = 0 gives the classical estimates (hill, moment_ratio)."""
+    if j not in (1, 3):
+        raise DomainError(f"generalized rows are defined for j in {{1, 3}}, got {j}")
+    ks = np.asarray(ks, dtype=int)
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 0:
+        r = np.full(block.rows, r)
+    at_zero = np.abs(r) < SMALL_R  # rows that take the exact r = 0 branch
+    gamma, stats = np.empty(block.rows), np.empty((1 if j == 1 else 2, block.rows))
+    for zero in (True, False):
+        rows = at_zero if zero else ~at_zero
+        if rows.any():
+            g, v = _branch(block, j, ks, 0.0 if zero else r, zero)
+            gamma[rows], stats[:, rows] = g[rows], v[:, rows]
+    desc = block.sorted_desc
+    tie = desc[:, 0] == desc[np.arange(block.rows), ks]
+    return GeneralizedArrays(j, block.n, ks, np.where(at_zero, 0.0, r), gamma, tie, stats)
+
+
+def _branch(block: SampleBlock, j: int, ks: np.ndarray, r, at_zero: bool):
+    """gamma and the statistics of every row for one branch of g1/g3: the
+    r = 0 one (hill, moment_ratio) or the tuned one."""
+    us = (1.0, 2.0) if at_zero else (0.0, 1.0)
+    g = stat_g_rows(block, ks, r, us[:1] if j == 1 else us)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if j == 1:
+            gamma = g[0] if at_zero else _g1_form(g[0], r)
+        else:
+            gamma = _moment_ratio_form(g[0], g[1]) if at_zero else _g3_form(g[0], g[1], r)
+    return gamma, g
 
 
 def generalized_rows(block: SampleBlock, j: int, ks, r) -> list:
@@ -134,47 +222,8 @@ def generalized_rows(block: SampleBlock, j: int, ks, r) -> list:
     the DegenerateSampleError that call raises. r = 0 gives the classical
     estimates.
     """
-    if j not in (1, 3):
-        raise DomainError(f"generalized_rows is defined for j in {{1, 3}}, got {j}")
-    ks = np.asarray(ks, dtype=int)
-    r = np.asarray(r, dtype=float)
-    rs = r.tolist() if r.ndim else [float(r)] * block.rows
-    at_zero = [abs(x) < SMALL_R for x in rs]  # rows that take the exact r = 0 branch
-    branches = {zero: _branch_rows(block, j, ks, r, zero) for zero in set(at_zero)}
-    kind = "g1" if j == 1 else "g3"
-    out = []
-    for i, (k, r_i, zero) in enumerate(zip(ks.tolist(), rs, at_zero)):
-        gamma, tie, diagnostics = branches[zero]
-        if tie[i]:
-            out.append(DegenerateSampleError("all top ratios tie the threshold"))
-            continue
-        spec = EstimatorSpec(kind, k, r=0.0 if zero else r_i)
-        try:
-            out.append(Estimate(gamma[i], spec, block.n, diagnostics[i]))
-        except DegenerateSampleError as exc:
-            out.append(exc)
-    return out
-
-
-def _branch_rows(block: SampleBlock, j: int, ks: np.ndarray, r: np.ndarray, at_zero: bool):
-    """Per row, as lists: gamma, whether it ties the threshold, and the
-    diagnostics, for one branch of g1/g3: the r = 0 one (hill,
-    moment_ratio) or the tuned one."""
-    if at_zero:
-        names, us, r = ("g_r1", "g_r2"), (1.0, 2.0), 0.0
-    else:
-        names, us = ("g_r0", "g_r1"), (0.0, 1.0)
-    if j == 1:
-        names, us = names[:1], us[:1]
-    g = stat_g_rows(block, ks, r, us)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if j == 1:
-            gamma = g[0] if at_zero else _g1_form(g[0], r)
-        else:
-            gamma = _moment_ratio_form(g[0], g[1]) if at_zero else _g3_form(g[0], g[1], r)
-    # moment_ratio and g3 divide by the u = 1 statistic
-    tie = [False] * block.rows if j == 1 else (g[names.index("g_r1")] == 0.0).tolist()
-    return gamma.tolist(), tie, [dict(zip(names, col)) for col in g.T.tolist()]
+    rows = generalized_arrays(block, j, ks, r)
+    return [rows.row(i) for i in range(block.rows)]
 
 
 def hme(s: Sample, k: int, beta: float) -> Estimate:

@@ -10,9 +10,9 @@ index and reduced in a fixed order, so the report bytes are identical across
 runs and across worker counts.
 
 Replications run in blocks of :data:`_BLOCK_BYTES` of sample data, one
-replication per row, so that the second-order step (the rho sweep and beta)
-costs one set of array operations per block; workers shard whole cells
-across processes.
+replication per row, so that the adaptive pipelines cost one set of array
+operations per block (``secondorder.adaptive_arrays``, whose gamma arrays
+are read directly); workers shard whole cells across processes.
 """
 
 from __future__ import annotations
@@ -31,16 +31,16 @@ from . import estimators as est
 from .asymptotics import SecondOrderModel, phi3, psi_H, psi_MR, estimator_limit_constants
 from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample
 from .errors import DomainError
-from .secondorder import AdaptiveResult, adaptive_all
+from .secondorder import adaptive_arrays
 from .stats import Sample, SampleBlock
 
 LABELS = ("hill", "gh", "mr", "gmr")
-#: (j, classical label, tuned label) of the two adaptive pipelines
-_PIPELINES = ((1, "hill", "gh"), (3, "mr", "gmr"))
+#: j -> (classical label, tuned label) of the two adaptive pipelines
+_PIPELINES = {1: ("hill", "gh"), 3: ("mr", "gmr")}
 
-#: Bytes of sample data per block of replications: 8 rows at n = 1000, one
-#: row from n = 8192 up, where per-call overhead no longer matters.
-_BLOCK_BYTES = 1 << 16
+#: Bytes of sample data per block of replications: 16 rows at n = 1000, one
+#: row from n = 16384 up, where per-call overhead no longer matters.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,13 @@ def cell_estimates(cfg: ExperimentConfig, gamma: float, rho: float,
         ok = np.all((draws > 0.0) & (draws < np.inf), axis=1)
         if not ok.any():
             continue
-        block = SampleBlock.from_values(draws[ok])
-        good_reps = [rep for rep, good in zip(block_reps, ok) if good]
-        for rep, results in zip(good_reps, adaptive_all(block)):
-            for j, classical, generalized in _PIPELINES:
-                res = results[j]
-                if isinstance(res, AdaptiveResult):
-                    values[classical][rep] = res.classical.gamma_hat
-                    values[generalized][rep] = res.generalized.gamma_hat
+        block = SampleBlock.from_values(draws if ok.all() else draws[ok])
+        good_reps = start + np.flatnonzero(ok)
+        for j, pipeline in adaptive_arrays(block).items():
+            done = pipeline.failed_step < 0
+            classical, generalized = _PIPELINES[j]
+            values[classical][good_reps[done]] = pipeline.gamma_c[done]
+            values[generalized][good_reps[done]] = pipeline.gamma_g[done]
     return values
 
 

@@ -17,15 +17,18 @@ evaluated for k in the window [n^0.90, n^0.995] for tau in {0, 1}, the tau
 whose path has the smaller interquartile range wins, and the path median is
 reported.
 
-Steps 1 and 2 run on a :class:`~gtail.stats.SampleBlock` of equal-size
-samples, one replication per row: one prefix-sum log-moment profile per
-block serves both tau, and the rho paths, the tau choice, the median, the
-clamps and beta are array operations over the rows. So are steps 3 to 5:
-one call each gives the tail sizes, R*, r and both estimates of all rows,
-each row's value bit for bit the one a single sample gets. A single Sample is
-the one-row case. Functions that take either return, for a block, one result
-per row with a failed row's exception in its place, and for a Sample the
-result itself, raising on failure.
+All five steps run on a :class:`~gtail.stats.SampleBlock` of equal-size
+samples, one replication per row, as array operations over the rows: one
+prefix-sum log-moment profile per block serves both tau, and the rho paths,
+the tau choice, the median, the clamps, beta, the tail sizes, R*, r and both
+estimates are computed for all rows at once, each row's value bit for bit
+the one a single sample gets. :func:`adaptive_arrays` returns these arrays,
+with the index of each row's failed step in :data:`STEPS`; the functions
+that return result objects (:func:`estimate_rho`, :func:`estimate_beta`,
+:func:`adaptive_all`, :func:`adaptive_estimate`) build them from the same
+arrays. A single Sample is the one-row case: those functions return, for a
+block, one result per row with a failed row's exception in its place, and
+for a Sample the result itself, raising on failure.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,11 +94,13 @@ def _per_sample(s: Sample | SampleBlock, results: list):
 def _t_statistic(m1, m2, m3, tau: int):
     """The three-moment contrast whose distance from 3 encodes rho (array-safe)."""
     if tau == 0:
-        num = np.log(m1) - 0.5 * np.log(m2)
-        den = 0.5 * np.log(m2) - np.log(m3) / 3.0
+        half_log_m2 = 0.5 * np.log(m2)
+        num = np.log(m1) - half_log_m2
+        den = half_log_m2 - np.log(m3) / 3.0
     elif tau > 0:
-        num = m1**tau - m2 ** (tau / 2.0)
-        den = m2 ** (tau / 2.0) - m3 ** (tau / 3.0)
+        m2_power = m2 ** (tau / 2.0)
+        num = m1**tau - m2_power
+        den = m2_power - m3 ** (tau / 3.0)
     else:
         raise DomainError(f"tau must be 0 or a positive integer, got {tau}")
     return num, den
@@ -160,6 +166,45 @@ def _k_window(n: int) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
+_RHO_DEGENERATE = "rho estimation degenerate over the whole k window"
+_BETA_DEGENERATE = "beta estimation degenerate (zero denominator)"
+
+
+def _rho_arrays(block: SampleBlock):
+    """Step 1 on every row: the k window, the k beta uses, and per row the
+    clamped rho_hat (NaN where the path is invalid over the whole window),
+    the chosen tau (-1 there) and the path rho_hat(k, tau) over the window
+    (NaN at invalid k). Warns once per row clamped to RHO_FLOOR."""
+    ks = _k_window(block.n)
+    prof = log_moment_profile(block, ks, u_max=3)
+    # contiguous columns, so that every row goes through the same ufunc loops
+    m1, m2, m3 = prof[..., 0].copy(), prof[..., 1] / 2.0, prof[..., 2] / 6.0
+    del prof
+    ok = (m1 > 0) & (m2 > 0) & (m3 > 0)
+    paths = np.stack([_rho_path(m1, m2, m3, ok, tau) for tau in (0, 1)])
+    # both taus' rows through one sort
+    (n0, n1), (iqr0, iqr1), (med0, med1) = (
+        x.reshape(2, block.rows) for x in _path_stats(paths.reshape(2 * block.rows, ks.size)))
+    # tau = 1 wins where only it has a valid path or its path is more stable
+    one = (n1 > 0) & ((n0 == 0) | (iqr1 < iqr0))
+    tau = np.where(one, 1, np.where(n0 > 0, 0, -1))
+    median = np.where(one, med1, np.where(n0 > 0, med0, np.nan))
+    for rho in median[median < RHO_FLOOR].tolist():
+        warnings.warn(f"rho estimate {rho:.2f} clamped to {RHO_FLOOR}", stacklevel=3)
+    rho = np.clip(median, RHO_FLOOR, RHO_CEILING)
+    k_used = min(block.n - 1, int(block.n**_K_WINDOW_HIGH))
+    return ks, k_used, rho, tau, np.where(one[:, None], paths[1], paths[0])
+
+
+def _rho_estimate(ks, k_used: int, rho: float, tau: int, path: np.ndarray):
+    """One row of _rho_arrays as a RhoEstimate, or the error of a row whose
+    path is invalid over the whole window."""
+    if tau < 0:
+        return DegenerateSampleError(_RHO_DEGENERATE)
+    valid = ~np.isnan(path)
+    return RhoEstimate(rho, tau, k_used, np.column_stack((ks[valid], path[valid])))
+
+
 def estimate_rho(s: Sample | SampleBlock):
     """Sweep rho_hat over the high-k window, pick the more stable tau by
     interquartile range, and report the path median (clamped to stay in
@@ -169,56 +214,14 @@ def estimate_rho(s: Sample | SampleBlock):
     RhoEstimate per row, or the DegenerateSampleError of a row whose path is
     invalid over the whole window.
     """
-    block = _block(s)
-    ks = _k_window(block.n)
-    prof = log_moment_profile(block, ks, u_max=3)
-    # contiguous columns, so that every row goes through the same ufunc loops
-    m1, m2, m3 = prof[..., 0].copy(), prof[..., 1] / 2.0, prof[..., 2] / 6.0
-    del prof
-    ok = (m1 > 0) & (m2 > 0) & (m3 > 0)
-    tau = np.full(block.rows, -1)  # -1 until some tau has a valid path
-    count = np.zeros(block.rows, dtype=int)
-    best_iqr = np.full(block.rows, np.nan)
-    median = np.full(block.rows, np.nan)
-    # (k, rho_hat) pairs of the chosen tau, filled tau by tau
-    pairs = np.empty((block.rows, ks.size, 2))
-    pairs[..., 0] = ks
-    for t in (0, 1):
-        path = _rho_path(m1, m2, m3, ok, t)
-        n_valid, iqr, med = _path_stats(path)
-        better = (n_valid > 0) & ((tau < 0) | (iqr < best_iqr))
-        tau[better], count[better] = t, n_valid[better]
-        best_iqr[better], median[better] = iqr[better], med[better]
-        pairs[better, :, 1] = path[better]
-        del path
-    k_used = min(block.n - 1, int(block.n**_K_WINDOW_HIGH))
-    out = []
-    for row in range(block.rows):
-        if tau[row] < 0:
-            out.append(DegenerateSampleError("rho estimation degenerate over the whole k window"))
-            continue
-        rho = float(median[row])
-        if rho < RHO_FLOOR:
-            warnings.warn(f"rho estimate {rho:.2f} clamped to {RHO_FLOOR}", stacklevel=2)
-            rho = RHO_FLOOR
-        if rho > RHO_CEILING:
-            rho = RHO_CEILING
-        path = pairs[row]
-        if count[row] < ks.size:
-            path = path[~np.isnan(path[:, 1])]
-        out.append(RhoEstimate(rho, int(tau[row]), k_used, path))
-    return _per_sample(s, out)
+    ks, k_used, rho, tau, paths = _rho_arrays(_block(s))
+    return _per_sample(s, [_rho_estimate(ks, k_used, *row)
+                           for row in zip(rho.tolist(), tau.tolist(), paths)])
 
 
-def beta_hat(s: Sample | SampleBlock, k: int, rho):
-    """Hall-class beta estimate from weighted scaled log-spacings.
-
-    Power weights (i/k)^(-rho) and the prefactor (k/n)^rho are taken through
-    exp/log so that strongly negative rho stays finite. For a block, rho
-    holds one value per row and the result is a list with a
-    DegenerateSampleError for each row whose denominator vanishes.
-    """
-    block = _block(s)
+def _beta_arrays(block: SampleBlock, k: int, rho):
+    """Per row, beta_hat at k and the row's rho, and whether its
+    denominator vanishes (beta is then not an estimate)."""
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (block.rows,))
     if not np.all(rho < 0):
         raise DomainError(f"rho must be < 0, got {rho if block.rows > 1 else rho[0]}")
@@ -235,12 +238,23 @@ def beta_hat(s: Sample | SampleBlock, k: int, rho):
     a3 = np.mean(x * w, axis=1)
     a4 = np.mean(x * x * w, axis=1)
     den = a1 * a3 - a4
-    prefactor = np.array([math.exp(r * math.log(k / block.n)) for r in rho])
+    prefactor = np.array([math.exp(r * math.log(k / block.n)) for r in rho.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = prefactor * (a1 * a2 - a3) / den
-    return _per_sample(s, [
-        DegenerateSampleError("beta estimation degenerate (zero denominator)") if d == 0.0
-        else float(b) for b, d in zip(beta, den)])
+    return beta, den == 0.0
+
+
+def beta_hat(s: Sample | SampleBlock, k: int, rho):
+    """Hall-class beta estimate from weighted scaled log-spacings.
+
+    Power weights (i/k)^(-rho) and the prefactor (k/n)^rho are taken through
+    exp/log so that strongly negative rho stays finite. For a block, rho
+    holds one value per row and the result is a list with a
+    DegenerateSampleError for each row whose denominator vanishes.
+    """
+    beta, degenerate = _beta_arrays(_block(s), k, rho)
+    return _per_sample(s, [DegenerateSampleError(_BETA_DEGENERATE) if bad else b
+                           for b, bad in zip(beta.tolist(), degenerate.tolist())])
 
 
 def estimate_beta(s: Sample | SampleBlock, rho):
@@ -254,15 +268,12 @@ def estimate_beta(s: Sample | SampleBlock, rho):
     if not found:
         return _per_sample(s, rhos)
     k = found[0].k_used  # the k window depends on n only
-    betas = beta_hat(_block(s), k, [r.rho_hat if isinstance(r, RhoEstimate) else RHO_CEILING
-                                    for r in rhos])
-    out = []
-    for r, b in zip(rhos, betas):
-        if not isinstance(r, RhoEstimate):
-            out.append(r)
-        else:
-            out.append(b if isinstance(b, Exception) else BetaEstimate(b, k))
-    return _per_sample(s, out)
+    beta, degenerate = _beta_arrays(_block(s), k, [
+        r.rho_hat if isinstance(r, RhoEstimate) else RHO_CEILING for r in rhos])
+    return _per_sample(s, [
+        r if not isinstance(r, RhoEstimate)
+        else DegenerateSampleError(_BETA_DEGENERATE) if bad else BetaEstimate(b, k)
+        for r, b, bad in zip(rhos, beta.tolist(), degenerate.tolist())])
 
 
 def adaptive_k(n: int, rho, beta, j: int, generalized: bool):
@@ -285,7 +296,9 @@ def adaptive_k(n: int, rho, beta, j: int, generalized: bool):
         if k is None:
             raise _no_tail_size(rho, beta)
         return k
-    rho, beta = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(beta, dtype=float))
+    rho, beta = np.asarray(rho, dtype=float), np.asarray(beta, dtype=float)
+    if rho.shape != beta.shape:
+        rho, beta = np.broadcast_arrays(rho, beta)
     R = r_star(rho, j).tolist() if generalized else [None] * rho.size
     ks = [_tail_size(n, rho_i, beta_i, j, R_i)
           for rho_i, beta_i, R_i in zip(rho.tolist(), beta.tolist(), R)]
@@ -319,6 +332,115 @@ def _no_tail_size(rho: float, beta: float) -> DomainError:
     return DomainError(f"no finite AMSE-optimal tail size at rho={rho}, beta={beta}")
 
 
+#: The steps of the adaptive pipeline in order; PipelineArrays.failed_step
+#: holds the index of a row's failed step, -1 for a row that did not fail.
+STEPS = ("rho", "beta", "k_classical", "classical", "r_star", "k_generalized", "generalized")
+
+
+@dataclass(frozen=True)
+class PipelineArrays:
+    """Adaptive pipeline j on every row of a block, as arrays.
+
+    rho, tau, path and beta are the second-order step, shared by both
+    pipelines of a block: the clamped rho_hat, the chosen tau, rho_hat(k,
+    tau) over ``k_window`` (NaN at invalid k) and beta_hat at k_used.
+    k_c and k_g are the classical and tuned tail sizes (NaN where the
+    optimum is not finite), r the tuning. Entries of a row from its failed
+    step on are not estimates; they hold NaN or values computed from
+    placeholders.
+    """
+
+    j: int
+    k_window: np.ndarray
+    k_used: int
+    rho: np.ndarray
+    tau: np.ndarray
+    path: np.ndarray = field(repr=False)
+    beta: np.ndarray
+    k_c: np.ndarray
+    classical: estimators.GeneralizedArrays
+    r: np.ndarray
+    k_g: np.ndarray
+    generalized: estimators.GeneralizedArrays
+    failed_step: np.ndarray
+
+    @property
+    def gamma_c(self) -> np.ndarray:
+        return self.classical.gamma
+
+    @property
+    def gamma_g(self) -> np.ndarray:
+        return self.generalized.gamma
+
+
+def _valid_or_2(k: np.ndarray) -> np.ndarray:
+    """Tail sizes with k = 2 in place of NaN, for rows whose result is unused."""
+    return np.where(np.isnan(k), 2, k).astype(int)
+
+
+class _SecondOrder(NamedTuple):
+    """Steps 1 and 2 on every row of a block (see PipelineArrays);
+    failed_step is 0 (rho), 1 (beta) or -1."""
+
+    k_window: np.ndarray
+    k_used: int
+    rho: np.ndarray
+    tau: np.ndarray
+    path: np.ndarray
+    beta: np.ndarray
+    failed_step: np.ndarray
+
+
+def adaptive_arrays(block: SampleBlock, js: tuple = (1, 3)) -> dict:
+    """The five-step adaptive pipeline for each j in js on every row of a
+    block, one shared rho/beta step: {j: PipelineArrays}. Each row's values
+    are, bit for bit, those of adaptive_estimate on that row alone, and its
+    failed_step is the step at which that call raises, or -1.
+    """
+    if block.n < 100:
+        raise DomainError(f"adaptive pipeline needs n >= 100, got {block.n}")
+    second = _second_order(block)
+    return {j: _tail_arrays(block, j, second) for j in js}
+
+
+def _second_order(block: SampleBlock) -> _SecondOrder:
+    ks, k_used, rho, tau, path = _rho_arrays(block)
+    no_rho = tau < 0
+    beta, degenerate = _beta_arrays(block, k_used, np.where(no_rho, RHO_CEILING, rho))
+    beta = np.where(no_rho | degenerate, np.nan, beta)
+    failed_step = np.where(no_rho, 0, np.where(degenerate | (beta == 0.0), 1, -1))
+    return _SecondOrder(ks, k_used, rho, tau, path, beta, failed_step)
+
+
+def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineArrays:
+    """Steps 3-5 of pipeline j on every row. A row whose second-order step
+    failed goes through them with placeholder values (rho = -1, beta = 1)."""
+    placeholder = second.failed_step >= 0
+    rho = np.where(placeholder, -1.0, second.rho)
+    beta = np.where(placeholder, 1.0, second.beta)
+    k_c = adaptive_k(block.n, rho, beta, j, generalized=False)
+    classical = estimators.generalized_arrays(block, j, _valid_or_2(k_c), 0.0)
+    gamma_c = classical.gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = r_star(rho, j) / gamma_c
+    k_g = adaptive_k(block.n, rho, beta, j, generalized=True)
+    tuned = estimators.generalized_arrays(block, j, _valid_or_2(k_g),
+                                          np.where(gamma_c > 0.0, r, 0.0))
+    fails = {
+        "k_classical": np.isnan(k_c),
+        "classical": classical.tie | ~np.isfinite(gamma_c),
+        "r_star": ~(gamma_c > 0.0),
+        "k_generalized": np.isnan(k_g),
+        "generalized": tuned.tie | ~np.isfinite(tuned.gamma),
+    }
+    failed_step = second.failed_step.copy()
+    # a row fails at its first failing step, so later steps are marked first
+    for step in reversed(STEPS[2:]):
+        failed_step[fails[step] & ~placeholder] = STEPS.index(step)
+    return PipelineArrays(j, second.k_window, second.k_used, second.rho, second.tau, second.path,
+                          second.beta, k_c, classical, r, k_g, tuned, failed_step)
+
+
 @dataclass(frozen=True)
 class AdaptiveResult:
     classical: Estimate
@@ -350,11 +472,8 @@ def adaptive_all(s: Sample | SampleBlock):
 
 def _adaptive(s: Sample | SampleBlock, js: tuple):
     block = _block(s)
-    if block.n < 100:
-        raise DomainError(f"adaptive pipeline needs n >= 100, got {block.n}")
-    second = _second_order(block)
-    steps = {j: _tail_steps(block, j, second) for j in js}
-    rows = [{j: steps[j][i] for j in js} for i in range(block.rows)]
+    arrays = adaptive_arrays(block, js)
+    rows = [{j: _result(arrays[j], i) for j in js} for i in range(block.rows)]
     if isinstance(s, SampleBlock):
         return rows
     (results,) = rows
@@ -364,80 +483,28 @@ def _adaptive(s: Sample | SampleBlock, js: tuple):
     return results
 
 
-def _rowwise(fn, rows: int, *args) -> list:
-    """fn's per-row results; an exception raised for the whole block is the
-    result of every row."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return [exc] * rows
-
-
-def _step_error(step: str, exc: Exception) -> PipelineError:
-    err = PipelineError(step, str(exc))
-    err.__cause__ = exc
+def _result(a: PipelineArrays, i: int) -> AdaptiveResult | PipelineError:
+    """Row i of pipeline arrays as the AdaptiveResult, or the PipelineError
+    of its failed step with the step's own error as its cause."""
+    rho, beta = float(a.rho[i]), float(a.beta[i])
+    step = STEPS[a.failed_step[i]] if a.failed_step[i] >= 0 else None
+    if step is None:
+        return AdaptiveResult(
+            a.classical.row(i), a.generalized.row(i),
+            _rho_estimate(a.k_window, a.k_used, rho, int(a.tau[i]), a.path[i]),
+            BetaEstimate(beta, a.k_used), float(a.r[i]))
+    if step == "rho":
+        cause = DegenerateSampleError(_RHO_DEGENERATE)
+    elif step == "beta" and beta == 0.0:
+        return PipelineError("beta", "beta estimate is exactly zero")
+    elif step == "beta":
+        cause = DegenerateSampleError(_BETA_DEGENERATE)
+    elif step in ("k_classical", "k_generalized"):
+        cause = _no_tail_size(rho, beta)
+    elif step == "r_star":
+        cause = DegenerateSampleError(f"classical estimate {float(a.gamma_c[i])} is not positive")
+    else:
+        cause = (a.classical if step == "classical" else a.generalized).row(i)
+    err = PipelineError(step, str(cause))
+    err.__cause__ = cause
     return err
-
-
-def _second_order(block: SampleBlock) -> list:
-    """Per row, (RhoEstimate, BetaEstimate) or the PipelineError of the
-    failed step."""
-    rhos = _rowwise(estimate_rho, block.rows, block)
-    betas = _rowwise(estimate_beta, block.rows, block, rhos)
-    out = []
-    for rho, beta in zip(rhos, betas):
-        if isinstance(rho, Exception):
-            out.append(_step_error("rho", rho))
-        elif isinstance(beta, Exception):
-            out.append(_step_error("beta", beta))
-        elif beta.beta_hat == 0.0:
-            out.append(PipelineError("beta", "beta estimate is exactly zero"))
-        else:
-            out.append((rho, beta))
-    return out
-
-
-def _valid_or_2(k: np.ndarray) -> np.ndarray:
-    """Tail sizes with k = 2 in place of NaN, for rows whose result is unused."""
-    return np.where(np.isnan(k), 2, k).astype(int)
-
-
-def _tail_steps(block: SampleBlock, j: int, second: list) -> list:
-    """Steps 3-5 of pipeline j on every row of a block, given _second_order's
-    per-row results: per row an AdaptiveResult or the PipelineError of the
-    failed step.
-
-    Rows whose second-order step failed go through the array steps with
-    placeholder values (rho = -1, beta = 1) and keep their error.
-    """
-    failed = [isinstance(x, PipelineError) for x in second]
-    rho = np.array([-1.0 if bad else x[0].rho_hat for x, bad in zip(second, failed)])
-    beta = np.array([1.0 if bad else x[1].beta_hat for x, bad in zip(second, failed)])
-    k_c = adaptive_k(block.n, rho, beta, j, generalized=False)
-    classical = estimators.generalized_rows(block, j, _valid_or_2(k_c), 0.0)
-    gamma_c = np.array([e.gamma_hat if isinstance(e, Estimate) else np.nan for e in classical])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = r_star(rho, j) / gamma_c
-    k_g = adaptive_k(block.n, rho, beta, j, generalized=True)
-    tuned = estimators.generalized_rows(block, j, _valid_or_2(k_g),
-                                        np.where(gamma_c > 0.0, r, 0.0))
-    out = []
-    for x, bad, rho_i, beta_i, kc_i, c, r_i, kg_i, t in zip(
-            second, failed, rho.tolist(), beta.tolist(), k_c.tolist(), classical,
-            r.tolist(), k_g.tolist(), tuned):
-        if bad:
-            out.append(x)
-        elif math.isnan(kc_i):
-            out.append(_step_error("k_classical", _no_tail_size(rho_i, beta_i)))
-        elif isinstance(c, Exception):
-            out.append(_step_error("classical", c))
-        elif not c.gamma_hat > 0.0:
-            out.append(_step_error("r_star", DegenerateSampleError(
-                f"classical estimate {c.gamma_hat} is not positive")))
-        elif math.isnan(kg_i):
-            out.append(_step_error("k_generalized", _no_tail_size(rho_i, beta_i)))
-        elif isinstance(t, Exception):
-            out.append(_step_error("generalized", t))
-        else:
-            out.append(AdaptiveResult(c, t, *x, r_i))
-    return out

@@ -211,7 +211,8 @@ def stat_g_rows(block: SampleBlock, ks, r, us) -> np.ndarray:
     Entry [a, i] equals ``stat_g(row i, ks[i], r[i], us[a])`` bit for bit:
     the top-k log-ratios of all rows go through exp and the powers as one
     flat array, and each row's terms are summed on their own by the pairwise
-    sum that np.mean uses (a padded or segmented sum rounds differently).
+    sum that np.mean uses (a padded or segmented sum rounds differently),
+    all us of a row in one reduction along the rows of a (len(us), k) slice.
     """
     ks = np.asarray(ks, dtype=int).tolist()
     if min(ks) < 2 or max(ks) > block.n - 1:
@@ -219,15 +220,16 @@ def stat_g_rows(block: SampleBlock, ks, r, us) -> np.ndarray:
     if min(us) < 0:
         raise DomainError(f"u must be >= 0, got {min(us)}")
     # the rows' _top_logs one after another
-    logs = np.log(np.concatenate([d[:k] / d[k] for d, k in zip(block.sorted_desc, ks)]))
+    desc = block.sorted_desc
+    top = np.concatenate([d[:k] for d, k in zip(desc, ks)])
+    logs = np.log(top / np.repeat(desc[np.arange(block.rows), ks], ks))
     e = np.exp((np.repeat(r, ks) if np.ndim(r) else r) * logs)
-    ends = list(accumulate(ks))
-    bounds = list(zip([0] + ends[:-1], ends))
-    sums = np.empty((len(us), block.rows))
+    terms = np.empty((len(us), logs.size))
     for a, u in enumerate(us):
-        terms = e if u == 0 else e * logs**u
-        sums[a] = [np.add.reduce(terms[lo:hi]) for lo, hi in bounds]
-    return sums / ks
+        terms[a] = e if u == 0 else e * logs**u
+    ends = list(accumulate(ks))
+    sums = [np.add.reduce(terms[:, lo:hi], axis=1) for lo, hi in zip([0] + ends[:-1], ends)]
+    return np.array(sums).T / ks
 
 
 def stat_h(s: Sample, k: int, r: float) -> float:

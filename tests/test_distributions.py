@@ -112,6 +112,36 @@ class TestQuantile:
                 q = dist.quantile(dist.DistSpec(family, 4.0, rho), p)
                 assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0), (family, rho, q)
 
+    @staticmethod
+    def both_forms(family, gamma, rho, p):
+        """The quantile with both forms evaluated on every entry, picked per
+        entry by np.where (the reference)."""
+        with np.errstate(over="ignore", divide="ignore"):
+            if family == "burr":
+                a = rho * np.log1p(-p)
+                return a, np.where(a > dist._FAR_TAIL, np.exp(a * (-gamma / rho)),
+                                   np.expm1(a) ** (-gamma / rho))
+            a = -rho * np.log1p(-p)
+            y = np.where(a > -math.log(2.0), -np.log(-np.expm1(a)), -np.log1p(-np.exp(a)))
+            return a, np.where(a < -dist._FAR_TAIL, np.exp(a * (gamma / rho)), y ** (gamma / rho))
+
+    @pytest.mark.parametrize("family, gamma, rho", [
+        ("burr", 1.25, -3.5), ("burr", 3.95, -25.0), ("burr", 0.05, -0.01),
+        ("kumaraswamy", 0.5, -1.0), ("kumaraswamy", 0.05, -4.95), ("kumaraswamy", 2.0, -25.0)])
+    def test_far_tail_only_where_taken(self, family, gamma, rho):
+        """The far-tail form is computed only on the entries that take it;
+        the values are the reference's, bit for bit, for arrays and scalars."""
+        d = dist.DistSpec(family, gamma, rho, scale=1.7)
+        rng = np.random.default_rng(5)
+        p = np.concatenate([rng.random(2000), 1.0 - 2.0 ** -rng.uniform(1.0, 53.0, 500)])
+        a, want = self.both_forms(family, gamma, rho, p)
+        assert np.any(np.abs(a) > dist._FAR_TAIL) == (rho == -25.0)
+        assert np.array_equal(dist.quantile(d, p), 1.7 * want)
+        for x in p[::50].tolist():
+            got = dist.quantile(d, x)
+            assert type(got) is float
+            assert got == float(1.7 * self.both_forms(family, gamma, rho, np.asarray(x))[1])
+
     def test_tail_constant(self):
         # 1 - F(x) ~ C^(1/gamma) x^(-1/gamma): at x = 1e6 the Burr(rho=-1)
         # survival times x^(1/gamma) is within 5% of 1

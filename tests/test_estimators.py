@@ -231,6 +231,38 @@ class TestGeneralizedRows:
             est.generalized_rows(block, 1, [3, 10], 0.1)
 
 
+@pytest.mark.parametrize("kind", est.KINDS)
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_tied_tail_raises_for_every_kind(kind, r):
+    """One contract: where sorted_desc[0] == sorted_desc[k] every kind
+    raises the tie error, never a silent 0.0; one value above the threshold
+    is enough for an estimate."""
+    s = Sample.from_values([2.0] * 10 + [1.0])
+    spec = est.EstimatorSpec(kind, 5, r=r, beta=1.0 - r)
+    with pytest.raises(DegenerateSampleError, match=est.TIE_MESSAGE):
+        est.evaluate(s, spec)
+    one_above = Sample.from_values([3.0] + [2.0] * 9 + [1.0])
+    assert math.isfinite(est.evaluate(one_above, spec).gamma_hat)
+    if kind in ("g1", "g3"):
+        block = SampleBlock.from_values(np.stack([s.values, np.arange(1.0, 12.0)]))
+        rows = est.generalized_arrays(block, 1 if kind == "g1" else 3, [5, 5], r)
+        assert rows.tie.tolist() == [True, False]
+        assert str(rows.row(0)) == est.TIE_MESSAGE
+
+
+@pytest.mark.parametrize("fn, r", [(est.g1, -1e6), (est.g3, -1e6), (est.hme, 1e6 + 1.0)])
+def test_underflowing_statistic_is_a_typed_error(fn, r):
+    """At a tuning so negative that every term x^r underflows, the division
+    by the statistic gives inf: a DegenerateSampleError, not Python's
+    ZeroDivisionError, and the same in the row arrays."""
+    s = Sample.from_values(np.arange(1.0, 100.0))
+    with pytest.raises(DegenerateSampleError, match="non-finite estimate") as caught:
+        fn(s, 10, r)
+    if fn is not est.hme:
+        (row,) = est.generalized_rows(SampleBlock.of(s), 1 if fn is est.g1 else 3, [10], r)
+        assert str(row) == str(caught.value)
+
+
 def test_evaluate_dispatch():
     s = sample_1_e_e2()
     assert est.evaluate(s, est.EstimatorSpec("hill", 2)).gamma_hat == 1.5

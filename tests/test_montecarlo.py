@@ -65,9 +65,9 @@ class TestRunCell:
         assert a == b
 
     @pytest.mark.parametrize("family, n, gamma, rho, reps", [
-        ("burr", 1000, 1.0, -1.0, 20),                 # blocks of 8 rows: 8 + 8 + 4
+        ("burr", 1000, 1.0, -1.0, 20),                 # blocks of 16 rows: 16 + 4
         ("kumaraswamy", 100, 1.5e-17, -0.5, 90),       # near-tied values: rows fail at
-                                                       # rho, classical and r_star
+                                                       # rho and classical (tied tails)
         ("burr", 1000, 6e-16, -15.0, 100),             # rho-floor clamps
     ])
     def test_blocks_match_the_per_sample_pipeline(self, family, n, gamma, rho, reps):

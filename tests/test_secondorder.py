@@ -241,7 +241,7 @@ class TestBlockTailSteps:
     tail sizes and tuning, bit for bit, whatever the other rows hold."""
 
     CELLS = [("burr", 1.0, -1.0, 1000), ("kumaraswamy", 0.5, -2.0, 500),
-             # near-tied values: rows fail at rho, classical and r_star
+             # near-tied values: rows fail at rho and classical (tied tails)
              ("kumaraswamy", 1.5e-17, -0.5, 100)]
 
     @staticmethod
@@ -295,12 +295,86 @@ class TestBlockTailSteps:
         # the moment ratio
         s = Sample.from_values(sample(DistSpec("pareto", 1.0), 400, 3).values ** 60)
         k = int(s.n**0.995)
-        second = [(so.RhoEstimate(so.RHO_CEILING, 0, k, np.empty((0, 2))), so.BetaEstimate(1.0, k))]
-        (res,) = so._tail_steps(SampleBlock.of(s), 3, second)
+        second = so._SecondOrder(np.arange(0), k, np.array([so.RHO_CEILING]), np.array([0]),
+                                 np.empty((1, 0)), np.array([1.0]), np.array([-1]))
+        res = so._result(so._tail_arrays(SampleBlock.of(s), 3, second), 0)
         assert 0.0 < abs(res.r_generalized) < SMALL_R
         assert res.generalized.spec.r == 0.0
         assert res.generalized == est.g3(s, res.generalized.spec.k, res.r_generalized)
         assert res.generalized.gamma_hat == est.moment_ratio(s, res.generalized.spec.k).gamma_hat
+
+
+class TestPipelineArrays:
+    """adaptive_arrays, the array core: each row's arrays are the values of
+    the per-sample result objects, bit for bit, and a failing row records
+    the step at which adaptive_estimate raises."""
+
+    # TestBlockTailSteps' cells and a cell whose rho estimates are clamped
+    CELLS = TestBlockTailSteps.CELLS + [("burr", 6e-16, -15.0, 1000)]
+    FIELDS = ("rho", "tau", "path", "beta", "k_c", "gamma_c", "r", "k_g", "gamma_g",
+              "failed_step")
+
+    @pytest.mark.parametrize("family, gamma, rho, n", CELLS)
+    def test_rows_are_the_per_sample_results(self, family, gamma, rho, n):
+        # rows 33 and 38 of stream 2 are clamped at the rho floor in the last cell
+        block = sample_block(DistSpec(family, gamma, rho), n, 7, [(2, i) for i in range(24, 40)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            arrays = so.adaptive_arrays(block)
+            rows = so.adaptive_all(block)
+        failed = 0
+        for i, s in enumerate(block.samples()):
+            for j, a in arrays.items():
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        res = so.adaptive_estimate(s, j)
+                except PipelineError as err:
+                    failed += 1
+                    assert so.STEPS[a.failed_step[i]] == err.step
+                    assert (rows[i][j].step, str(rows[i][j])) == (err.step, str(err))
+                    assert str(rows[i][j].__cause__) == str(err.__cause__)
+                    continue
+                assert a.failed_step[i] == -1
+                assert (a.rho[i], a.tau[i], a.beta[i]) == (
+                    res.rho.rho_hat, res.rho.tau, res.beta.beta_hat)
+                valid = ~np.isnan(a.path[i])
+                assert np.array_equal(a.k_window[valid], res.rho.path[:, 0])
+                assert np.array_equal(a.path[i][valid], res.rho.path[:, 1])
+                assert (a.k_c[i], a.gamma_c[i]) == (res.classical.spec.k, res.classical.gamma_hat)
+                assert a.r[i] == res.r_generalized
+                assert (a.k_g[i], a.gamma_g[i]) == (
+                    res.generalized.spec.k, res.generalized.gamma_hat)
+                assert rows[i][j] == res
+        clamped = sum(str(w.message).startswith("rho estimate") for w in caught)
+        assert clamped == 2 * np.sum(arrays[1].rho == so.RHO_FLOOR)
+        if gamma == 6e-16:
+            assert clamped > 0
+        if n == 100:
+            assert 0 < failed < 32
+
+    @pytest.mark.parametrize("family, gamma, rho, n", [
+        ("burr", 1.0, -1.0, 300), ("kumaraswamy", 1.5e-17, -0.5, 100)])
+    def test_blocks_of_1_16_and_200_rows_agree(self, family, gamma, rho, n):
+        values = sample_block(DistSpec(family, gamma, rho), n, 7,
+                              [(2, i) for i in range(200)]).values
+        for size in (1, 16):
+            parts = [so.adaptive_arrays(SampleBlock.from_values(values[lo:lo + size]))
+                     for lo in range(0, 200, size)]
+            whole = so.adaptive_arrays(SampleBlock.from_values(values))
+            for j in (1, 3):
+                for name in self.FIELDS:
+                    got = np.concatenate([getattr(p[j], name) for p in parts])
+                    assert np.array_equal(got, getattr(whole[j], name), equal_nan=True), name
+
+    def test_below_the_minimum_and_one_pipeline(self):
+        block = sample_block(DistSpec("burr", 1.0, -1.0), 99, 1, [(0,), (1,)])
+        with pytest.raises(DomainError):
+            so.adaptive_arrays(block)
+        block = sample_block(DistSpec("burr", 1.0, -1.0), 400, 1, [(0,), (1,)])
+        (only,) = so.adaptive_arrays(block, (3,)).values()
+        assert only.j == 3
+        assert np.array_equal(only.gamma_g, so.adaptive_arrays(block)[3].gamma_g)
 
 
 class TestAdaptivePipeline:
