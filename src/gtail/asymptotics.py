@@ -23,6 +23,7 @@ rho would otherwise overflow.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -110,22 +111,38 @@ def joint_limit_constants(m: SecondOrderModel, r: float) -> JointLimitConstants:
     return JointLimitConstants(nu1, nu2, s1_sq, s2_sq, s12)
 
 
-def estimator_limit_constants(m: SecondOrderModel, r: float, j: int) -> tuple[float, float]:
-    """Asymptotic bias constant nu_j(r) and variance sigma2_j(r) of estimator j."""
-    g, rho = m.gamma, m.rho
-    _check_half(g, r)
-    d1, d2 = d_r(g, r, 1), d_r(g, r, 2)
+def _nu_sigma_unit(R, rho: float, j: int):
+    """nu_j and sigma2_j at gamma = 1 as functions of R = gamma*r: the one
+    table of the estimators' limit constants. R may be a float or an array.
+
+    For a Hall-class tail gamma cancels from the AMSE, its optimal k and its
+    optimal tuning, so these depend on (R, rho) alone; at gamma != 1,
+    sigma2_j scales by gamma^2 and nu_j is unchanged.
+    """
+    d1, d2 = 1.0 - R, 1.0 - 2.0 * R
     if j == 1:
-        return d1 / (d1 - rho), g**2 * d1**2 / d2
+        return d1 / (d1 - rho), d1**2 / d2
     if j == 2:
-        if 1.0 + g * r == 0.0:
-            raise DomainError("estimator 2 undefined at gamma*r = -1")
-        nu = d1 * (1.0 - rho - g**2 * r**2) / ((1.0 + g * r) * (d1 - rho) ** 2)
-        sigma2 = g**2 * d1**2 * (d2 + 2.0 * g**4 * r**4) / ((1.0 + g * r) ** 2 * d2**3)
+        nu = d1 * (1.0 - R**2 - rho) / ((1.0 + R) * (d1 - rho) ** 2)
+        sigma2 = d1**2 * (d2 + 2.0 * R**4) / ((1.0 + R) ** 2 * d2**3)
         return nu, sigma2
     if j == 3:
-        return d1**2 / (d1 - rho) ** 2, 2.0 * g**2 * d1**4 / d2**3
+        return d1**2 / (d1 - rho) ** 2, 2.0 * d1**4 / d2**3
     raise DomainError(f"estimator index must be 1, 2 or 3, got {j}")
+
+
+def estimator_limit_constants(m: SecondOrderModel, r: float, j: int) -> tuple[float, float]:
+    """Asymptotic bias constant nu_j(r) and variance sigma2_j(r) of estimator j."""
+    nu, sigma2 = _nu_sigma_unit(_scaled_tuning(m.gamma, r, j), m.rho, j)
+    return nu, m.gamma**2 * sigma2
+
+
+def _scaled_tuning(gamma: float, r: float, j: int) -> float:
+    """R = gamma*r, checked to lie in the domain of estimator j's limit."""
+    _check_half(gamma, r)
+    if j == 2 and 1.0 + gamma * r == 0.0:
+        raise DomainError("estimator 2 undefined at gamma*r = -1")
+    return gamma * r
 
 
 def rate_A(m: SecondOrderModel, t: float) -> float:
@@ -147,13 +164,37 @@ def k_star_real(m: SecondOrderModel, r: float, j: int, n: int) -> float:
     if m.bias_free:
         raise DegenerateSampleError(
             "bias-free model (beta = 0): AMSE has no interior optimum; use the largest admissible k")
-    nu, sigma2 = estimator_limit_constants(m, r, j)
+    return tail_size(_scaled_tuning(m.gamma, r, j), m.rho, m.beta_hall, j, n)
+
+
+#: The error of a tail size that is not a finite float.
+NO_TAIL_SIZE = "no finite AMSE-optimal tail size at rho={rho}, beta={beta}"
+
+
+def tail_size(R: float, rho: float, beta: float, j: int, n: int) -> float:
+    """Real AMSE-optimal tail size of estimator j at the scaled tuning
+    R = gamma*r, for a Hall-class tail with second-order parameters (rho,
+    beta), in Python floats and in log space:
+
+        ln k* = [ln(sigma2_j / (-2 rho beta^2 nu_j^2)) - 2 rho ln n] / (1 - 2 rho)
+
+    with nu_j, sigma2_j at gamma = 1 (gamma cancels). Raises
+    DegenerateSampleError at nu_j = 0 (no bias term) and DomainError where
+    the optimum is not finite: beta^2 overflows or underflows (falls below
+    the smallest normal float), or k* overflows.
+    """
+    nu, sigma2 = _nu_sigma_unit(R, rho, j)
     if nu == 0.0:
         raise DegenerateSampleError(
             "nu_j(r) = 0: bias-free tuning, no finite optimum; use the largest admissible k")
-    rho = m.rho
-    base = sigma2 / (-2.0 * rho * m.beta_hall**2 * m.gamma**2 * nu**2)
-    return base ** (1.0 / (1.0 - 2.0 * rho)) * n ** (-2.0 * rho / (1.0 - 2.0 * rho))
+    try:
+        beta2 = beta**2
+        if sys.float_info.min <= beta2 < math.inf:
+            ln_base = math.log(sigma2 / (-2.0 * rho * nu**2)) - math.log(beta2)
+            return math.exp((ln_base - 2.0 * rho * math.log(n)) / (1.0 - 2.0 * rho))
+    except (ArithmeticError, ValueError):  # beta**2 or k* overflows, or n <= 0
+        pass
+    raise DomainError(NO_TAIL_SIZE.format(rho=rho, beta=beta))
 
 
 def k_star(m: SecondOrderModel, r: float, j: int, n: int) -> int:
@@ -167,21 +208,6 @@ def k_star(m: SecondOrderModel, r: float, j: int, n: int) -> int:
 
 
 # --- optimal tuning -----------------------------------------------------------
-
-def _nu_sigma_unit(R, rho: float, j: int):
-    """nu_j and sigma2_j at gamma = 1 as functions of R = gamma*r (array-safe)."""
-    R = np.asarray(R, dtype=float)
-    d1, d2 = 1.0 - R, 1.0 - 2.0 * R
-    if j == 1:
-        return d1 / (d1 - rho), d1**2 / d2
-    if j == 2:
-        nu = d1 * (1.0 - rho - R**2) / ((1.0 + R) * (d1 - rho) ** 2)
-        sigma2 = d1**2 * (d2 + 2.0 * R**4) / ((1.0 + R) ** 2 * d2**3)
-        return nu, sigma2
-    if j == 3:
-        return d1**2 / (d1 - rho) ** 2, 2.0 * d1**4 / d2**3
-    raise DomainError(f"estimator index must be 1, 2 or 3, got {j}")
-
 
 def eta(rho: float, R, j: int):
     """Objective nu_j^2 * (sigma2_j)^(-2 rho) in the scaled tuning R = gamma*r.

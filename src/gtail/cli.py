@@ -107,6 +107,8 @@ _CURVES = {"psiH": asymptotics.psi_H, "psiMR": asymptotics.psi_MR,
 def cmd_amse(args) -> int:
     if not (args.rho_min < args.rho_max < 0):
         raise DomainError("need rho_min < rho_max < 0")
+    if not args.step > 0:
+        raise DomainError(f"need step > 0, got {args.step}")
     fn = _CURVES[args.curve]
     lines = ["rho,value"]
     rho = args.rho_min
@@ -157,8 +159,12 @@ def _load_config(path: str, seed_override: int | None) -> montecarlo.ExperimentC
 
 
 def _centers(start: float, stop: float, step: float) -> list[float]:
-    count = int(round((stop - start) / step))
-    return [start + step * (i + 0.5) for i in range(count)]
+    """Midpoints of the cells of width step from start to stop; an empty axis
+    is an error of the config file."""
+    cells = (stop - start) / step if step > 0 else math.nan
+    if not 0.5 < cells < math.inf:
+        raise configparser.Error(f"empty grid axis: start={start}, stop={stop}, step={step}")
+    return [start + step * (i + 0.5) for i in range(round(cells))]
 
 
 def cmd_simulate(args) -> int:

@@ -24,8 +24,6 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError
 from .stats import SMALL_R, Sample, SampleBlock, stat_g, stat_g_rows
 
-KINDS = ("hill", "moment", "moment_ratio", "g1", "g2", "g3", "hme")
-
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -131,6 +129,8 @@ def g2(s: Sample, k: int, r: float) -> Estimate:
     """Second generalization of the Hill estimator, built from G_n(k,r,1)."""
     g_r1 = stat_g(s, k, r, 1.0)
     _check_tie(s, k)
+    if g_r1 == 0.0:  # a top ratio above the threshold makes it positive
+        raise DegenerateSampleError(f"G(k, r, 1) underflows to 0 at r = {r}")
     disc = 4.0 * r * g_r1 + 1.0
     if disc < 0.0:
         raise DomainError(f"g2 discriminant negative: 4*r*G(k,r,1)+1 = {disc}")
@@ -216,16 +216,6 @@ def _branch(block: SampleBlock, j: int, ks: np.ndarray, r, at_zero: bool):
     return gamma, g
 
 
-def generalized_rows(block: SampleBlock, j: int, ks, r) -> list:
-    """g1 (j = 1) or g3 (j = 3) on every row of a block at the row's own k
-    and r: entry i is ``g1(row i, ks[i], r[i])`` (or g3), bit for bit, or
-    the DegenerateSampleError that call raises. r = 0 gives the classical
-    estimates.
-    """
-    rows = generalized_arrays(block, j, ks, r)
-    return [rows.row(i) for i in range(block.rows)]
-
-
 def hme(s: Sample, k: int, beta: float) -> Estimate:
     """Harmonic moment estimator; delegates to g1 with r = 1 - beta."""
     e = g1(s, k, 1.0 - beta)
@@ -233,20 +223,21 @@ def hme(s: Sample, k: int, beta: float) -> Estimate:
                     s.n, e.diagnostics)
 
 
+#: Each kind's estimator as a call on a sample and a spec. Every entry looks
+#: its function up when called, so that a wrapped module function is the one
+#: evaluate runs.
+_EVALUATE = {
+    "hill": lambda s, spec: hill(s, spec.k),
+    "moment": lambda s, spec: moment(s, spec.k),
+    "moment_ratio": lambda s, spec: moment_ratio(s, spec.k),
+    "g1": lambda s, spec: g1(s, spec.k, spec.r),
+    "g2": lambda s, spec: g2(s, spec.k, spec.r),
+    "g3": lambda s, spec: g3(s, spec.k, spec.r),
+    "hme": lambda s, spec: hme(s, spec.k, spec.beta),
+}
+KINDS = tuple(_EVALUATE)
+
+
 def evaluate(s: Sample, spec: EstimatorSpec) -> Estimate:
     """Dispatch a spec to the matching estimator."""
-    if spec.kind == "hill":
-        return hill(s, spec.k)
-    if spec.kind == "moment":
-        return moment(s, spec.k)
-    if spec.kind == "moment_ratio":
-        return moment_ratio(s, spec.k)
-    if spec.kind == "g1":
-        return g1(s, spec.k, spec.r)
-    if spec.kind == "g2":
-        return g2(s, spec.k, spec.r)
-    if spec.kind == "g3":
-        return g3(s, spec.k, spec.r)
-    if spec.kind == "hme":
-        return hme(s, spec.k, spec.beta)
-    raise DomainError(f"unknown estimator kind {spec.kind!r}")
+    return _EVALUATE[spec.kind](s, spec)

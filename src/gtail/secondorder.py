@@ -24,11 +24,11 @@ the tau choice, the median, the clamps, beta, the tail sizes, R*, r and both
 estimates are computed for all rows at once, each row's value bit for bit
 the one a single sample gets. :func:`adaptive_arrays` returns these arrays,
 with the index of each row's failed step in :data:`STEPS`; the functions
-that return result objects (:func:`estimate_rho`, :func:`estimate_beta`,
-:func:`adaptive_all`, :func:`adaptive_estimate`) build them from the same
-arrays. A single Sample is the one-row case: those functions return, for a
-block, one result per row with a failed row's exception in its place, and
-for a Sample the result itself, raising on failure.
+that return result objects (:func:`estimate_rho`, :func:`adaptive_all`,
+:func:`adaptive_estimate`) build them from the same arrays. A single Sample
+is the one-row case: those functions return, for a block, one result per
+row with a failed row's exception in its place, and for a Sample the result
+itself, raising on failure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators
-from .asymptotics import r_star
+from .asymptotics import NO_TAIL_SIZE, r_star, tail_size
 from .errors import DegenerateSampleError, DomainError, PipelineError
 from .estimators import Estimate
 from .stats import Sample, SampleBlock, log_moment_profile, stat_g
@@ -257,79 +257,40 @@ def beta_hat(s: Sample | SampleBlock, k: int, rho):
                            for b, bad in zip(beta.tolist(), degenerate.tolist())])
 
 
-def estimate_beta(s: Sample | SampleBlock, rho):
-    """Beta at the same k the rho sweep used.
-
-    For a block, rho is estimate_rho's list for it; a row whose rho failed
-    keeps that exception in the result.
-    """
-    rhos = rho if isinstance(s, SampleBlock) else [rho]
-    found = [r for r in rhos if isinstance(r, RhoEstimate)]
-    if not found:
-        return _per_sample(s, rhos)
-    k = found[0].k_used  # the k window depends on n only
-    beta, degenerate = _beta_arrays(_block(s), k, [
-        r.rho_hat if isinstance(r, RhoEstimate) else RHO_CEILING for r in rhos])
-    return _per_sample(s, [
-        r if not isinstance(r, RhoEstimate)
-        else DegenerateSampleError(_BETA_DEGENERATE) if bad else BetaEstimate(b, k)
-        for r, b, bad in zip(rhos, beta.tolist(), degenerate.tolist())])
-
-
 def adaptive_k(n: int, rho, beta, j: int, generalized: bool):
-    """Plug-in AMSE-optimal tail size, rounded and clamped to [2, n-1].
+    """Plug-in AMSE-optimal tail size, rounded and clamped to [2, n-1]: the
+    real optimum :func:`~gtail.asymptotics.tail_size` at the classical
+    (R = 0) or optimally tuned (R = R*_j(rho)) route of estimator 1 or 3.
 
-    These are the printed specializations of the generic optimum for the
-    classical (r = 0) and optimally tuned routes of estimators 1 and 3.
     rho and beta may be arrays (one entry per row of a block): the result is
     then a float array of the entries' tail sizes, NaN where a scalar call
     raises DomainError because the optimum is not finite (beta^2 overflows
-    or underflows, or the tail size overflows). Each entry is the formula in
+    or underflows, or the tail size overflows). Each entry is computed in
     Python floats, as for a scalar: at the few rows of a block that is
     faster than a pass of numpy calls, whose per-call cost dominates there.
     """
     if j not in (1, 3):
         raise DomainError(f"adaptive tail size defined for j in {{1, 3}}, got {j}")
-    if not (np.ndim(rho) or np.ndim(beta)):
-        rho, beta = float(rho), float(beta)
-        k = _tail_size(n, rho, beta, j, r_star(rho, j) if generalized else None)
-        if k is None:
-            raise _no_tail_size(rho, beta)
-        return k
-    rho, beta = np.asarray(rho, dtype=float), np.asarray(beta, dtype=float)
-    if rho.shape != beta.shape:
-        rho, beta = np.broadcast_arrays(rho, beta)
-    R = r_star(rho, j).tolist() if generalized else [None] * rho.size
-    ks = [_tail_size(n, rho_i, beta_i, j, R_i)
-          for rho_i, beta_i, R_i in zip(rho.tolist(), beta.tolist(), R)]
-    return np.array([math.nan if k is None else k for k in ks])
-
-
-def _tail_size(n: int, rho: float, beta: float, j: int, R: float | None) -> int | None:
-    """adaptive_k at one (rho, beta), tuned at R = R*_j(rho) or classical
-    for R = None; None where the optimum is not finite."""
-    if not rho < 0:
+    scalar = not (np.ndim(rho) or np.ndim(beta))
+    if scalar:
+        rhos, betas = [float(rho)], [float(beta)]
+    else:
+        rhos, betas = (a.tolist() for a in np.broadcast_arrays(
+            np.asarray(rho, dtype=float), np.asarray(beta, dtype=float)))
+    if not all(x < 0 for x in rhos):
         raise DomainError(f"rho must be < 0, got {rho}")
-    if beta == 0.0:
+    if 0.0 in betas:
         raise DomainError("beta must be nonzero")
-    try:
-        if j == 1 and R is not None:
-            base = (1.0 - rho - R) ** 2 / (-2.0 * rho * beta**2 * (1.0 - 2.0 * R))
-        elif j == 1:
-            base = (1.0 - rho) ** 2 / (-2.0 * rho * beta**2)
-        elif R is not None:
-            base = (1.0 - rho - R) ** 4 / (-rho * beta**2 * (1.0 - 2.0 * R) ** 3)
-        else:
-            base = (1.0 - rho) ** 4 / (-rho * beta**2)
-        ln_k = math.log(base) / (1.0 - 2.0 * rho) - 2.0 * rho / (1.0 - 2.0 * rho) * math.log(n)
-        k = int(round(math.exp(ln_k)))
-    except (ArithmeticError, ValueError):  # overflow, division by zero, log of 0 or NaN
-        return None
-    return min(max(k, 2), n - 1)
-
-
-def _no_tail_size(rho: float, beta: float) -> DomainError:
-    return DomainError(f"no finite AMSE-optimal tail size at rho={rho}, beta={beta}")
+    Rs = [r_star(x, j) for x in rhos] if generalized else [0.0] * len(rhos)
+    ks = []
+    for R, rho_i, beta_i in zip(Rs, rhos, betas):
+        try:
+            ks.append(min(max(round(tail_size(R, rho_i, beta_i, j, n)), 2), n - 1))
+        except DomainError:
+            if scalar:
+                raise
+            ks.append(math.nan)
+    return ks[0] if scalar else np.array(ks, dtype=float)
 
 
 #: The steps of the adaptive pipeline in order; PipelineArrays.failed_step
@@ -500,7 +461,7 @@ def _result(a: PipelineArrays, i: int) -> AdaptiveResult | PipelineError:
     elif step == "beta":
         cause = DegenerateSampleError(_BETA_DEGENERATE)
     elif step in ("k_classical", "k_generalized"):
-        cause = _no_tail_size(rho, beta)
+        cause = DomainError(NO_TAIL_SIZE.format(rho=rho, beta=beta))
     elif step == "r_star":
         cause = DegenerateSampleError(f"classical estimate {float(a.gamma_c[i])} is not positive")
     else:

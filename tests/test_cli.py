@@ -94,6 +94,13 @@ class TestOptimal:
         code, _, _ = run(["optimal", "--j", "1", "--rho", "0.5"], capsys)
         assert code == 3
 
+    def test_no_finite_k_star_rejected(self, capsys):
+        # beta^2 underflows to 0: the optimal tail size is not a float
+        code, _, err = run(["optimal", "--j", "1", "--rho", "-1", "--gamma", "1",
+                            "--beta", "1e-200", "--n", "1000"], capsys)
+        assert code == 3
+        assert "invalid input" in err
+
 
 class TestAmse:
     def _curve(self, capsys, name, lo, hi, step=0.01):
@@ -120,9 +127,11 @@ class TestAmse:
         assert np.all(curve[:, 1] <= 1.06)
 
     def test_bad_range(self, capsys):
-        code, _, _ = run(["amse", "--curve", "psiH", "--rho-min", -1,
-                          "--rho-max", -2], capsys)
-        assert code == 3
+        # a step <= 0 would never reach rho_max
+        for lo, hi, step in ((-1, -2, 0.01), (-2, -1, 0), (-2, -1, -0.1)):
+            code, _, _ = run(["amse", "--curve", "psiH", "--rho-min", lo,
+                              "--rho-max", hi, "--step", step], capsys)
+            assert code == 3
 
 
 CONFIG = """\
@@ -204,10 +213,13 @@ class TestSimulate:
 
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
-        cfg.write_text("[distribution]\nfamily = burr\n")
-        code, _, err = run(["simulate", cfg], capsys)
-        assert code == 2
-        assert "config" in err
+        for text in ("[distribution]\nfamily = burr\n",
+                     GRID_CONFIG.replace("gamma_step = 0.5", "gamma_step = 0"),
+                     GRID_CONFIG.replace("rho_step = 0.5", "rho_step = -0.5")):
+            cfg.write_text(text)
+            code, _, err = run(["simulate", cfg], capsys)
+            assert code == 2
+            assert "bad config file" in err
 
 
 class TestRobustness:

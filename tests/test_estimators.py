@@ -191,6 +191,11 @@ class TestGeneralizedRows:
                 out.append(exc)
         return out
 
+    @staticmethod
+    def rows(block, j, ks, r):
+        arrays = est.generalized_arrays(block, j, ks, r)
+        return [arrays.row(i) for i in range(block.rows)]
+
     @pytest.mark.parametrize("j", [1, 3])
     def test_rows_are_the_per_sample_estimates(self, j):
         rng = np.random.default_rng(8)
@@ -198,17 +203,17 @@ class TestGeneralizedRows:
         ks = rng.integers(2, 300, 8)
         # zero, below SMALL_R (the r = 0 branch), and tuned rows in one call
         r = np.array([0.0, SMALL_R / 2, -SMALL_R / 3, 0.3, -0.7, 1e-3, 0.0, 2.0])
-        got = est.generalized_rows(block, j, ks, r)
+        got = self.rows(block, j, ks, r)
         assert got == self.per_row(block, j, ks, r)
         assert [e.spec.r for e in got] == [0.0, 0.0, 0.0, 0.3, -0.7, 1e-3, 0.0, 2.0]
-        assert est.generalized_rows(block, j, ks, 0.0) == self.per_row(block, j, ks, [0.0] * 8)
+        assert self.rows(block, j, ks, 0.0) == self.per_row(block, j, ks, [0.0] * 8)
 
     def test_classical_rows_are_hill_and_moment_ratio(self):
         rng = np.random.default_rng(9)
         block = SampleBlock.from_values(rng.lognormal(0.0, 1.0, size=(5, 200)))
         ks = [3, 50, 120, 199, 17]
         for j, classical in ((1, est.hill), (3, est.moment_ratio)):
-            for e, s, k in zip(est.generalized_rows(block, j, ks, 0.0), block.samples(), ks):
+            for e, s, k in zip(self.rows(block, j, ks, 0.0), block.samples(), ks):
                 assert e.gamma_hat == classical(s, k).gamma_hat
                 assert e.diagnostics == classical(s, k).diagnostics
 
@@ -217,7 +222,7 @@ class TestGeneralizedRows:
         tied = np.concatenate([np.full(10, 4.0), [1.0, 2.0]])  # top 10 tie the threshold
         block = SampleBlock.from_values(np.stack([good, tied]))
         for r in (0.0, 0.5):
-            got = est.generalized_rows(block, 3, [5, 5], r)
+            got = self.rows(block, 3, [5, 5], r)
             assert got[0] == est.g3(block.samples()[0], 5, r)
             assert isinstance(got[1], DegenerateSampleError)
             with pytest.raises(DegenerateSampleError, match=str(got[1])):
@@ -226,9 +231,9 @@ class TestGeneralizedRows:
     def test_domain(self):
         block = SampleBlock.from_values(np.arange(1.0, 21.0).reshape(2, 10))
         with pytest.raises(DomainError):
-            est.generalized_rows(block, 2, [3, 3], 0.1)
+            est.generalized_arrays(block, 2, [3, 3], 0.1)
         with pytest.raises(DomainError):
-            est.generalized_rows(block, 1, [3, 10], 0.1)
+            est.generalized_arrays(block, 1, [3, 10], 0.1)
 
 
 @pytest.mark.parametrize("kind", est.KINDS)
@@ -259,8 +264,19 @@ def test_underflowing_statistic_is_a_typed_error(fn, r):
     with pytest.raises(DegenerateSampleError, match="non-finite estimate") as caught:
         fn(s, 10, r)
     if fn is not est.hme:
-        (row,) = est.generalized_rows(SampleBlock.of(s), 1 if fn is est.g1 else 3, [10], r)
-        assert str(row) == str(caught.value)
+        arrays = est.generalized_arrays(SampleBlock.of(s), 1 if fn is est.g1 else 3, [10], r)
+        assert str(arrays.row(0)) == str(caught.value)
+
+
+def test_underflowing_g2_statistic_is_a_typed_error():
+    """g2 at a tuning where G(k, r, 1) underflows to 0 on an untied tail:
+    the typed error, not a silent estimate of 0.0."""
+    s = Sample.from_values(np.arange(1.0, 100.0))
+    with pytest.raises(DegenerateSampleError, match="underflows"):
+        est.g2(s, 10, -1e6)
+    with pytest.raises(DegenerateSampleError, match="underflows"):
+        est.evaluate(s, est.EstimatorSpec("g2", 10, r=-1e6))
+    assert est.g2(s, 10, -1.0).gamma_hat > 0.0
 
 
 def test_evaluate_dispatch():
