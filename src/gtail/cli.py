@@ -83,6 +83,8 @@ def cmd_estimate(args) -> int:
 def cmd_optimal(args) -> int:
     if not args.rho < 0:
         raise DomainError(f"rho must be < 0, got {args.rho}")
+    if args.n is not None and args.n < 3:  # k* is clamped to [2, n - 1]
+        raise DomainError(f"n must be >= 3, got {args.n}")
     R = asymptotics.r_star(args.rho, args.j)
     report = {"j": args.j, "rho": args.rho, "R_star": R}
     if args.j == 2:
@@ -128,10 +130,11 @@ def _load_config(path: str, seed_override: int | None) -> montecarlo.ExperimentC
         dist = parser["distribution"]
         exp = parser["experiment"]
         family = dist.get("family")
-        scale = dist.getfloat("scale", fallback=1.0)
-        n = exp.getint("n")
-        reps = exp.getint("replications")
-        seed = seed_override if seed_override is not None else exp.getint("seed", fallback=None)
+        scale = _number(dist.getfloat, "scale", fallback=1.0)
+        n = _number(exp.getint, "n")
+        reps = _number(exp.getint, "replications")
+        seed = (seed_override if seed_override is not None
+                else _number(exp.getint, "seed", fallback=None))
         if seed is None:
             raise DomainError("a seed is required: set [experiment] seed or pass --seed")
         labels = tuple(x.strip() for x in
@@ -142,20 +145,31 @@ def _load_config(path: str, seed_override: int | None) -> montecarlo.ExperimentC
             g = parser["grid"]
             grid = tuple(
                 (float(gc), float(rc))
-                for gc in _centers(g.getfloat("gamma_start"), g.getfloat("gamma_stop"),
-                                   g.getfloat("gamma_step"))
-                for rc in _centers(g.getfloat("rho_start"), g.getfloat("rho_stop"),
-                                   g.getfloat("rho_step"))
+                for gc in _centers(_number(g.getfloat, "gamma_start"),
+                                   _number(g.getfloat, "gamma_stop"),
+                                   _number(g.getfloat, "gamma_step"))
+                for rc in _centers(_number(g.getfloat, "rho_start"),
+                                   _number(g.getfloat, "rho_stop"),
+                                   _number(g.getfloat, "rho_step"))
             )
         else:
             cell = parser["cell"]
-            gamma = cell.getfloat("gamma")
-            rho = cell.getfloat("rho")
+            gamma = _number(cell.getfloat, "gamma")
+            rho = _number(cell.getfloat, "rho")
         return montecarlo.ExperimentConfig(
             family=family, n=n, replications=reps, seed=seed, gamma=gamma, rho=rho,
             estimators=labels, grid=grid, scale=scale)
     except (configparser.Error, KeyError, TypeError) as exc:
         raise ParseError(f"bad config file {path}: {exc}") from exc
+
+
+def _number(get, option: str, **fallback):
+    """An option read by a section's getint or getfloat; a value that is not
+    a number is an error of the config file."""
+    try:
+        return get(option, **fallback)
+    except ValueError as exc:
+        raise configparser.Error(f"{option}: {exc}") from None
 
 
 def _centers(start: float, stop: float, step: float) -> list[float]:

@@ -8,6 +8,11 @@ Seven estimators, all expressed through the statistics in :mod:`gtail.stats`:
 * ``hme`` -- harmonic moment estimator, identical to ``g1`` under the
   reparametrization r = 1 - beta.
 
+Each kind is written once, in one table of the u it reads and its closed
+form. There is one array form, :func:`estimate_arrays`, at many (row, k,
+tuning) triples of a block; the per-sample estimators and ``evaluate`` are
+its one-row case, through the same table and Estimate builder.
+
 Every estimate carries the statistics it consumed as diagnostics so that
 downstream variance formulas can reuse them without recomputation. Every
 estimator raises DegenerateSampleError at a tail size k whose top k values
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
-from .stats import SMALL_R, Sample, SampleBlock, stat_g, stat_g_rows
+from .stats import SMALL_R, Sample, SampleBlock, stat_g_rows
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,10 @@ class Estimate:
             raise DegenerateSampleError(f"non-finite estimate {self.gamma_hat}")
 
 
-# Closed forms of the estimators in their statistics (array-safe), shared by
-# the per-sample estimators and generalized_arrays.
+#: The error of every estimator at a tail size whose top k values all equal
+#: the threshold X_(k+1): each log-ratio is 0, so no estimate is defined.
+TIE_MESSAGE = "all top ratios tie the threshold"
+
 
 def _quotient(num, den):
     """num / den, with the IEEE result (inf or NaN) also for a float den of
@@ -63,157 +70,192 @@ def _quotient(num, den):
     return num / den
 
 
-def _moment_ratio_form(g01, g02):
-    return g02 / (2.0 * g01)
+# The closed forms, in the statistics g a kind reads and its tuning r (0.0
+# on the r = 0 branch). They run on Python floats, as numpy's square can
+# differ from Python's x**2 in the last bit, and raise the typed error where
+# the estimate is undefined.
 
-
-def _g1_form(g_r0, r):
-    return _quotient(g_r0 - 1.0, r * g_r0)
-
-
-def _g3_form(g_r0, g_r1, r):
-    return _quotient(r * g_r1 - g_r0 + 1.0, r * r * g_r1)
-
-
-#: The error of every estimator at a tail size whose top k values all equal
-#: the threshold X_(k+1): each log-ratio is 0, so no estimate is defined.
-TIE_MESSAGE = "all top ratios tie the threshold"
-
-
-def _check_tie(s: Sample, k: int) -> None:
-    """Raise the tie error if sorted_desc[0] == sorted_desc[k]; k is checked
-    by the statistic computed before."""
-    if s.sorted_desc[0] == s.sorted_desc[k]:
-        raise DegenerateSampleError(TIE_MESSAGE)
-
-
-def hill(s: Sample, k: int) -> Estimate:
-    """Mean log-ratio of the top k observations to the threshold."""
-    g01 = stat_g(s, k, 0.0, 1.0)
-    _check_tie(s, k)
-    return Estimate(g01, EstimatorSpec("hill", k), s.n, {"g_r1": g01})
-
-
-def moment(s: Sample, k: int) -> Estimate:
-    """Dekkers-Einmahl-de Haan moment estimator (classical form, r = 0)."""
-    g1_ = stat_g(s, k, 0.0, 1.0)
-    _check_tie(s, k)
-    g2_ = stat_g(s, k, 0.0, 2.0)
+def _moment(g, r):
+    g1_, g2_ = g
     ratio = g2_ / g1_**2
     if ratio == 1.0:
         raise DegenerateSampleError("moment estimator undefined: G(k,0,2)/G(k,0,1)^2 = 1")
-    gamma = g1_ + 0.5 * (1.0 - 1.0 / (ratio - 1.0))
-    return Estimate(gamma, EstimatorSpec("moment", k), s.n, {"g_r1": g1_, "g_r2": g2_})
+    return g1_ + 0.5 * (1.0 - 1.0 / (ratio - 1.0))
 
 
-def moment_ratio(s: Sample, k: int) -> Estimate:
-    """Ratio of the second to twice the first log-moment."""
-    g1_ = stat_g(s, k, 0.0, 1.0)
-    _check_tie(s, k)
-    g2_ = stat_g(s, k, 0.0, 2.0)
-    return Estimate(_moment_ratio_form(g1_, g2_), EstimatorSpec("moment_ratio", k), s.n,
-                    {"g_r1": g1_, "g_r2": g2_})
+def _g1(g, r):
+    return g[0] if r == 0.0 else _quotient(g[0] - 1.0, r * g[0])
 
 
-def g1(s: Sample, k: int, r: float) -> Estimate:
-    """Generalized Hill estimator with power tuning r (r = 0 is Hill)."""
-    if abs(r) < SMALL_R:
-        e = hill(s, k)
-        return Estimate(e.gamma_hat, EstimatorSpec("g1", k, r=0.0), s.n, e.diagnostics)
-    g_r0 = stat_g(s, k, r, 0.0)
-    _check_tie(s, k)
-    return Estimate(_g1_form(g_r0, r), EstimatorSpec("g1", k, r=r), s.n, {"g_r0": g_r0})
-
-
-def g2(s: Sample, k: int, r: float) -> Estimate:
-    """Second generalization of the Hill estimator, built from G_n(k,r,1)."""
-    g_r1 = stat_g(s, k, r, 1.0)
-    _check_tie(s, k)
+def _g2(g, r):
+    (g_r1,) = g
     if g_r1 == 0.0:  # a top ratio above the threshold makes it positive
         raise DegenerateSampleError(f"G(k, r, 1) underflows to 0 at r = {r}")
     disc = 4.0 * r * g_r1 + 1.0
     if disc < 0.0:
         raise DomainError(f"g2 discriminant negative: 4*r*G(k,r,1)+1 = {disc}")
-    gamma = 2.0 * g_r1 / (2.0 * r * g_r1 + 1.0 + math.sqrt(disc))
-    return Estimate(gamma, EstimatorSpec("g2", k, r=r), s.n, {"g_r1": g_r1})
+    return 2.0 * g_r1 / (2.0 * r * g_r1 + 1.0 + math.sqrt(disc))
+
+
+def _g3(g, r):
+    if r == 0.0:
+        return g[1] / (2.0 * g[0])
+    return _quotient(r * g[1] - g[0] + 1.0, r * r * g[1])
+
+
+#: kind -> (the u of the statistics G(k, r, u) it reads at r = 0, the u it
+#: reads at a tuning r, its closed form); None where the kind has no such
+#: branch. A kind with both takes the r = 0 branch for |r| below SMALL_R,
+#: where the cancellation in x^r - 1 destroys precision. hill and
+#: moment_ratio are g1 and g3 at r = 0; hme is g1 at r = 1 - beta.
+_KINDS = {
+    "hill": ((1.0,), None, _g1),
+    "moment": ((1.0, 2.0), None, _moment),
+    "moment_ratio": ((1.0, 2.0), None, _g3),
+    "g1": ((1.0,), (0.0,), _g1),
+    "g2": (None, (1.0,), _g2),
+    "g3": ((1.0, 2.0), (0.0, 1.0), _g3),
+    "hme": ((1.0,), (0.0,), _g1),
+}
+KINDS = tuple(_KINDS)
+#: The diagnostics names of each tuple of u a kind reads.
+_NAMES = {us: tuple(f"g_r{u:.0f}" for u in us)
+          for kind in _KINDS.values() for us in kind[:2] if us}
+#: The kind of the paper's estimator j.
+KIND_OF_J = {1: "g1", 2: "g2", 3: "g3"}
+
+
+def _branch(kind: str, param):
+    """Whether kind takes its r = 0 branch at a parameter (r, or beta for
+    hme), and its tuning r (array-safe)."""
+    at_zero, tuned, _ = _KINDS[kind]
+    r = 1.0 - param if kind == "hme" else param
+    return tuned is None or (at_zero is not None and abs(r) < SMALL_R), r
+
+
+def _estimate(kind: str, n: int, k: int, param, zero: bool, r, g: list, tie) -> Estimate:
+    """The Estimate of kind at (k, param) from the statistics g of its
+    branch, read at tuning r (0.0 on the r = 0 branch); raises the
+    estimator's error."""
+    if tie:
+        raise DegenerateSampleError(TIE_MESSAGE)
+    at_zero, tuned, form = _KINDS[kind]
+    hme = kind == "hme"
+    spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
+    return Estimate(form(g, r), spec, n, dict(zip(_NAMES[at_zero if zero else tuned], g)))
+
+
+def _one(s: Sample, kind: str, k: int, param) -> Estimate:
+    """kind at (k, param) on a sample: the one-row case of estimate_arrays,
+    without its arrays."""
+    zero, r = _branch(kind, param)
+    if zero:
+        r = 0.0
+    g = stat_g_rows(s, 0, k, r, _KINDS[kind][0 if zero else 1]).tolist()
+    return _estimate(kind, s.n, k, param, zero, r, g, s.sorted_desc[0] == s.sorted_desc[k])
+
+
+@dataclass(frozen=True)
+class EstimateArrays:
+    """One kind at many (row, k, param) triples of a block: per triple,
+    whether it takes the r = 0 branch, the tuning r its statistics are read
+    at, whether it ties the threshold or fails (raises in the per-sample
+    call), its estimate (NaN where it fails) and the statistics it reads,
+    ``stats[:, i]``."""
+
+    kind: str
+    n: int
+    ks: np.ndarray
+    params: np.ndarray
+    zero: np.ndarray
+    r: np.ndarray
+    tie: np.ndarray
+    failed: np.ndarray
+    gamma: np.ndarray
+    stats: np.ndarray = field(repr=False)
+
+    def row(self, i: int) -> Estimate | DegenerateSampleError | DomainError:
+        """Triple i as the per-sample call's Estimate, or the error it raises."""
+        try:
+            return _estimate(self.kind, self.n, int(self.ks[i]), float(self.params[i]),
+                             bool(self.zero[i]), float(self.r[i]), self.stats[:, i].tolist(),
+                             self.tie[i])
+        except (DegenerateSampleError, DomainError) as exc:
+            return exc
+
+
+def _gamma(form, g: list, r: float) -> float:
+    """A closed form's estimate, NaN where it raises."""
+    try:
+        return form(g, r)
+    except (DegenerateSampleError, DomainError):
+        return math.nan
+
+
+def estimate_arrays(s: Sample | SampleBlock, kind: str, rows, ks, params) -> EstimateArrays:
+    """kind at every (row, k, param) triple of a block (a Sample is a block
+    whose one row is 0); rows, ks and params broadcast to one 1-D shape, and
+    rows may repeat. param is the r of g1, g2 and g3 and the beta of hme;
+    the classical kinds ignore it. Each triple's values are, bit for bit,
+    those of the per-sample call; a k outside [2, n-1] in any triple raises
+    its DomainError for the whole call.
+    """
+    if kind not in _KINDS:
+        raise DomainError(f"unknown estimator kind {kind!r}")
+    rows, ks, params = (np.atleast_1d(a) for a in np.broadcast_arrays(
+        np.asarray(rows, dtype=int), np.asarray(ks, dtype=int), np.asarray(params, dtype=float)))
+    zero, r = _branch(kind, params)
+    zero = zero | np.zeros(r.size, dtype=bool)
+    at_zero, tuned, form = _KINDS[kind]
+    taken = np.count_nonzero(zero)
+    if not r.size:
+        stats = np.empty((len(at_zero or tuned), 0))
+    elif taken == r.size:  # all triples in one branch, the common case: no copies of a mask
+        stats = stat_g_rows(s, rows, ks, 0.0, at_zero)
+    elif not taken:
+        stats = stat_g_rows(s, rows, ks, r, tuned)
+    else:
+        stats = np.empty((len(at_zero), r.size))
+        stats[:, zero] = stat_g_rows(s, rows[zero], ks[zero], 0.0, at_zero)
+        stats[:, ~zero] = stat_g_rows(s, rows[~zero], ks[~zero], r[~zero], tuned)
+    r = np.where(zero, 0.0, r)
+    desc = s.sorted_desc.reshape(-1, s.n)
+    tie = desc[rows, 0] == desc[rows, ks]
+    gamma = np.array([math.nan if t else _gamma(form, g, x)
+                      for t, g, x in zip(tie.tolist(), stats.T.tolist(), r.tolist())])
+    failed = ~np.isfinite(gamma)
+    gamma[failed] = math.nan
+    return EstimateArrays(kind, s.n, ks, params, zero, r, tie, failed, gamma, stats)
+
+
+def hill(s: Sample, k: int) -> Estimate:
+    """Mean log-ratio of the top k observations to the threshold."""
+    return _one(s, "hill", k, 0.0)
+
+
+def moment(s: Sample, k: int) -> Estimate:
+    """Dekkers-Einmahl-de Haan moment estimator (classical form, r = 0)."""
+    return _one(s, "moment", k, 0.0)
+
+
+def moment_ratio(s: Sample, k: int) -> Estimate:
+    """Ratio of the second to twice the first log-moment."""
+    return _one(s, "moment_ratio", k, 0.0)
+
+
+def g1(s: Sample, k: int, r: float) -> Estimate:
+    """Generalized Hill estimator with power tuning r (r = 0 is Hill)."""
+    return _one(s, "g1", k, r)
+
+
+def g2(s: Sample, k: int, r: float) -> Estimate:
+    """Second generalization of the Hill estimator, built from G_n(k,r,1)."""
+    return _one(s, "g2", k, r)
 
 
 def g3(s: Sample, k: int, r: float) -> Estimate:
     """Generalized moment-ratio estimator (r = 0 is the moment ratio)."""
-    if abs(r) < SMALL_R:
-        e = moment_ratio(s, k)
-        return Estimate(e.gamma_hat, EstimatorSpec("g3", k, r=0.0), s.n, e.diagnostics)
-    g_r0 = stat_g(s, k, r, 0.0)
-    _check_tie(s, k)
-    g_r1 = stat_g(s, k, r, 1.0)
-    return Estimate(_g3_form(g_r0, g_r1, r), EstimatorSpec("g3", k, r=r), s.n,
-                    {"g_r0": g_r0, "g_r1": g_r1})
-
-
-@dataclass(frozen=True)
-class GeneralizedArrays:
-    """g1 (j = 1) or g3 (j = 3) on every row of a block at the row's own k
-    and r, as arrays: ``gamma[i]`` is the value ``g1(row i, ks[i], r[i])``
-    (or g3) computes, ``tie[i]`` whether that call raises the tie error, and
-    ``stats[:, i]`` the statistics it consumed (the diagnostics of its
-    Estimate). A row whose gamma is not finite raises the Estimate's own
-    error instead."""
-
-    j: int
-    n: int
-    ks: np.ndarray
-    r: np.ndarray  # the tuning of each row, 0.0 where the r = 0 branch is taken
-    gamma: np.ndarray
-    tie: np.ndarray
-    stats: np.ndarray = field(repr=False)
-
-    def row(self, i: int) -> Estimate | DegenerateSampleError:
-        """Row i as the per-sample call's Estimate, or the error it raises."""
-        if self.tie[i]:
-            return DegenerateSampleError(TIE_MESSAGE)
-        r = float(self.r[i])
-        names = (("g_r1", "g_r2") if r == 0.0 else ("g_r0", "g_r1"))[:1 if self.j == 1 else 2]
-        spec = EstimatorSpec("g1" if self.j == 1 else "g3", int(self.ks[i]), r=r)
-        try:
-            return Estimate(float(self.gamma[i]), spec, self.n,
-                            dict(zip(names, self.stats[:, i].tolist())))
-        except DegenerateSampleError as exc:
-            return exc
-
-
-def generalized_arrays(block: SampleBlock, j: int, ks, r) -> GeneralizedArrays:
-    """g1 (j = 1) or g3 (j = 3) on every row of a block at the row's own k
-    and r (a scalar or one value per row), bit for bit the per-sample
-    values; r = 0 gives the classical estimates (hill, moment_ratio)."""
-    if j not in (1, 3):
-        raise DomainError(f"generalized rows are defined for j in {{1, 3}}, got {j}")
-    ks = np.asarray(ks, dtype=int)
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 0:
-        r = np.full(block.rows, r)
-    at_zero = np.abs(r) < SMALL_R  # rows that take the exact r = 0 branch
-    gamma, stats = np.empty(block.rows), np.empty((1 if j == 1 else 2, block.rows))
-    for zero in (True, False):
-        rows = at_zero if zero else ~at_zero
-        if rows.any():
-            g, v = _branch(block, j, ks, 0.0 if zero else r, zero)
-            gamma[rows], stats[:, rows] = g[rows], v[:, rows]
-    desc = block.sorted_desc
-    tie = desc[:, 0] == desc[np.arange(block.rows), ks]
-    return GeneralizedArrays(j, block.n, ks, np.where(at_zero, 0.0, r), gamma, tie, stats)
-
-
-def _branch(block: SampleBlock, j: int, ks: np.ndarray, r, at_zero: bool):
-    """gamma and the statistics of every row for one branch of g1/g3: the
-    r = 0 one (hill, moment_ratio) or the tuned one."""
-    us = (1.0, 2.0) if at_zero else (0.0, 1.0)
-    g = stat_g_rows(block, ks, r, us[:1] if j == 1 else us)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if j == 1:
-            gamma = g[0] if at_zero else _g1_form(g[0], r)
-        else:
-            gamma = _moment_ratio_form(g[0], g[1]) if at_zero else _g3_form(g[0], g[1], r)
-    return gamma, g
+    return _one(s, "g3", k, r)
 
 
 def hme(s: Sample, k: int, beta: float) -> Estimate:
@@ -235,7 +277,6 @@ _EVALUATE = {
     "g3": lambda s, spec: g3(s, spec.k, spec.r),
     "hme": lambda s, spec: hme(s, spec.k, spec.beta),
 }
-KINDS = tuple(_EVALUATE)
 
 
 def evaluate(s: Sample, spec: EstimatorSpec) -> Estimate:

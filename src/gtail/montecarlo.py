@@ -29,10 +29,10 @@ import numpy as np
 from . import __version__
 from . import estimators as est
 from .asymptotics import SecondOrderModel, phi3, psi_H, psi_MR, estimator_limit_constants
-from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample
+from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample, sample_block
 from .errors import DomainError
 from .secondorder import adaptive_arrays
-from .stats import Sample, SampleBlock
+from .stats import SampleBlock
 
 LABELS = ("hill", "gh", "mr", "gmr")
 #: j -> (classical label, tuned label) of the two adaptive pipelines
@@ -243,17 +243,22 @@ def ratio_curve(cfg: ExperimentConfig, gamma: float, rho_values, pair=("mr", "gm
     return rows
 
 
+def _gammas(block: SampleBlock, j: int, k: int, r: float) -> np.ndarray:
+    """Estimator j at (k, r) on every row of a block; raises the error of
+    the first row that fails."""
+    arrays = est.estimate_arrays(block, est.KIND_OF_J[j], np.arange(block.rows), k, r)
+    if arrays.failed.any():
+        raise arrays.row(int(np.argmax(arrays.failed)))
+    return arrays.gamma
+
+
 def variance_check(gamma: float, r: float, j: int, n: int, k: int, reps: int,
                    seed: int) -> dict:
     """Empirical variance of sqrt(k)(gamma_hat - gamma) on strict Pareto
     against the asymptotic variance (the rate function vanishes, so the limit
     is centered)."""
-    dist = DistSpec("pareto", gamma)
-    fn = {1: est.g1, 2: est.g2, 3: est.g3}[j]
-    scaled = np.empty(reps)
-    for rep in range(reps):
-        s = sample(dist, n, seed, stream_key=(rep,))
-        scaled[rep] = math.sqrt(k) * (fn(s, k, r).gamma_hat - gamma)
+    block = sample_block(DistSpec("pareto", gamma), n, seed, [(rep,) for rep in range(reps)])
+    scaled = math.sqrt(k) * (_gammas(block, j, k, r) - gamma)
     sigma2 = estimator_limit_constants(SecondOrderModel(gamma, -1.0, 1.0), r, j)[1]
     return {"empirical_var_scaled": float(np.var(scaled)), "theoretical": sigma2}
 
@@ -270,14 +275,10 @@ def contamination_experiment(gamma: float, r: float, j: int, n: int, k: int,
         raise DomainError(f"need gamma*r < 1, got {gamma * r}")
     xs = sorted(float(x) for x in x_values)
     clean = sample(DistSpec("pareto", gamma), n - 1, seed)
-    base_values = clean.values
-    fn = {1: est.g1, 2: est.g2, 3: est.g3}[j]
-    baseline = fn(clean, k - 1, r).gamma_hat
-    rows = []
-    for x in xs:
-        contaminated = Sample.from_values(np.concatenate([base_values, [x]]))
-        rows.append((x, fn(contaminated, k, r).gamma_hat - baseline))
-    return rows
+    (baseline,) = _gammas(SampleBlock.of(clean), j, k - 1, r).tolist()
+    contaminated = SampleBlock.from_values(
+        np.column_stack([np.tile(clean.values, (len(xs), 1)), xs]))
+    return [(x, g - baseline) for x, g in zip(xs, _gammas(contaminated, j, k, r).tolist())]
 
 
 # --- serialization ------------------------------------------------------------

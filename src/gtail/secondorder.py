@@ -44,7 +44,7 @@ from . import estimators
 from .asymptotics import NO_TAIL_SIZE, r_star, tail_size
 from .errors import DegenerateSampleError, DomainError, PipelineError
 from .estimators import Estimate
-from .stats import Sample, SampleBlock, log_moment_profile, stat_g
+from .stats import Sample, SampleBlock, log_moment_profile, stat_g_rows
 
 #: rho estimates below this are clamped (with a warning): more negative values
 #: make the (i/k)^(-rho) power sums in beta_hat explode.
@@ -70,10 +70,6 @@ class RhoEstimate:
 class BetaEstimate:
     beta_hat: float
     k_used: int
-
-    @property
-    def near_zero(self) -> bool:
-        return abs(self.beta_hat) < 1e-6
 
 
 def _block(s: Sample | SampleBlock) -> SampleBlock:
@@ -108,9 +104,8 @@ def _t_statistic(m1, m2, m3, tau: int):
 
 def rho_hat(s: Sample, k: int, tau: int) -> float:
     """Second-order parameter estimate -|3(T-1)/(T-3)| at a single k."""
-    m1 = stat_g(s, k, 0.0, 1.0)
-    m2 = stat_g(s, k, 0.0, 2.0) / 2.0
-    m3 = stat_g(s, k, 0.0, 3.0) / 6.0
+    m1, m2, m3 = stat_g_rows(s, 0, k, 0.0, (1.0, 2.0, 3.0)).tolist()
+    m2, m3 = m2 / 2.0, m3 / 6.0
     if m1 <= 0.0 or m2 <= 0.0 or m3 <= 0.0:
         raise DegenerateSampleError(f"non-positive log-moment statistic at k={k}")
     num, den = _t_statistic(m1, m2, m3, tau)
@@ -319,10 +314,10 @@ class PipelineArrays:
     path: np.ndarray = field(repr=False)
     beta: np.ndarray
     k_c: np.ndarray
-    classical: estimators.GeneralizedArrays
+    classical: estimators.EstimateArrays
     r: np.ndarray
     k_g: np.ndarray
-    generalized: estimators.GeneralizedArrays
+    generalized: estimators.EstimateArrays
     failed_step: np.ndarray
 
     @property
@@ -379,20 +374,20 @@ def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineAr
     placeholder = second.failed_step >= 0
     rho = np.where(placeholder, -1.0, second.rho)
     beta = np.where(placeholder, 1.0, second.beta)
+    kind, rows = estimators.KIND_OF_J[j], np.arange(block.rows)
     k_c = adaptive_k(block.n, rho, beta, j, generalized=False)
-    classical = estimators.generalized_arrays(block, j, _valid_or_2(k_c), 0.0)
+    classical = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_c), 0.0)
     gamma_c = classical.gamma
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = r_star(rho, j) / gamma_c
+    r = r_star(rho, j) / gamma_c  # NaN where the classical estimate failed
     k_g = adaptive_k(block.n, rho, beta, j, generalized=True)
-    tuned = estimators.generalized_arrays(block, j, _valid_or_2(k_g),
-                                          np.where(gamma_c > 0.0, r, 0.0))
+    tuned = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_g),
+                                       np.where(gamma_c > 0.0, r, 0.0))
     fails = {
         "k_classical": np.isnan(k_c),
-        "classical": classical.tie | ~np.isfinite(gamma_c),
+        "classical": classical.failed,
         "r_star": ~(gamma_c > 0.0),
         "k_generalized": np.isnan(k_g),
-        "generalized": tuned.tie | ~np.isfinite(tuned.gamma),
+        "generalized": tuned.failed,
     }
     failed_step = second.failed_step.copy()
     # a row fails at its first failing step, so later steps are marked first

@@ -4,11 +4,12 @@ A sample of strictly positive observations is wrapped in :class:`Sample`,
 which caches the descending order statistics and their logarithms (every
 estimator re-reads prefixes of the sorted data for varying tail sizes ``k``).
 
-The statistic computed by :func:`stat_g` is the mean of
+The statistic G_n(k, r, u) is the mean of
 ``(X_(i) / X_(k+1))^r * ln(X_(i) / X_(k+1))^u`` over the ``k`` largest
 observations ``X_(1) >= ... >= X_(k)``, with ``X_(k+1)`` the threshold.
 Classical tail-index estimators (Hill, moment, moment ratio) and their
-generalizations are all simple functions of these statistics.
+generalizations are all simple functions of these statistics. Its one
+array form is :func:`stat_g_rows`; :func:`stat_g` is its one-triple call.
 """
 
 from __future__ import annotations
@@ -174,59 +175,52 @@ def power_log(r: float, u: float, x: float) -> float:
     return x**r * lx**u
 
 
-def _top_logs(s: Sample, k: int) -> np.ndarray:
-    """Log-ratios of the k largest observations to the (k+1)-th largest.
-
-    Computed as log of the ratio (not a difference of logs) so the statistic
-    depends on the data only through ratios: rescaling the sample by an
-    exactly representable factor leaves the result bit-identical.
-    """
-    return np.log(s.sorted_desc[:k] / s.sorted_desc[k])
-
-
 def stat_g(s: Sample, k: int, r: float, u: float) -> float:
-    """Mean of the power-log kernel over the top-k ratios: G_n(k, r, u).
+    """Mean of the power-log kernel over the top-k ratios: G_n(k, r, u), the
+    one-triple call of :func:`stat_g_rows`."""
+    return float(stat_g_rows(s, 0, k, r, (u,))[0])
 
-    Ties with the threshold are legal for u >= 0 (they contribute the limit
-    value of the kernel at 1); for u < 0 a tie makes the statistic undefined.
+
+def stat_g_rows(s: Sample | SampleBlock, rows, ks, r, us) -> np.ndarray:
+    """G_n(k, r, u) at (row, k, r) triples of a block, for each u > -1 in us.
+
+    rows and ks are two ints (one triple: shape (len(us),)) or two
+    equal-length sequences (shape (len(us), triples)); rows may repeat, a
+    Sample is a block whose one row is 0, and r is a scalar or one value per
+    triple. A tie with the threshold contributes the kernel's limit at 1 for
+    u >= 0 and makes the statistic undefined for u < 0.
+
+    The kernel reads the log of each ratio X_(i) / X_(k+1), so an exact
+    rescaling of the sample leaves it bit-identical. Each triple's terms,
+    all us at once, are summed by the pairwise sum of np.mean (a padded or
+    segmented sum rounds differently); many triples go through exp and the
+    powers as one flat array, one triple as a view of its row.
     """
-    _check_k(s.n, k)
-    if u <= -1:
-        raise DomainError(f"u must be > -1, got {u}")
-    logs = _top_logs(s, k)
-    if u < 0 and np.any(logs == 0.0):
-        raise DegenerateSampleError("tie with threshold makes ln^u undefined for u < 0")
-    if u == 0:
-        terms = np.exp(r * logs)
+    one = isinstance(ks, (int, np.integer))
+    if one:
+        _check_k(s.n, ks)
+        d = s.sorted_desc if isinstance(s, Sample) else s.sorted_desc[rows]
+        logs = np.log(d[:ks] / d[ks])
     else:
-        terms = np.exp(r * logs) * logs**u
-    return float(np.mean(terms))
-
-
-def stat_g_rows(block: SampleBlock, ks, r, us) -> np.ndarray:
-    """G_n(k, r, u) of every row of a block at the row's own k and r (a
-    scalar or one value per row), for each u >= 0 in us; shape
-    (len(us), rows).
-
-    Entry [a, i] equals ``stat_g(row i, ks[i], r[i], us[a])`` bit for bit:
-    the top-k log-ratios of all rows go through exp and the powers as one
-    flat array, and each row's terms are summed on their own by the pairwise
-    sum that np.mean uses (a padded or segmented sum rounds differently),
-    all us of a row in one reduction along the rows of a (len(us), k) slice.
-    """
-    ks = np.asarray(ks, dtype=int).tolist()
-    if min(ks) < 2 or max(ks) > block.n - 1:
-        raise DomainError(f"k values outside [2, n-1] for n={block.n}")
-    if min(us) < 0:
-        raise DomainError(f"u must be >= 0, got {min(us)}")
-    # the rows' _top_logs one after another
-    desc = block.sorted_desc
-    top = np.concatenate([d[:k] for d, k in zip(desc, ks)])
-    logs = np.log(top / np.repeat(desc[np.arange(block.rows), ks], ks))
-    e = np.exp((np.repeat(r, ks) if np.ndim(r) else r) * logs)
+        ks = np.asarray(ks, dtype=int).tolist()
+        if min(ks) < 2 or max(ks) > s.n - 1:
+            _check_k(s.n, min(ks) if min(ks) < 2 else max(ks))
+        desc, rows = s.sorted_desc.reshape(-1, s.n), np.asarray(rows, dtype=int)
+        top = np.concatenate([desc[i, :k] for i, k in zip(rows.tolist(), ks)])
+        logs = np.log(top / np.repeat(desc[rows, ks], ks))
+        if np.ndim(r):
+            r = np.repeat(r, ks)
+    u_min = min(us)
+    if u_min <= -1:
+        raise DomainError(f"u must be > -1, got {u_min}")
+    if u_min < 0 and np.any(logs == 0.0):
+        raise DegenerateSampleError("tie with threshold makes ln^u undefined for u < 0")
+    e = np.exp(r * logs)
     terms = np.empty((len(us), logs.size))
     for a, u in enumerate(us):
         terms[a] = e if u == 0 else e * logs**u
+    if one:
+        return np.add.reduce(terms, axis=1) / ks
     ends = list(accumulate(ks))
     sums = [np.add.reduce(terms[:, lo:hi], axis=1) for lo, hi in zip([0] + ends[:-1], ends)]
     return np.array(sums).T / ks

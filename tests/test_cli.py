@@ -94,6 +94,14 @@ class TestOptimal:
         code, _, _ = run(["optimal", "--j", "1", "--rho", "0.5"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("n", ["-5", "0", "2"])
+    def test_n_below_3_rejected(self, n, capsys):
+        # k* is clamped to [2, n - 1], which needs n >= 3
+        code, _, err = run(["optimal", "--j", "1", "--rho", "-1", "--gamma", "1",
+                            "--beta", "1", "--n", n], capsys)
+        assert code == 3
+        assert f"n must be >= 3, got {n}" in err
+
     def test_no_finite_k_star_rejected(self, capsys):
         # beta^2 underflows to 0: the optimal tail size is not a float
         code, _, err = run(["optimal", "--j", "1", "--rho", "-1", "--gamma", "1",
@@ -215,11 +223,18 @@ class TestSimulate:
         cfg = tmp_path / "broken.cfg"
         for text in ("[distribution]\nfamily = burr\n",
                      GRID_CONFIG.replace("gamma_step = 0.5", "gamma_step = 0"),
-                     GRID_CONFIG.replace("rho_step = 0.5", "rho_step = -0.5")):
+                     GRID_CONFIG.replace("rho_step = 0.5", "rho_step = -0.5"),
+                     GRID_CONFIG.replace("n = 300", "n = abc"),
+                     GRID_CONFIG.replace("gamma_step = 0.5", "gamma_step = x")):
             cfg.write_text(text)
             code, _, err = run(["simulate", cfg], capsys)
             assert code == 2
             assert "bad config file" in err
+        # a value that parses but is out of range is still a precondition error
+        cfg.write_text(GRID_CONFIG.replace("replications = 4", "replications = 0"))
+        code, _, err = run(["simulate", cfg], capsys)
+        assert code == 3
+        assert "replications must be >= 1" in err
 
 
 class TestRobustness:

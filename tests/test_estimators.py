@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtail import estimators as est
 from gtail.distributions import DistSpec, sample
@@ -103,8 +105,11 @@ class TestG2:
         # x^r ln x, pushing 4*r*G(k,r,1) + 1 below zero for strongly negative r
         r = -50.0
         s = Sample.from_values([1.0] + [math.exp(-1.0 / r)] * 5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as caught:
             est.g2(s, 5, r)
+        arrays = est.estimate_arrays(s, "g2", 0, 5, r)
+        assert arrays.failed.tolist() == [True]
+        assert str(arrays.row(0)) == str(caught.value)
 
 
 class TestG3:
@@ -140,6 +145,11 @@ class TestHme:
     def test_beta_one_is_hill(self):
         s = sample_1_e_e2()
         assert est.hme(s, 2, 1.0).gamma_hat == est.hill(s, 2).gamma_hat
+
+    def test_spec_keeps_beta(self):
+        e = est.hme(sample_1_e_e2(), 2, 0.6)
+        assert e.spec == est.EstimatorSpec("hme", 2, r=1.0 - 0.6, beta=0.6)
+        assert e.diagnostics == est.g1(sample_1_e_e2(), 2, 1.0 - 0.6).diagnostics
 
     def test_identity_with_g1(self):
         for s in random_samples(30, seed=55):
@@ -177,7 +187,7 @@ def test_scale_invariance_all_estimators():
 
 
 class TestGeneralizedRows:
-    """The block form of g1/g3: each row's entry is the per-sample call's
+    """The array form at g1/g3: each row's entry is the per-sample call's
     Estimate, equal in every field, or the error it raises."""
 
     @staticmethod
@@ -193,7 +203,7 @@ class TestGeneralizedRows:
 
     @staticmethod
     def rows(block, j, ks, r):
-        arrays = est.generalized_arrays(block, j, ks, r)
+        arrays = est.estimate_arrays(block, "g1" if j == 1 else "g3", np.arange(block.rows), ks, r)
         return [arrays.row(i) for i in range(block.rows)]
 
     @pytest.mark.parametrize("j", [1, 3])
@@ -231,9 +241,53 @@ class TestGeneralizedRows:
     def test_domain(self):
         block = SampleBlock.from_values(np.arange(1.0, 21.0).reshape(2, 10))
         with pytest.raises(DomainError):
-            est.generalized_arrays(block, 2, [3, 3], 0.1)
+            est.estimate_arrays(block, "g4", [0, 1], [3, 3], 0.1)
         with pytest.raises(DomainError):
-            est.generalized_arrays(block, 1, [3, 10], 0.1)
+            est.estimate_arrays(block, "g1", [0, 1], [3, 10], 0.1)
+
+
+def outcome(fn, *args):
+    """The Estimate a call returns, or the class and message of its error."""
+    try:
+        return fn(*args)
+    except (DegenerateSampleError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(est.KINDS),
+       values=st.sampled_from([
+           [2.0] * 10 + [1.0],                     # ties the threshold up to k = 10
+           [1.0] + [math.exp(1.0 / 50.0)] * 5,     # g2's discriminant < 0 at r = -50
+           list(np.arange(1.0, 100.0)),             # every statistic underflows at r = -1e6
+           list(np.random.default_rng(12).pareto(1.0, 40) + 1.0),
+       ]),
+       data=st.data())
+def test_one_row_is_a_row_of_the_block(kind, values, data):
+    """evaluate(s, spec) is triple i of the array form on a block that holds
+    the sample in a row it reads at several triples: the same Estimate in
+    every field, or the same error class and message."""
+    s = Sample.from_values(values)
+    other = np.linspace(1.0, 7.0, s.n)
+    block = SampleBlock.from_values(np.stack([other, s.values]))
+    tuning = st.one_of(st.sampled_from([0.0, SMALL_R / 2, -SMALL_R / 3, 1e-9, 0.3, -50.0, -1e6]),
+                       st.floats(-3.0, 3.0))
+    triples = data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(2, s.n - 1), tuning),
+                                 min_size=1, max_size=6))
+    rows, ks, rs = (list(x) for x in zip(*triples))
+    # hme's parameter is beta = 1 - r
+    params = [1.0 - r for r in rs] if kind == "hme" else rs
+    arrays = est.estimate_arrays(block, kind, rows, ks, params)
+    samples = block.samples()
+    for i, (row, k, r, param) in enumerate(zip(rows, ks, rs, params)):
+        spec = est.EstimatorSpec(kind, k, r=r, beta=param if kind == "hme" else None)
+        want = outcome(est.evaluate, samples[row], spec)
+        got = arrays.row(i)
+        assert (got if isinstance(got, est.Estimate) else (type(got), str(got))) == want
+        if isinstance(want, est.Estimate):
+            assert not arrays.failed[i] and arrays.gamma[i] == want.gamma_hat
+        else:
+            assert arrays.failed[i] and np.isnan(arrays.gamma[i])
 
 
 @pytest.mark.parametrize("kind", est.KINDS)
@@ -248,11 +302,11 @@ def test_tied_tail_raises_for_every_kind(kind, r):
         est.evaluate(s, spec)
     one_above = Sample.from_values([3.0] + [2.0] * 9 + [1.0])
     assert math.isfinite(est.evaluate(one_above, spec).gamma_hat)
-    if kind in ("g1", "g3"):
-        block = SampleBlock.from_values(np.stack([s.values, np.arange(1.0, 12.0)]))
-        rows = est.generalized_arrays(block, 1 if kind == "g1" else 3, [5, 5], r)
-        assert rows.tie.tolist() == [True, False]
-        assert str(rows.row(0)) == est.TIE_MESSAGE
+    block = SampleBlock.from_values(np.stack([s.values, np.arange(1.0, 12.0)]))
+    rows = est.estimate_arrays(block, kind, [0, 1], [5, 5], 1.0 - r if kind == "hme" else r)
+    assert rows.tie.tolist() == [True, False]
+    assert rows.failed.tolist() == [True, False]
+    assert str(rows.row(0)) == est.TIE_MESSAGE
 
 
 @pytest.mark.parametrize("fn, r", [(est.g1, -1e6), (est.g3, -1e6), (est.hme, 1e6 + 1.0)])
@@ -263,17 +317,20 @@ def test_underflowing_statistic_is_a_typed_error(fn, r):
     s = Sample.from_values(np.arange(1.0, 100.0))
     with pytest.raises(DegenerateSampleError, match="non-finite estimate") as caught:
         fn(s, 10, r)
-    if fn is not est.hme:
-        arrays = est.generalized_arrays(SampleBlock.of(s), 1 if fn is est.g1 else 3, [10], r)
-        assert str(arrays.row(0)) == str(caught.value)
+    arrays = est.estimate_arrays(s, fn.__name__, 0, 10, r)
+    assert arrays.failed.tolist() == [True]
+    assert str(arrays.row(0)) == str(caught.value)
 
 
 def test_underflowing_g2_statistic_is_a_typed_error():
     """g2 at a tuning where G(k, r, 1) underflows to 0 on an untied tail:
     the typed error, not a silent estimate of 0.0."""
     s = Sample.from_values(np.arange(1.0, 100.0))
-    with pytest.raises(DegenerateSampleError, match="underflows"):
+    with pytest.raises(DegenerateSampleError, match="underflows") as caught:
         est.g2(s, 10, -1e6)
+    arrays = est.estimate_arrays(s, "g2", 0, 10, -1e6)
+    assert arrays.failed.tolist() == [True]
+    assert str(arrays.row(0)) == str(caught.value)
     with pytest.raises(DegenerateSampleError, match="underflows"):
         est.evaluate(s, est.EstimatorSpec("g2", 10, r=-1e6))
     assert est.g2(s, 10, -1.0).gamma_hat > 0.0

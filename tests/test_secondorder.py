@@ -47,6 +47,17 @@ class TestRhoHat:
         with pytest.raises(DomainError):
             so.rho_hat(s, 3, -1)
 
+    @pytest.mark.parametrize("m", [-900, -13, 13, 900])
+    def test_scale_invariance(self, m):
+        """rho_hat reads only ratios to the threshold, so an exact rescaling
+        leaves it bit-identical at any scale (the log-moment profile, which
+        sums raw logs, does not: see estimate_rho)."""
+        s = burr_sample(1.0, -1.0, 2000, 11)
+        scaled = s.scaled(2.0**m)
+        for k in (10, 500, 1999):
+            for tau in (0, 1):
+                assert so.rho_hat(scaled, k, tau) == so.rho_hat(s, k, tau)
+
 
 class TestEstimateRho:
     @pytest.mark.slow

@@ -199,32 +199,47 @@ def test_scale_and_permutation_invariance(values, scale_pow, r, u):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), n=st.integers(3, 300),
-       spread=st.floats(1e-3, 690.0), data=st.data())
-def test_stat_g_rows_is_stat_g_of_each_row(seed, rows, n, spread, data):
-    """Bit for bit, with data spanning up to 1e-300..1e300."""
+       spread=st.floats(1e-3, 690.0), triples=st.integers(1, 8), data=st.data())
+def test_stat_g_rows_is_stat_g_of_each_row(seed, rows, n, spread, triples, data):
+    """Bit for bit, with data spanning up to 1e-300..1e300, at triples whose
+    rows may repeat; one triple alone gives its column."""
     rng = np.random.default_rng(seed)
     block = SampleBlock.from_values(np.exp(rng.uniform(-spread, spread, (rows, n))))
-    ks = data.draw(st.lists(st.integers(2, n - 1), min_size=rows, max_size=rows))
+    idx = data.draw(st.lists(st.integers(0, rows - 1), min_size=triples, max_size=triples))
+    ks = data.draw(st.lists(st.integers(2, n - 1), min_size=triples, max_size=triples))
     r = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1e-9, -0.5, 1.0]), st.floats(-3.0, 3.0)),
-                           min_size=rows, max_size=rows))
+                           min_size=triples, max_size=triples))
     us = (0.0, 1.0, 2.0, 3.0)
+    samples = block.samples()
     with np.errstate(all="ignore"):
-        got = stat_g_rows(block, ks, np.array(r), us)
-        for i, s in enumerate(block.samples()):
-            want = [stat_g(s, ks[i], r[i], u) for u in us]
-            assert np.array_equal(got[:, i], want, equal_nan=True)
+        got = stat_g_rows(block, idx, ks, np.array(r), us)
+        for t, (i, k, r_t) in enumerate(zip(idx, ks, r)):
+            want = [stat_g(samples[i], k, r_t, u) for u in us]
+            assert np.array_equal(got[:, t], want, equal_nan=True)
+            assert np.array_equal(stat_g_rows(block, i, k, r_t, us), got[:, t], equal_nan=True)
         if len(set(r)) == 1:
-            assert np.array_equal(stat_g_rows(block, ks, r[0], us), got, equal_nan=True)
+            assert np.array_equal(stat_g_rows(block, idx, ks, r[0], us), got, equal_nan=True)
 
 
 def test_stat_g_rows_domain():
     block = SampleBlock.from_values(np.arange(1.0, 21.0).reshape(2, 10))
+    with pytest.raises(DomainError, match="k=10 outside"):
+        stat_g_rows(block, [0, 1], [2, 10], 0.0, (1.0,))
+    with pytest.raises(DomainError, match="k=1 outside"):
+        stat_g_rows(block, [0, 1], [1, 5], 0.0, (1.0,))
+    with pytest.raises(DomainError, match="k=10 outside"):
+        stat_g_rows(block, 0, 10, 0.0, (1.0,))
     with pytest.raises(DomainError):
-        stat_g_rows(block, [2, 10], 0.0, (1.0,))
-    with pytest.raises(DomainError):
-        stat_g_rows(block, [1, 5], 0.0, (1.0,))
-    with pytest.raises(DomainError):
-        stat_g_rows(block, [3, 5], 0.0, (-0.5,))
+        stat_g_rows(block, [0, 1], [3, 5], 0.0, (-1.0,))
+    # u in (-1, 0) is defined where no top value ties the threshold ...
+    got = stat_g_rows(block, [0, 1, 1], [3, 5, 5], 0.5, (2.0, -0.5))
+    for t, (s, k) in enumerate(zip([block.samples()[i] for i in (0, 1, 1)], [3, 5, 5])):
+        assert got[:, t].tolist() == [stat_g(s, k, 0.5, 2.0), stat_g(s, k, 0.5, -0.5)]
+    # ... and a tie in any triple raises stat_g's tie error
+    tied = SampleBlock.from_values(np.array([[1.0, 2.0, 2.0, 5.0], [1.0, 2.0, 3.0, 5.0]]))
+    for rows, ks in (([1, 0], [2, 2]), (0, 2)):
+        with pytest.raises(DegenerateSampleError, match="tie with threshold"):
+            stat_g_rows(tied, rows, ks, 0.5, (1.0, -0.5))
 
 
 def test_scale_invariance_arbitrary_factor():
