@@ -29,8 +29,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_DEGENERATE = 4
 
-_KIND_TO_J = {"hill": 1, "g1": 1, "hme": 1, "gh": 1, "g2": 2,
-              "moment_ratio": 3, "mr": 3, "g3": 3, "gmr": 3}
+_KIND_TO_J = {"hill": 1, "g1": 1, "hme": 1, "g2": 2, "moment_ratio": 3, "g3": 3}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -51,11 +50,12 @@ def cmd_estimate(args) -> int:
     s = Sample.from_file(args.data)
     report: dict = {"input": args.data, "n": s.n, "kind": args.kind}
     if args.adaptive:
-        if args.kind not in ("hill", "gh", "mr", "gmr"):
-            raise DomainError(f"--adaptive supports hill/gh/mr/gmr, not {args.kind!r}")
-        j = _KIND_TO_J[args.kind]
+        if args.kind not in montecarlo.PIPELINES:
+            raise DomainError(
+                f"--adaptive supports {'/'.join(montecarlo.LABELS)}, not {args.kind!r}")
+        j, tuned = montecarlo.PIPELINES[args.kind]
         res = secondorder.adaptive_estimate(s, j)
-        e = res.generalized if args.kind in ("gh", "gmr") else res.classical
+        e = res.generalized if tuned else res.classical
         report.update({
             "gamma_hat": e.gamma_hat, "k": e.spec.k, "r": e.spec.r,
             "rho_hat": res.rho.rho_hat, "tau": res.rho.tau,
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("estimate", help="estimate the tail index from a data file")
     pe.add_argument("data")
     pe.add_argument("--kind", required=True,
-                    choices=sorted(set(estimators.KINDS) | {"gh", "mr", "gmr"}))
+                    choices=sorted(set(estimators.KINDS) | set(montecarlo.LABELS)))
     pe.add_argument("--k", type=int)
     pe.add_argument("--r", type=float, default=0.0)
     pe.add_argument("--beta", type=float)

@@ -259,10 +259,8 @@ def g3(s: Sample, k: int, r: float) -> Estimate:
 
 
 def hme(s: Sample, k: int, beta: float) -> Estimate:
-    """Harmonic moment estimator; delegates to g1 with r = 1 - beta."""
-    e = g1(s, k, 1.0 - beta)
-    return Estimate(e.gamma_hat, EstimatorSpec("hme", k, r=1.0 - beta, beta=beta),
-                    s.n, e.diagnostics)
+    """Harmonic moment estimator: g1's closed form at r = 1 - beta."""
+    return _one(s, "hme", k, beta)
 
 
 #: Each kind's estimator as a call on a sample and a spec. Every entry looks

@@ -34,9 +34,10 @@ from .errors import DomainError
 from .secondorder import adaptive_arrays
 from .stats import SampleBlock
 
-LABELS = ("hill", "gh", "mr", "gmr")
-#: j -> (classical label, tuned label) of the two adaptive pipelines
-_PIPELINES = {1: ("hill", "gh"), 3: ("mr", "gmr")}
+#: label -> (j, tuned) of the four adaptive estimates: the classical (r = 0)
+#: or optimally tuned estimate of the adaptive pipeline j
+PIPELINES = {"hill": (1, False), "gh": (1, True), "mr": (3, False), "gmr": (3, True)}
+LABELS = tuple(PIPELINES)
 
 #: Bytes of sample data per block of replications: 16 rows at n = 1000, one
 #: row from n = 16384 up, where per-call overhead no longer matters.
@@ -125,11 +126,11 @@ def cell_estimates(cfg: ExperimentConfig, gamma: float, rho: float,
             continue
         block = SampleBlock.from_values(draws if ok.all() else draws[ok])
         good_reps = start + np.flatnonzero(ok)
-        for j, pipeline in adaptive_arrays(block).items():
-            done = pipeline.failed_step < 0
-            classical, generalized = _PIPELINES[j]
-            values[classical][good_reps[done]] = pipeline.gamma_c[done]
-            values[generalized][good_reps[done]] = pipeline.gamma_g[done]
+        pipelines = adaptive_arrays(block)
+        for label, (j, tuned) in PIPELINES.items():
+            done = pipelines[j].failed_step < 0
+            gamma = pipelines[j].gamma_g if tuned else pipelines[j].gamma_c
+            values[label][good_reps[done]] = gamma[done]
     return values
 
 

