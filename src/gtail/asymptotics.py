@@ -42,7 +42,7 @@ PHI3_CROSSING = -4.57018
 
 @dataclass(frozen=True)
 class SecondOrderModel:
-    """Hall-class tail parameters (gamma, rho, beta, C) with A(t) = gamma*beta*t^rho.
+    """Hall-class tail parameters (gamma, rho, beta) with A(t) = gamma*beta*t^rho.
 
     ``beta_hall = 0`` marks a bias-free tail (exact power law): the AMSE has
     no interior optimum in k and :func:`k_star` rejects such a model.
@@ -51,15 +51,12 @@ class SecondOrderModel:
     gamma: float
     rho: float
     beta_hall: float
-    C: float = 1.0
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
         if not self.rho < 0:
             raise DomainError(f"rho must be < 0, got {self.rho}")
-        if self.C <= 0:
-            raise DomainError(f"C must be > 0, got {self.C}")
 
     @property
     def bias_free(self) -> bool:
@@ -243,24 +240,15 @@ def r2_polynomial_coeffs(rho: float) -> np.ndarray:
     ])
 
 
-def r_star(rho, j: int):
+def r_star(rho: float, j: int) -> float:
     """Optimal scaled tuning R*_j = gamma * r*_j as a function of rho alone.
 
     j = 1 and j = 3 have closed forms (roots of quadratics); j = 2 requires
     all real roots of a degree-9 polynomial, found via the companion matrix,
-    each admissible root scored by eta and the minimizer returned.
-
-    For an array of rho the result is the array of the values at each entry,
-    each equal to the scalar one to the last bit: the closed forms square
-    with Python's pow, which rounds differently from numpy's square for a
-    few inputs in 10^4.
+    each admissible root scored by eta and the minimizer returned. rho is
+    one float: ``secondorder._tail_arrays`` calls this once per row.
     """
-    if isinstance(rho, (int, float)) or not np.ndim(rho):
-        return _r_star(float(rho), j)
-    return np.array([_r_star(x, j) for x in np.asarray(rho, dtype=float).tolist()])
-
-
-def _r_star(rho: float, j: int) -> float:
+    rho = float(rho)
     if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
     if j == 1:

@@ -47,12 +47,13 @@ def _confidence_interval(gamma_hat: float, r: float, j: int, k: int):
 
 
 def cmd_estimate(args) -> int:
+    if args.adaptive == (args.k is not None):
+        raise DomainError("give exactly one of --k and --adaptive (which picks k itself)")
+    if args.kind not in (montecarlo.PIPELINES if args.adaptive else estimators.KINDS):
+        raise DomainError(f"--kind {args.kind} {'does not take' if args.adaptive else 'needs'} --adaptive")
     s = Sample.from_file(args.data)
     report: dict = {"input": args.data, "n": s.n, "kind": args.kind}
     if args.adaptive:
-        if args.kind not in montecarlo.PIPELINES:
-            raise DomainError(
-                f"--adaptive supports {'/'.join(montecarlo.LABELS)}, not {args.kind!r}")
         j, tuned = montecarlo.PIPELINES[args.kind]
         res = secondorder.adaptive_estimate(s, j)
         e = res.generalized if tuned else res.classical
@@ -67,8 +68,6 @@ def cmd_estimate(args) -> int:
         report["asymptotic_bias"] = nu * asymptotics.rate_A(model, s.n / e.spec.k)
         report["ci95"] = _confidence_interval(e.gamma_hat, e.spec.r, j, e.spec.k)
     else:
-        if args.k is None:
-            raise DomainError("--k is required unless --adaptive is given")
         spec = estimators.EstimatorSpec(args.kind, args.k, r=args.r,
                                         beta=args.beta)
         e = estimators.evaluate(s, spec)
@@ -138,7 +137,7 @@ def _load_config(path: str, seed_override: int | None) -> montecarlo.ExperimentC
         if seed is None:
             raise DomainError("a seed is required: set [experiment] seed or pass --seed")
         labels = tuple(x.strip() for x in
-                       exp.get("estimators", fallback="hill,gh,mr,gmr").split(","))
+                       exp.get("estimators", fallback=",".join(montecarlo.LABELS)).split(","))
         grid = None
         gamma = rho = None
         if parser.has_section("grid"):

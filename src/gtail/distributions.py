@@ -129,13 +129,13 @@ def sample(d: DistSpec, n: int, seed: int, *, stream_key: tuple[int, ...] = ()) 
 
 
 def hall_model(d: DistSpec) -> SecondOrderModel:
-    """Map a family to its Hall-class parameters (gamma, rho, beta, C).
+    """Map a family to its Hall-class parameters (gamma, rho, beta).
 
     A strict Pareto tail has no second-order term; it is returned with the
     beta = 0 sentinel (and rho = -inf) which the AMSE optimum rejects.
     """
     if d.family == "burr":
-        return SecondOrderModel(d.gamma, d.rho, 1.0, d.scale)
+        return SecondOrderModel(d.gamma, d.rho, 1.0)
     if d.family == "kumaraswamy":
-        return SecondOrderModel(d.gamma, d.rho, 0.5, d.scale)
-    return SecondOrderModel(d.gamma, -math.inf, 0.0, d.scale)
+        return SecondOrderModel(d.gamma, d.rho, 0.5)
+    return SecondOrderModel(d.gamma, -math.inf, 0.0)

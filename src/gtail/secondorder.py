@@ -18,10 +18,11 @@ whose path has the smaller interquartile range wins, and the path median is
 reported.
 
 All five steps run on a :class:`~gtail.stats.SampleBlock` of equal-size
-samples, one replication per row, as array operations over the rows: one
-prefix-sum log-moment profile per block serves both tau, and the rho paths,
-the tau choice, the median, the clamps, beta, the tail sizes, R*, r and both
-estimates are computed for all rows at once, each row's value bit for bit
+samples, one replication per row. One prefix-sum log-moment profile per
+block serves both tau; the rho paths, the tau choice, the median, the
+clamps, beta and both estimates are array operations over all rows, and
+``_tail_arrays`` loops the float plug-ins :func:`adaptive_k` and
+:func:`~gtail.asymptotics.r_star` over them. Each row's value is bit for bit
 the one a single sample gets. :func:`adaptive_arrays` returns these arrays,
 with the index of each row's failed step in :data:`STEPS`. The functions
 that return result objects (:func:`estimate_rho`, :func:`beta_hat`,
@@ -32,6 +33,7 @@ fails; a block goes through :func:`adaptive_arrays`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -140,8 +142,6 @@ def _path_stats(path: np.ndarray):
 def _k_window(n: int) -> np.ndarray:
     lo = max(2, int(n**_K_WINDOW_LOW))
     hi = min(n - 1, int(n**_K_WINDOW_HIGH))
-    if hi < lo:
-        hi = lo
     return np.arange(lo, hi + 1)
 
 
@@ -171,8 +171,7 @@ def _rho_arrays(block: SampleBlock):
     for rho in median[median < RHO_FLOOR].tolist():
         warnings.warn(f"rho estimate {rho:.2f} clamped to {RHO_FLOOR}", stacklevel=3)
     rho = np.clip(median, RHO_FLOOR, RHO_CEILING)
-    k_used = min(block.n - 1, int(block.n**_K_WINDOW_HIGH))
-    return ks, k_used, rho, tau, np.where(one[:, None], paths[1], paths[0])
+    return ks, int(ks[-1]), rho, tau, np.where(one[:, None], paths[1], paths[0])
 
 
 def _rho_estimate(ks, k_used: int, rho: float, tau: int, path: np.ndarray) -> RhoEstimate:
@@ -230,40 +229,24 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
     return float(beta[0])
 
 
-def adaptive_k(n: int, rho, beta, j: int, generalized: bool):
+def adaptive_k(n: int, rho: float, beta: float, j: int, generalized: bool) -> int:
     """Plug-in AMSE-optimal tail size, rounded and clamped to [2, n-1]: the
     real optimum :func:`~gtail.asymptotics.tail_size` at the classical
     (R = 0) or optimally tuned (R = R*_j(rho)) route of estimator 1 or 3.
 
-    rho and beta may be arrays (one entry per row of a block): the result is
-    then a float array of the entries' tail sizes, NaN where a scalar call
-    raises DomainError because the optimum is not finite (beta^2 overflows
-    or underflows, or the tail size overflows). Each entry is computed in
-    Python floats, as for a scalar: at the few rows of a block that is
-    faster than a pass of numpy calls, whose per-call cost dominates there.
+    rho and beta are floats; a block's rows call this once each, in
+    ``_tail_arrays``. Raises DomainError where the optimum is not finite
+    (beta^2 overflows or underflows, or the tail size overflows).
     """
+    rho, beta = float(rho), float(beta)
     if j not in (1, 3):
         raise DomainError(f"adaptive tail size defined for j in {{1, 3}}, got {j}")
-    scalar = not (np.ndim(rho) or np.ndim(beta))
-    if scalar:
-        rhos, betas = [float(rho)], [float(beta)]
-    else:
-        rhos, betas = (a.tolist() for a in np.broadcast_arrays(
-            np.asarray(rho, dtype=float), np.asarray(beta, dtype=float)))
-    if not all(x < 0 for x in rhos):
+    if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
-    if 0.0 in betas:
+    if beta == 0.0:
         raise DomainError("beta must be nonzero")
-    Rs = [r_star(x, j) for x in rhos] if generalized else [0.0] * len(rhos)
-    ks = []
-    for R, rho_i, beta_i in zip(Rs, rhos, betas):
-        try:
-            ks.append(min(max(round(tail_size(R, rho_i, beta_i, j, n)), 2), n - 1))
-        except DomainError:
-            if scalar:
-                raise
-            ks.append(math.nan)
-    return ks[0] if scalar else np.array(ks, dtype=float)
+    R = r_star(rho, j) if generalized else 0.0
+    return min(max(round(tail_size(R, rho, beta, j, n)), 2), n - 1)
 
 
 #: The steps of the adaptive pipeline in order; PipelineArrays.failed_step
@@ -305,6 +288,16 @@ class PipelineArrays:
     @property
     def gamma_g(self) -> np.ndarray:
         return self.generalized.gamma
+
+
+def _tail_sizes(n: int, rho: np.ndarray, beta: np.ndarray, j: int, generalized: bool) -> np.ndarray:
+    """adaptive_k on each row, NaN where it raises DomainError; in Python
+    floats, because numpy's square and pow differ from libm's in the last bit."""
+    ks = np.full(rho.shape, np.nan)
+    for i, (rho_i, beta_i) in enumerate(zip(rho.tolist(), beta.tolist())):
+        with contextlib.suppress(DomainError):
+            ks[i] = adaptive_k(n, rho_i, beta_i, j, generalized)
+    return ks
 
 
 def _valid_or_2(k: np.ndarray) -> np.ndarray:
@@ -353,11 +346,11 @@ def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineAr
     rho = np.where(placeholder, -1.0, second.rho)
     beta = np.where(placeholder, 1.0, second.beta)
     kind, rows = estimators.KIND_OF_J[j], np.arange(block.rows)
-    k_c = adaptive_k(block.n, rho, beta, j, generalized=False)
+    k_c = _tail_sizes(block.n, rho, beta, j, generalized=False)
     classical = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_c), 0.0)
     gamma_c = classical.gamma
-    r = r_star(rho, j) / gamma_c  # NaN where the classical estimate failed
-    k_g = adaptive_k(block.n, rho, beta, j, generalized=True)
+    r = np.array([r_star(x, j) for x in rho.tolist()]) / gamma_c  # NaN where gamma_c failed
+    k_g = _tail_sizes(block.n, rho, beta, j, generalized=True)
     tuned = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_g),
                                        np.where(gamma_c > 0.0, r, 0.0))
     fails = {

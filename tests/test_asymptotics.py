@@ -161,15 +161,12 @@ class TestRStar:
         for rho in np.linspace(-20, -0.05, 40):
             assert -1.0 < asy.r_star(float(rho), 3) < 0.0
 
-    def test_array_entries_are_the_scalar_values(self):
-        rho = -np.exp(np.linspace(math.log(1e-6), math.log(25.0), 200))
-        for j in (1, 2, 3):
-            got = asy.r_star(rho, j)
-            assert got.shape == rho.shape
-            assert got.tolist() == [asy.r_star(x, j) for x in rho.tolist()]
+    def test_takes_one_float(self):
         assert type(asy.r_star(np.float64(-1.0), 1)) is float
-        with pytest.raises(DomainError):
-            asy.r_star(np.array([-1.0, 0.0]), 1)
+        # one row at a time: secondorder._tail_arrays loops the rows of a block
+        for j in (1, 2, 3):
+            with pytest.raises(TypeError):
+                asy.r_star(np.array([-1.0, -2.0]), j)
 
     def test_r2_polynomial_residual(self):
         for rho in np.linspace(-10, -0.1, 25):

@@ -60,6 +60,18 @@ class TestEstimate:
         assert code == 3
         assert "k" in err
 
+    @pytest.mark.parametrize("kind", ["gh", "mr", "gmr"])
+    def test_adaptive_kind_without_adaptive_names_it(self, data_file, kind, capsys):
+        code, out, err = run(["estimate", data_file, "--kind", kind, "--k", "50"], capsys)
+        assert (code, out) == (3, "")
+        assert f"--kind {kind} needs --adaptive" in err
+
+    def test_k_with_adaptive_rejected(self, data_file, capsys):
+        code, out, err = run(["estimate", data_file, "--kind", "gmr", "--adaptive",
+                              "--k", "50"], capsys)
+        assert (code, out) == (3, "")
+        assert "--k" in err and "--adaptive" in err
+
     def test_malformed_line_reports_line_number(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("1.0\n2.0\nthree\n4.0\n")

@@ -223,8 +223,8 @@ class TestAdaptiveK:
 
     @staticmethod
     def printed_formula(n, rho, beta, j, generalized):
-        """The scalar plug-in tail size in Python floats, as adaptive_k computed
-        it before it took arrays: the reference."""
+        """The printed plug-in tail size in Python floats, computed directly:
+        the reference."""
         if j == 1:
             if generalized:
                 R = r_star(rho, 1)
@@ -251,12 +251,12 @@ class TestAdaptiveK:
         return ln_base / (1.0 - 2.0 * rho) - 2.0 * rho / (1.0 - 2.0 * rho) * math.log(n)
 
     def test_arrays_match_the_printed_formula(self):
-        """Entry by entry, NaN (DomainError for a scalar) exactly where the
-        optimum is not a finite float: beta^2 overflowing or underflowing
-        (below the smallest normal float), or the tail size overflowing.
-        Elsewhere the printed formula's value, and where only its product
-        -rho beta^2 (1-2R)^p over- or underflows, the clamped log-space value
-        of the same formula."""
+        """Entry by entry, DomainError exactly where the optimum is not a
+        finite float: beta^2 overflowing or underflowing (below the smallest
+        normal float), or the tail size overflowing. Elsewhere the printed
+        formula's value, and where only its product -rho beta^2 (1-2R)^p
+        over- or underflows, the clamped log-space value of the same
+        formula."""
         rng = np.random.default_rng(2)
         rho = -np.exp(rng.uniform(math.log(1e-6), math.log(25.0), 3000))
         beta = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-170.0, 170.0, 3000)
@@ -264,24 +264,24 @@ class TestAdaptiveK:
         for n in (100, 1000, 10**6):
             for j in (1, 3):
                 for generalized in (False, True):
-                    ks = so.adaptive_k(n, rho, beta, j, generalized)
-                    for k, r, b in zip(ks.tolist(), rho.tolist(), beta.tolist()):
+                    raised = 0
+                    for r, b in zip(rho.tolist(), beta.tolist()):
                         try:
                             beta2 = b**2
                         except OverflowError:
                             beta2 = math.inf
                         ln_k = self.printed_ln_k(n, r, b, j, generalized)
                         if not sys.float_info.min <= beta2 < math.inf or ln_k >= ln_max:
-                            assert math.isnan(k)
                             with pytest.raises(DomainError):
                                 so.adaptive_k(n, r, b, j, generalized)
+                            raised += 1
                             continue
                         try:
                             want = self.printed_formula(n, r, b, j, generalized)
                         except (ArithmeticError, ValueError):
                             want = min(max(round(math.exp(ln_k)), 2), n - 1)
-                        assert k == want
-                    assert 0 < np.isnan(ks).sum() < ks.size
+                        assert so.adaptive_k(n, r, b, j, generalized) == want
+                    assert 0 < raised < rho.size
         got = so.adaptive_k(1000, -1.0, 1.0, 1, generalized=False)
         assert type(got) is int
 
@@ -297,6 +297,11 @@ class TestAdaptiveK:
             so.adaptive_k(1000, -1.0, 0.0, 1, False)
         with pytest.raises(DomainError):
             so.adaptive_k(1000, -1.0, 1.0, 2, False)
+        # one row at a time: _tail_arrays loops the rows of a block
+        with pytest.raises(TypeError):
+            so.adaptive_k(1000, np.array([-1.0, -2.0]), 1.0, 1, False)
+        with pytest.raises(TypeError):
+            so.adaptive_k(1000, -1.0, np.array([1.0, 2.0]), 3, True)
 
 
 class TestBlockTailSteps:
@@ -365,6 +370,22 @@ class TestBlockTailSteps:
         assert res.generalized.spec.r == 0.0
         assert res.generalized == est.g3(s, res.generalized.spec.k, res.r_generalized)
         assert res.generalized.gamma_hat == est.moment_ratio(s, res.generalized.spec.k).gamma_hat
+
+    @pytest.mark.parametrize("beta, shown", [(1e200, "1e+200"), (1e-160, "1e-160")])
+    def test_row_without_a_finite_tail_size_fails_at_k_classical(self, beta, shown):
+        # beta^2 overflows or falls below the smallest normal float, so
+        # adaptive_k raises for this row and _tail_arrays records NaN
+        s = burr_sample(1.0, -1.0, 1000, 5)
+        second = so._SecondOrder(np.arange(0), int(s.n**0.995), np.array([-1.0]), np.array([0]),
+                                 np.empty((1, 0)), np.array([beta]), np.array([-1]))
+        a = so._tail_arrays(SampleBlock.of(s), 1, second)
+        assert np.isnan(a.k_c[0])
+        with pytest.raises(PipelineError) as info:
+            so._result(a, 0)
+        assert info.value.step == "k_classical"
+        assert type(info.value.__cause__) is DomainError
+        assert str(info.value.__cause__) == (
+            f"no finite AMSE-optimal tail size at rho=-1.0, beta={shown}")
 
 
 class TestPipelineArrays:
