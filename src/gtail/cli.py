@@ -51,6 +51,9 @@ def cmd_estimate(args) -> int:
         raise DomainError("give exactly one of --k and --adaptive (which picks k itself)")
     if args.kind not in (montecarlo.PIPELINES if args.adaptive else estimators.KINDS):
         raise DomainError(f"--kind {args.kind} {'does not take' if args.adaptive else 'needs'} --adaptive")
+    for option, kinds in (("r", estimators.KIND_OF_J.values()), ("beta", ("hme",))):
+        if getattr(args, option) is not None and (args.adaptive or args.kind not in kinds):
+            raise DomainError(f"--kind {args.kind}{' --adaptive' * args.adaptive} does not take --{option}")
     s = Sample.from_file(args.data)
     report: dict = {"input": args.data, "n": s.n, "kind": args.kind}
     if args.adaptive:
@@ -68,7 +71,7 @@ def cmd_estimate(args) -> int:
         report["asymptotic_bias"] = nu * asymptotics.rate_A(model, s.n / e.spec.k)
         report["ci95"] = _confidence_interval(e.gamma_hat, e.spec.r, j, e.spec.k)
     else:
-        spec = estimators.EstimatorSpec(args.kind, args.k, r=args.r,
+        spec = estimators.EstimatorSpec(args.kind, args.k, r=0.0 if args.r is None else args.r,
                                         beta=args.beta)
         e = estimators.evaluate(s, spec)
         report.update({"gamma_hat": e.gamma_hat, "k": args.k, "r": e.spec.r})
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kind", required=True,
                     choices=sorted(set(estimators.KINDS) | set(montecarlo.LABELS)))
     pe.add_argument("--k", type=int)
-    pe.add_argument("--r", type=float, default=0.0)
+    pe.add_argument("--r", type=float)
     pe.add_argument("--beta", type=float)
     pe.add_argument("--adaptive", action="store_true")
     pe.add_argument("--output")

@@ -9,9 +9,10 @@ Seven estimators, all expressed through the statistics in :mod:`gtail.stats`:
   reparametrization r = 1 - beta.
 
 Each kind is written once, in one table of the u it reads and its closed
-form. There is one array form, :func:`estimate_arrays`, at many (row, k,
-tuning) triples of a block; the per-sample estimators and ``evaluate`` are
-its one-row case, through the same table and Estimate builder.
+form. The per-sample estimators and ``evaluate`` are the one place an
+Estimate or an estimator's error is made; the array form,
+:func:`estimate_arrays`, returns only the estimates at many (row, k, tuning)
+triples of a block, NaN where the per-sample call raises.
 
 Every estimate carries the statistics it consumed as diagnostics so that
 downstream variance formulas can reuse them without recomputation. Every
@@ -133,55 +134,20 @@ def _branch(kind: str, param):
     return tuned is None or (at_zero is not None and abs(r) < SMALL_R), r
 
 
-def _estimate(kind: str, n: int, k: int, param, zero: bool, r, g: list, tie) -> Estimate:
-    """The Estimate of kind at (k, param) from the statistics g of its
-    branch, read at tuning r (0.0 on the r = 0 branch); raises the
-    estimator's error."""
-    if tie:
-        raise DegenerateSampleError(TIE_MESSAGE)
-    at_zero, tuned, form = _KINDS[kind]
-    hme = kind == "hme"
-    spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
-    return Estimate(form(g, r), spec, n, dict(zip(_NAMES[at_zero if zero else tuned], g)))
-
-
 def _one(s: Sample, kind: str, k: int, param) -> Estimate:
-    """kind at (k, param) on a sample: the one-row case of estimate_arrays,
-    without its arrays."""
+    """kind at (k, param) on a sample: the one place an Estimate, or an
+    estimator's error, is made."""
     zero, r = _branch(kind, param)
     if zero:
         r = 0.0
-    g = stat_g_rows(s, 0, k, r, _KINDS[kind][0 if zero else 1]).tolist()
-    return _estimate(kind, s.n, k, param, zero, r, g, s.sorted_desc[0] == s.sorted_desc[k])
-
-
-@dataclass(frozen=True)
-class EstimateArrays:
-    """One kind at many (row, k, param) triples of a block: per triple,
-    whether it takes the r = 0 branch, the tuning r its statistics are read
-    at, whether it ties the threshold or fails (raises in the per-sample
-    call), its estimate (NaN where it fails) and the statistics it reads,
-    ``stats[:, i]``."""
-
-    kind: str
-    n: int
-    ks: np.ndarray
-    params: np.ndarray
-    zero: np.ndarray
-    r: np.ndarray
-    tie: np.ndarray
-    failed: np.ndarray
-    gamma: np.ndarray
-    stats: np.ndarray = field(repr=False)
-
-    def row(self, i: int) -> Estimate | DegenerateSampleError | DomainError:
-        """Triple i as the per-sample call's Estimate, or the error it raises."""
-        try:
-            return _estimate(self.kind, self.n, int(self.ks[i]), float(self.params[i]),
-                             bool(self.zero[i]), float(self.r[i]), self.stats[:, i].tolist(),
-                             self.tie[i])
-        except (DegenerateSampleError, DomainError) as exc:
-            return exc
+    at_zero, tuned, form = _KINDS[kind]
+    us = at_zero if zero else tuned
+    g = stat_g_rows(s, 0, k, r, us).tolist()
+    if s.sorted_desc[0] == s.sorted_desc[k]:
+        raise DegenerateSampleError(TIE_MESSAGE)
+    hme = kind == "hme"
+    spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
+    return Estimate(form(g, r), spec, s.n, dict(zip(_NAMES[us], g)))
 
 
 def _gamma(form, g: list, r: float) -> float:
@@ -192,13 +158,13 @@ def _gamma(form, g: list, r: float) -> float:
         return math.nan
 
 
-def estimate_arrays(s: Sample | SampleBlock, kind: str, rows, ks, params) -> EstimateArrays:
-    """kind at every (row, k, param) triple of a block (a Sample is a block
-    whose one row is 0); rows, ks and params broadcast to one 1-D shape, and
-    rows may repeat. param is the r of g1, g2 and g3 and the beta of hme;
-    the classical kinds ignore it. Each triple's values are, bit for bit,
-    those of the per-sample call; a k outside [2, n-1] in any triple raises
-    its DomainError for the whole call.
+def estimate_arrays(s: Sample | SampleBlock, kind: str, rows, ks, params) -> np.ndarray:
+    """kind's gamma_hat at every (row, k, param) triple of a block (a Sample
+    is a block whose one row is 0); rows, ks and params broadcast to one 1-D
+    shape, and rows may repeat. param is the r of g1, g2 and g3 and the beta
+    of hme; the classical kinds ignore it. Each estimate is, bit for bit, the
+    per-sample call's, NaN where that call raises; a k outside [2, n-1] in
+    any triple raises its DomainError for the whole call.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown estimator kind {kind!r}")
@@ -223,9 +189,8 @@ def estimate_arrays(s: Sample | SampleBlock, kind: str, rows, ks, params) -> Est
     tie = desc[rows, 0] == desc[rows, ks]
     gamma = np.array([math.nan if t else _gamma(form, g, x)
                       for t, g, x in zip(tie.tolist(), stats.T.tolist(), r.tolist())])
-    failed = ~np.isfinite(gamma)
-    gamma[failed] = math.nan
-    return EstimateArrays(kind, s.n, ks, params, zero, r, tie, failed, gamma, stats)
+    gamma[~np.isfinite(gamma)] = math.nan
+    return gamma
 
 
 def hill(s: Sample, k: int) -> Estimate:

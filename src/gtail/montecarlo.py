@@ -246,11 +246,13 @@ def ratio_curve(cfg: ExperimentConfig, gamma: float, rho_values, pair=("mr", "gm
 
 def _gammas(block: SampleBlock, j: int, k: int, r: float) -> np.ndarray:
     """Estimator j at (k, r) on every row of a block; raises the error of
-    the first row that fails."""
-    arrays = est.estimate_arrays(block, est.KIND_OF_J[j], np.arange(block.rows), k, r)
-    if arrays.failed.any():
-        raise arrays.row(int(np.argmax(arrays.failed)))
-    return arrays.gamma
+    the first row that fails, from the per-sample call on that row."""
+    kind = est.KIND_OF_J[j]
+    gamma = est.estimate_arrays(block, kind, np.arange(block.rows), k, r)
+    failed = np.isnan(gamma)
+    if failed.any():
+        est.evaluate(block.samples()[int(np.argmax(failed))], est.EstimatorSpec(kind, k, r))
+    return gamma
 
 
 def variance_check(gamma: float, r: float, j: int, n: int, k: int, reps: int,

@@ -24,11 +24,12 @@ clamps, beta and both estimates are array operations over all rows, and
 ``_tail_arrays`` loops the float plug-ins :func:`adaptive_k` and
 :func:`~gtail.asymptotics.r_star` over them. Each row's value is bit for bit
 the one a single sample gets. :func:`adaptive_arrays` returns these arrays,
-with the index of each row's failed step in :data:`STEPS`. The functions
-that return result objects (:func:`estimate_rho`, :func:`beta_hat`,
-:func:`adaptive_all`, :func:`adaptive_estimate`) take one Sample, run it as
-a one-row block and build the result from row 0, raising where that row
-fails; a block goes through :func:`adaptive_arrays`.
+with the index of each row's failed step in :data:`STEPS`, and builds no
+objects. The functions that return result objects (:func:`estimate_rho`,
+:func:`beta_hat`, :func:`adaptive_all`, :func:`adaptive_estimate`) take one
+Sample, run it as a one-row block and build the result from row 0, raising
+where that row fails; its two Estimates, or an estimator's error, come from
+:func:`~gtail.estimators.evaluate` on that Sample.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from . import estimators
 from .asymptotics import NO_TAIL_SIZE, r_star, tail_size
 from .errors import DegenerateSampleError, DomainError, PipelineError
-from .estimators import Estimate
+from .estimators import Estimate, EstimatorSpec
 from .stats import Sample, SampleBlock, log_moment_profile, stat_g_rows
 
 #: rho estimates below this are clamped (with a warning): more negative values
@@ -262,9 +263,10 @@ class PipelineArrays:
     pipelines of a block: the clamped rho_hat, the chosen tau, rho_hat(k,
     tau) over ``k_window`` (NaN at invalid k) and beta_hat at k_used.
     k_c and k_g are the classical and tuned tail sizes (NaN where the
-    optimum is not finite), r the tuning. Entries of a row from its failed
-    step on are not estimates; they hold NaN or values computed from
-    placeholders.
+    optimum is not finite), r the tuning, gamma_c and gamma_g the two
+    estimates (NaN where the per-sample call raises, which makes the
+    Estimate or the error). Entries of a row from its failed step on are not
+    estimates; they hold NaN or values computed from placeholders.
     """
 
     j: int
@@ -275,19 +277,11 @@ class PipelineArrays:
     path: np.ndarray = field(repr=False)
     beta: np.ndarray
     k_c: np.ndarray
-    classical: estimators.EstimateArrays
+    gamma_c: np.ndarray
     r: np.ndarray
     k_g: np.ndarray
-    generalized: estimators.EstimateArrays
+    gamma_g: np.ndarray
     failed_step: np.ndarray
-
-    @property
-    def gamma_c(self) -> np.ndarray:
-        return self.classical.gamma
-
-    @property
-    def gamma_g(self) -> np.ndarray:
-        return self.generalized.gamma
 
 
 def _tail_sizes(n: int, rho: np.ndarray, beta: np.ndarray, j: int, generalized: bool) -> np.ndarray:
@@ -347,25 +341,24 @@ def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineAr
     beta = np.where(placeholder, 1.0, second.beta)
     kind, rows = estimators.KIND_OF_J[j], np.arange(block.rows)
     k_c = _tail_sizes(block.n, rho, beta, j, generalized=False)
-    classical = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_c), 0.0)
-    gamma_c = classical.gamma
+    gamma_c = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_c), 0.0)
     r = np.array([r_star(x, j) for x in rho.tolist()]) / gamma_c  # NaN where gamma_c failed
     k_g = _tail_sizes(block.n, rho, beta, j, generalized=True)
-    tuned = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_g),
-                                       np.where(gamma_c > 0.0, r, 0.0))
+    gamma_g = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_g),
+                                         np.where(gamma_c > 0.0, r, 0.0))
     fails = {
         "k_classical": np.isnan(k_c),
-        "classical": classical.failed,
+        "classical": np.isnan(gamma_c),
         "r_star": ~(gamma_c > 0.0),
         "k_generalized": np.isnan(k_g),
-        "generalized": tuned.failed,
+        "generalized": np.isnan(gamma_g),
     }
     failed_step = second.failed_step.copy()
     # a row fails at its first failing step, so later steps are marked first
     for step in reversed(STEPS[2:]):
         failed_step[fails[step] & ~placeholder] = STEPS.index(step)
     return PipelineArrays(j, second.k_window, second.k_used, second.rho, second.tau, second.path,
-                          second.beta, k_c, classical, r, k_g, tuned, failed_step)
+                          second.beta, k_c, gamma_c, r, k_g, gamma_g, failed_step)
 
 
 @dataclass(frozen=True)
@@ -384,25 +377,29 @@ def adaptive_estimate(s: Sample, j: int) -> AdaptiveResult:
     """
     if j not in (1, 3):
         raise DomainError(f"adaptive pipeline defined for j in {{1, 3}}, got {j}")
-    return _result(adaptive_arrays(SampleBlock.of(s), (j,))[j], 0)
+    return _result(adaptive_arrays(SampleBlock.of(s), (j,))[j], 0, s)
 
 
 def adaptive_all(s: Sample) -> dict:
     """Both adaptive pipelines (j = 1 and j = 3) sharing one rho/beta step:
     {j: AdaptiveResult}, raising the PipelineError of the first failing
     pipeline."""
-    return {j: _result(a, 0) for j, a in adaptive_arrays(SampleBlock.of(s)).items()}
+    return {j: _result(a, 0, s) for j, a in adaptive_arrays(SampleBlock.of(s)).items()}
 
 
-def _result(a: PipelineArrays, i: int) -> AdaptiveResult:
-    """Row i of pipeline arrays as the AdaptiveResult; raises the
-    PipelineError of its failed step with the step's own error as its
-    cause."""
+def _result(a: PipelineArrays, i: int, s: Sample) -> AdaptiveResult:
+    """Row i of pipeline arrays, whose sample is s, as the AdaptiveResult;
+    raises the PipelineError of its failed step with the step's own error
+    (an estimator's from estimators.evaluate on s) as its cause."""
     rho, beta = float(a.rho[i]), float(a.beta[i])
+
+    def estimate(k, r=0.0) -> Estimate:
+        return estimators.evaluate(s, EstimatorSpec(estimators.KIND_OF_J[a.j], int(k), float(r)))
+
     step = STEPS[a.failed_step[i]] if a.failed_step[i] >= 0 else None
     if step is None:
         return AdaptiveResult(
-            a.classical.row(i), a.generalized.row(i),
+            estimate(a.k_c[i]), estimate(a.k_g[i], a.r[i]),
             _rho_estimate(a.k_window, a.k_used, rho, int(a.tau[i]), a.path[i]),
             BetaEstimate(beta, a.k_used), float(a.r[i]))
     if step == "rho":
@@ -416,5 +413,8 @@ def _result(a: PipelineArrays, i: int) -> AdaptiveResult:
     elif step == "r_star":
         cause = DegenerateSampleError(f"classical estimate {float(a.gamma_c[i])} is not positive")
     else:
-        cause = (a.classical if step == "classical" else a.generalized).row(i)
+        try:
+            estimate(a.k_c[i]) if step == "classical" else estimate(a.k_g[i], a.r[i])
+        except (DegenerateSampleError, DomainError) as exc:
+            cause = exc
     raise PipelineError(step, str(cause)) from cause

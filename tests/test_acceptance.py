@@ -140,9 +140,9 @@ def test_criterion_4_asymptotic_variances():
 
 def test_criterion_5_closed_form_constants():
     checks = {
-        "deep psi_MR": abs(asy.psi_MR(-1e8) - 1.6875) < 1e-4,
+        "deep psi_MR": abs(asy.psi_MR(-1e8) - asy.PSI_MR_LIMIT) < 1e-4,
         "psi_MR at 0-": abs(asy.psi_MR(-1e-8) - 1.0) < 1e-6,
-        "deep phi3": abs(asy.phi3(-1e8) - 0.84375) < 1e-4,
+        "deep phi3": abs(asy.phi3(-1e8) - asy.PHI3_LIMIT) < 1e-4,
         "phi3 crossing": abs(_phi3_crossing() - (-4.57018)) < 1e-3,
         "max psi_H": 1.0 <= _max_psi_h() <= 1.06,
     }

@@ -216,13 +216,15 @@ class TestEta:
 
 class TestRatioFunctions:
     def test_psi_mr_deep_limit(self):
-        assert asy.psi_MR(-1e6) == pytest.approx(27.0 / 16.0, abs=1e-4)
+        assert asy.PSI_MR_LIMIT == 27.0 / 16.0
+        assert asy.psi_MR(-1e6) == pytest.approx(asy.PSI_MR_LIMIT, abs=1e-4)
 
     def test_psi_mr_zero_limit(self):
         assert asy.psi_MR(-1e-8) == pytest.approx(1.0, abs=1e-6)
 
     def test_phi3_deep_limit(self):
-        assert asy.phi3(-1e8) == pytest.approx(27.0 / 32.0, abs=1e-4)
+        assert asy.PHI3_LIMIT == 27.0 / 32.0
+        assert asy.phi3(-1e8) == pytest.approx(asy.PHI3_LIMIT, abs=1e-4)
 
     def test_phi3_crossing(self):
         lo, hi = asy.PHI3_CROSSING - 1e-3, asy.PHI3_CROSSING + 1e-3

@@ -72,6 +72,32 @@ class TestEstimate:
         assert (code, out) == (3, "")
         assert "--k" in err and "--adaptive" in err
 
+    @pytest.mark.parametrize("args, option", [
+        (["--kind", "hill", "--k", "200", "--r", "0.3"], "--r"),
+        (["--kind", "hill", "--k", "200", "--beta", "0.5"], "--beta"),
+        (["--kind", "moment", "--k", "200", "--r", "0.3"], "--r"),
+        (["--kind", "hme", "--k", "200", "--beta", "0.5", "--r", "0.3"], "--r"),
+        (["--kind", "g1", "--k", "200", "--beta", "0.5"], "--beta"),
+        (["--kind", "gmr", "--adaptive", "--r", "0.3"], "--r"),
+        (["--kind", "hill", "--adaptive", "--beta", "0.5"], "--beta"),
+    ])
+    def test_option_its_kind_does_not_read_rejected(self, data_file, args, option, capsys):
+        code, out, err = run(["estimate", data_file] + args, capsys)
+        assert (code, out) == (3, "")
+        assert f"does not take {option}" in err
+
+    # g1's --r is test_tuned_kind
+    @pytest.mark.parametrize("kind, option, value", [
+        ("g2", "--r", "0.3"), ("g3", "--r", "-0.5"), ("hme", "--beta", "0.7")])
+    def test_option_its_kind_reads_accepted(self, data_file, kind, option, value, capsys):
+        code, out, _ = run(["estimate", data_file, "--kind", kind, "--k", "200", option, value],
+                           capsys)
+        assert code == 0
+        s = Sample.from_file(data_file)
+        spec = est.EstimatorSpec(kind, 200, r=float(value) if option == "--r" else 0.0,
+                                 beta=float(value) if option == "--beta" else None)
+        assert json.loads(out)["gamma_hat"] == est.evaluate(s, spec).gamma_hat
+
     def test_malformed_line_reports_line_number(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("1.0\n2.0\nthree\n4.0\n")
@@ -132,7 +158,7 @@ class TestAmse:
 
     def test_psi_mr_limit(self, capsys):
         curve = self._curve(capsys, "psiMR", -500, -400, 10)
-        assert np.all(np.abs(curve[:, 1] - 27.0 / 16.0) < 1e-2)
+        assert np.all(np.abs(curve[:, 1] - asy.PSI_MR_LIMIT) < 1e-2)
 
     def test_phi3_sign_change(self, capsys):
         curve = self._curve(capsys, "phi3", -5.0, -4.0, 0.05)

@@ -10,7 +10,7 @@ import pytest
 import gtail
 from gtail import montecarlo as mc
 from gtail.asymptotics import psi_MR
-from gtail.errors import DomainError
+from gtail.errors import DegenerateSampleError, DomainError
 
 
 def small_cfg(**over):
@@ -217,6 +217,12 @@ class TestContamination:
     def test_consistency_guard(self):
         with pytest.raises(DomainError):
             mc.contamination_experiment(2.0, 0.6, 1, 1000, 100, 9, [10.0])
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_failed_row_raises_the_per_sample_error(self, j):
+        # at r = -1e6 every term x^r underflows and the estimate is inf
+        with pytest.raises(DegenerateSampleError, match=r"^non-finite estimate inf$"):
+            mc.contamination_experiment(1.0, -1e6, j, 200, 10, 9, [10.0])
 
 
 class TestSerialization:

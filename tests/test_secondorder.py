@@ -22,11 +22,11 @@ def block_results(block):
     raises}, built from the array core."""
     arrays = so.adaptive_arrays(block)
     rows = []
-    for i in range(block.rows):
+    for i, s in enumerate(block.samples()):
         row = {}
         for j, a in arrays.items():
             try:
-                row[j] = so._result(a, i)
+                row[j] = so._result(a, i, s)
             except PipelineError as err:
                 row[j] = err
         rows.append(row)
@@ -365,7 +365,7 @@ class TestBlockTailSteps:
         k = int(s.n**0.995)
         second = so._SecondOrder(np.arange(0), k, np.array([so.RHO_CEILING]), np.array([0]),
                                  np.empty((1, 0)), np.array([1.0]), np.array([-1]))
-        res = so._result(so._tail_arrays(SampleBlock.of(s), 3, second), 0)
+        res = so._result(so._tail_arrays(SampleBlock.of(s), 3, second), 0, s)
         assert 0.0 < abs(res.r_generalized) < SMALL_R
         assert res.generalized.spec.r == 0.0
         assert res.generalized == est.g3(s, res.generalized.spec.k, res.r_generalized)
@@ -381,7 +381,7 @@ class TestBlockTailSteps:
         a = so._tail_arrays(SampleBlock.of(s), 1, second)
         assert np.isnan(a.k_c[0])
         with pytest.raises(PipelineError) as info:
-            so._result(a, 0)
+            so._result(a, 0, s)
         assert info.value.step == "k_classical"
         assert type(info.value.__cause__) is DomainError
         assert str(info.value.__cause__) == (
