@@ -96,20 +96,40 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for a derived stream, e.g. one replication.
 
     The stream is keyed by (seed, *key) through numpy's SeedSequence, so a
-    single replication of an experiment is reproducible in isolation.
+    single replication of an experiment is reproducible in isolation; this
+    is the per-key form of the streams that :func:`draw_block` draws.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(v) for v in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, key)))
+
+
+def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(v) for v in key))
 
 
 def draw_block(d: DistSpec, n: int, seed: int, stream_keys) -> np.ndarray:
     """n i.i.d. draws per stream key, stacked as rows, unchecked: where a
-    quantile underflows to 0.0 the row is not a valid sample."""
+    quantile underflows to 0.0 the row is not a valid sample.
+
+    Row i is the quantile of the first n doubles of
+    ``substream(seed, *stream_keys[i])`` (exact zeros nudged to 2^-53). A
+    Philox stream is defined by its key at counter 0, so one Philox is
+    re-keyed per row, as ``Philox(SeedSequence)`` seeds itself: key from
+    ``generate_state(2, uint64)``, counter 0, empty buffer.
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    # buffer_pos 4 marks the 4-word output buffer empty; tuples, not arrays,
+    # keep the state setter cheap
+    zeros = (0, 0, 0, 0)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     u = np.empty((len(stream_keys), n))
     for row, key in zip(u, stream_keys):
-        substream(seed, *key).random(out=row)
+        state["state"]["key"] = _seed_sequence(seed, key).generate_state(2, np.uint64)
+        bits.state = state
+        gen.random(out=row)
     # u is in [0, 1); nudge exact zeros so the quantile argument stays in (0, 1)
     u[u == 0.0] = 2.0**-53
     return quantile(d, u)

@@ -7,12 +7,14 @@ MSE per (gamma, rho) cell, and emits plot-ready CSV plus a JSON manifest.
 Reproducibility contract: every replication draws from a stream derived from
 (seed, cell_key, replication_index), per-replication results are stored by
 index and reduced in a fixed order, so the report bytes are identical across
-runs and across worker counts.
+runs, across worker counts and across block sizes.
 
-Replications run in blocks of :data:`_BLOCK_BYTES` of sample data, one
-replication per row, so that the adaptive pipelines cost one set of array
-operations per block (``secondorder.adaptive_arrays``, whose gamma arrays
-are read directly); workers shard whole cells across processes.
+Replications run in blocks of :data:`_BLOCK_BYTES` (256 KiB) of sample data,
+one replication per row, so that the adaptive pipelines cost one set of
+array operations per block (``secondorder.adaptive_arrays``, whose gamma
+arrays are read directly); a block's draws come from one Philox re-keyed
+per row (``distributions.draw_block``). Workers shard whole cells across
+processes.
 """
 
 from __future__ import annotations
@@ -39,9 +41,12 @@ from .stats import SampleBlock
 PIPELINES = {"hill": (1, False), "gh": (1, True), "mr": (3, False), "gmr": (3, True)}
 LABELS = tuple(PIPELINES)
 
-#: Bytes of sample data per block of replications: 16 rows at n = 1000, one
-#: row from n = 16384 up, where per-call overhead no longer matters.
-_BLOCK_BYTES = 1 << 17
+#: Bytes of sample data per block of replications (256 KiB): 32 rows at
+#: n = 1000, one row for n > 16384, where per-call overhead no longer
+#: matters. Each block pays a fixed cost in steps 1-5, so fewer, larger
+#: blocks run faster; 512 KiB ran faster still but raised the peak memory of
+#: a cell at n = 1000 by 6-7 % (the rho sweep holds about 7 copies of a block).
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -57,17 +57,18 @@ class Sample:
         no values, or a number only float() reads, such as ``1_000``) is read
         again line by line, which reports the first bad line.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 header = _is_header(fh.readline())
-                fh.seek(0)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # loadtxt warns on a file without data
-                    arr = np.loadtxt(fh, comments=None, skiprows=int(header), ndmin=2)
-            except ValueError:
-                arr = None
-            if arr is None or arr.shape[0] == 0 or arr.shape[1] != 1:
-                fh.seek(0)
+            # loadtxt parses a path faster than a text handle
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a file without data
+                arr = np.loadtxt(path, comments=None, skiprows=int(header), ndmin=2,
+                                 encoding="utf-8")
+        except ValueError:
+            arr = None
+        if arr is None or arr.shape[0] == 0 or arr.shape[1] != 1:
+            with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_values(_parse_lines(fh))
         return cls.from_values(arr[:, 0])
 

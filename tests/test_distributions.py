@@ -175,6 +175,23 @@ class TestSampling:
         g2 = dist.substream(5, 3, 11)
         assert np.array_equal(g1.random(8), g2.random(8))
 
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(dist.FAMILIES),
+           seed=st.sampled_from([0, 20240, 2**32 + 5, 2**64 + 3]),
+           keys=st.lists(st.lists(st.one_of(st.integers(0, 9), st.integers(2**32, 2**70)),
+                                  max_size=3).map(tuple), min_size=1, max_size=5),
+           n=st.integers(1, 64))
+    def test_draw_block_rows_are_the_substreams(self, family, seed, keys, n):
+        """Row i is, bit for bit, the quantile of the first n doubles of
+        substream(seed, *keys[i]) with exact zeros nudged to 2^-53."""
+        d = dist.DistSpec(family, 1.5, None if family == "pareto" else -0.5)
+        got = dist.draw_block(d, n, seed, keys)
+        assert got.shape == (len(keys), n)
+        for row, key in zip(got, keys):
+            u = dist.substream(seed, *key).random(n)
+            u[u == 0.0] = 2.0**-53
+            assert np.array_equal(row, dist.quantile(d, u)), key
+
     @pytest.mark.slow
     def test_ks_distance_burr(self):
         """Manual one-sample Kolmogorov-Smirnov check on 1e5 draws."""

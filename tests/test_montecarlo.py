@@ -65,7 +65,8 @@ class TestRunCell:
         assert a == b
 
     @pytest.mark.parametrize("family, n, gamma, rho, reps", [
-        ("burr", 1000, 1.0, -1.0, 20),                 # blocks of 16 rows: 16 + 4
+        # one full block and one partial block of 4 rows
+        ("burr", 1000, 1.0, -1.0, mc._BLOCK_BYTES // (8 * 1000) + 4),
         ("kumaraswamy", 100, 1.5e-17, -0.5, 90),       # near-tied values: rows fail at
                                                        # rho and classical (tied tails)
         ("burr", 1000, 6e-16, -15.0, 100),             # rho-floor clamps
