@@ -161,37 +161,41 @@ def k_star_real(m: SecondOrderModel, r: float, j: int, n: int) -> float:
     if m.bias_free:
         raise DegenerateSampleError(
             "bias-free model (beta = 0): AMSE has no interior optimum; use the largest admissible k")
-    return tail_size(_scaled_tuning(m.gamma, r, j), m.rho, m.beta_hall, j, n)
+    k = float(tail_size(_scaled_tuning(m.gamma, r, j), m.rho, m.beta_hall, j, n))
+    if math.isnan(k):
+        raise DomainError(NO_TAIL_SIZE.format(rho=m.rho, beta=m.beta_hall))
+    return k
 
 
 #: The error of a tail size that is not a finite float.
 NO_TAIL_SIZE = "no finite AMSE-optimal tail size at rho={rho}, beta={beta}"
 
 
-def tail_size(R: float, rho: float, beta: float, j: int, n: int) -> float:
+def tail_size(R, rho, beta, j: int, n: int):
     """Real AMSE-optimal tail size of estimator j at the scaled tuning
     R = gamma*r, for a Hall-class tail with second-order parameters (rho,
-    beta), in Python floats and in log space:
+    beta), in log space:
 
         ln k* = [ln(sigma2_j / (-2 rho beta^2 nu_j^2)) - 2 rho ln n] / (1 - 2 rho)
 
-    with nu_j, sigma2_j at gamma = 1 (gamma cancels). Raises
-    DegenerateSampleError at nu_j = 0 (no bias term) and DomainError where
-    the optimum is not finite: beta^2 overflows or underflows (falls below
-    the smallest normal float), or k* overflows.
+    with nu_j, sigma2_j at gamma = 1 (gamma cancels). R, rho and beta are
+    floats or arrays that broadcast together (the adaptive pipeline passes
+    a block's rows); the result is NaN where the optimum is not finite: beta^2
+    overflows or underflows (falls below the smallest normal float), or k*
+    overflows. Raises DegenerateSampleError where nu_j = 0 (no bias term)
+    and DomainError for n < 1.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     nu, sigma2 = _nu_sigma_unit(R, rho, j)
-    if nu == 0.0:
+    if np.any(nu == 0.0):
         raise DegenerateSampleError(
             "nu_j(r) = 0: bias-free tuning, no finite optimum; use the largest admissible k")
-    try:
-        beta2 = beta**2
-        if sys.float_info.min <= beta2 < math.inf:
-            ln_base = math.log(sigma2 / (-2.0 * rho * nu**2)) - math.log(beta2)
-            return math.exp((ln_base - 2.0 * rho * math.log(n)) / (1.0 - 2.0 * rho))
-    except (ArithmeticError, ValueError):  # beta**2 or k* overflows, or n <= 0
-        pass
-    raise DomainError(NO_TAIL_SIZE.format(rho=rho, beta=beta))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        beta2 = np.square(beta)
+        ln_base = np.log(sigma2 / (-2.0 * rho * np.square(nu))) - np.log(beta2)
+        k = np.exp((ln_base - 2.0 * rho * math.log(n)) / (1.0 - 2.0 * rho))
+    return np.where((sys.float_info.min <= beta2) & (beta2 < np.inf) & np.isfinite(k), k, np.nan)
 
 
 def k_star(m: SecondOrderModel, r: float, j: int, n: int) -> int:

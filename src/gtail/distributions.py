@@ -97,13 +97,84 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
     The stream is keyed by (seed, *key) through numpy's SeedSequence, so a
     single replication of an experiment is reproducible in isolation; this
-    is the per-key form of the streams that :func:`draw_block` draws.
+    is the per-key form of the streams that :func:`draw_block` draws. A
+    negative seed or key word raises DomainError.
     """
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, key)))
+    seq = np.random.SeedSequence(entropy=_stream_int(seed), spawn_key=tuple(map(_stream_int, key)))
+    return np.random.Generator(np.random.Philox(seq))
 
 
-def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(v) for v in key))
+def _stream_int(v) -> int:
+    v = int(v)
+    if v < 0:
+        raise DomainError(f"seeds and stream keys must be >= 0, got {v}")
+    return v
+
+
+_MASK32 = 0xFFFFFFFF
+# numpy.random.SeedSequence's hash constants; its pool holds 4 words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(v) -> list[int]:
+    """A seed or key word as SeedSequence splits it: 32-bit words, low first."""
+    v = _stream_int(v)
+    words = [v & _MASK32]
+    while v := v >> 32:
+        words.append(v & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's hash constant before each of its hashmix calls and after
+    the last: init * mult^t mod 2^32 (uint32 products wrap)."""
+    return np.cumprod([init] + [mult] * calls, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per entry of the last axis; the
+    constants are those of these calls and the one after them."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    x = _MIX_L * x - _MIX_R * y
+    return x ^ x >> 16
+
+
+def _philox_keys(seed: int, keys) -> np.ndarray:
+    """Row i is ``SeedSequence(entropy=seed, spawn_key=keys[i])
+    .generate_state(2, np.uint64)``, numpy's Philox key for that stream,
+    hashed for all rows at once.
+
+    The entropy is the seed's words, padded with zeros to the pool size,
+    then the key's words. The seed part is the same in every row, so the
+    pool it makes is ``SeedSequence(seed).pool`` (which hashes zeros into
+    the words the seed does not fill); each key word is then mixed into
+    every pool word of every row by one numpy pass, in groups of rows with
+    the same number of key words.
+    """
+    seed = _stream_int(seed)
+    seed_pool = np.random.SeedSequence(seed).pool
+    # hashmix calls so far: 4 to fill the pool, 12 to cross-mix it, 4 per
+    # seed word past the pool; then 4 per key word
+    start = 16 + 4 * max(0, len(_words(seed)) - 4)
+    entropy = [[w for v in key for w in _words(v)] for key in keys]
+    consts = _hash_consts(_INIT_A, _MULT_A, start + 4 * max(map(len, entropy), default=0))
+    groups = {}
+    for row, words in enumerate(entropy):
+        groups.setdefault(len(words), []).append(row)
+    pool = np.empty((len(keys), 4), dtype=np.uint32)
+    for size, rows in groups.items():
+        words, mixer = np.array([entropy[row] for row in rows], dtype=np.uint32), seed_pool
+        for c, t in enumerate(range(start, start + 4 * size, 4)):
+            mixer = _mix(mixer, _hashmix(words[:, c, None], consts[t:t + 5]))
+        pool[rows] = mixer
+    # generate_state: 4 uint32 words from the pool, viewed as 2 uint64
+    return _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, 4)).view(np.uint64)
 
 
 def draw_block(d: DistSpec, n: int, seed: int, stream_keys) -> np.ndarray:
@@ -113,21 +184,24 @@ def draw_block(d: DistSpec, n: int, seed: int, stream_keys) -> np.ndarray:
     Row i is the quantile of the first n doubles of
     ``substream(seed, *stream_keys[i])`` (exact zeros nudged to 2^-53). A
     Philox stream is defined by its key at counter 0, so one Philox is
-    re-keyed per row, as ``Philox(SeedSequence)`` seeds itself: key from
-    ``generate_state(2, uint64)``, counter 0, empty buffer.
+    re-keyed per row, as ``Philox(SeedSequence)`` seeds itself: counter 0,
+    empty buffer, and the key from ``generate_state(2, uint64)``, which
+    ``_philox_keys`` hashes for all rows in one numpy pass. A negative seed
+    or key word raises DomainError.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    keys = _philox_keys(seed, stream_keys).tolist()
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
-    # buffer_pos 4 marks the 4-word output buffer empty; tuples, not arrays,
-    # keep the state setter cheap
+    # buffer_pos 4 marks the 4-word output buffer empty; tuples and lists,
+    # not arrays, keep the state setter cheap
     zeros = (0, 0, 0, 0)
     state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    u = np.empty((len(stream_keys), n))
-    for row, key in zip(u, stream_keys):
-        state["state"]["key"] = _seed_sequence(seed, key).generate_state(2, np.uint64)
+    u = np.empty((len(keys), n))
+    for row, key in zip(u, keys):
+        state["state"]["key"] = key
         bits.state = state
         gen.random(out=row)
     # u is in [0, 1); nudge exact zeros so the quantile argument stays in (0, 1)

@@ -64,6 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         for label in self.estimators:
             if label not in LABELS:
                 raise DomainError(f"unknown estimator label {label!r}")

@@ -20,9 +20,12 @@ reported.
 All five steps run on a :class:`~gtail.stats.SampleBlock` of equal-size
 samples, one replication per row. One prefix-sum log-moment profile per
 block serves both tau; the rho paths, the tau choice, the median, the
-clamps, beta and both estimates are array operations over all rows, and
-``_tail_arrays`` loops the float plug-ins :func:`adaptive_k` and
-:func:`~gtail.asymptotics.r_star` over them. Each row's value is bit for bit
+clamps, beta, both tail sizes and both estimates are array operations over
+all rows. Only :func:`~gtail.asymptotics.r_star` is looped, once per row
+and pipeline, because a numpy R* would differ in the last bit; the same R
+feeds the tuned tail size and the tuning. Both tail sizes are
+:func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped;
+:func:`adaptive_k` is its one-row call. Each row's value is bit for bit
 the one a single sample gets. :func:`adaptive_arrays` returns these arrays,
 with the index of each row's failed step in :data:`STEPS`, and builds no
 objects. The functions that return result objects (:func:`estimate_rho`,
@@ -34,7 +37,6 @@ where that row fails; its two Estimates, or an estimator's error, come from
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -231,13 +233,12 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
 
 
 def adaptive_k(n: int, rho: float, beta: float, j: int, generalized: bool) -> int:
-    """Plug-in AMSE-optimal tail size, rounded and clamped to [2, n-1]: the
-    real optimum :func:`~gtail.asymptotics.tail_size` at the classical
-    (R = 0) or optimally tuned (R = R*_j(rho)) route of estimator 1 or 3.
+    """Plug-in AMSE-optimal tail size, rounded and clamped to [2, n-1], at
+    the classical (R = 0) or optimally tuned (R = R*_j(rho)) route of
+    estimator 1 or 3: one row of the block plug-in ``_tail_sizes``.
 
-    rho and beta are floats; a block's rows call this once each, in
-    ``_tail_arrays``. Raises DomainError where the optimum is not finite
-    (beta^2 overflows or underflows, or the tail size overflows).
+    rho and beta are floats. Raises DomainError where the optimum is not
+    finite (beta^2 overflows or underflows, or the tail size overflows).
     """
     rho, beta = float(rho), float(beta)
     if j not in (1, 3):
@@ -247,7 +248,10 @@ def adaptive_k(n: int, rho: float, beta: float, j: int, generalized: bool) -> in
     if beta == 0.0:
         raise DomainError("beta must be nonzero")
     R = r_star(rho, j) if generalized else 0.0
-    return min(max(round(tail_size(R, rho, beta, j, n)), 2), n - 1)
+    (k,) = _tail_sizes(n, np.array([rho]), np.array([beta]), j, R).tolist()
+    if math.isnan(k):
+        raise DomainError(NO_TAIL_SIZE.format(rho=rho, beta=beta))
+    return int(k)
 
 
 #: The steps of the adaptive pipeline in order; PipelineArrays.failed_step
@@ -284,14 +288,11 @@ class PipelineArrays:
     failed_step: np.ndarray
 
 
-def _tail_sizes(n: int, rho: np.ndarray, beta: np.ndarray, j: int, generalized: bool) -> np.ndarray:
-    """adaptive_k on each row, NaN where it raises DomainError; in Python
-    floats, because numpy's square and pow differ from libm's in the last bit."""
-    ks = np.full(rho.shape, np.nan)
-    for i, (rho_i, beta_i) in enumerate(zip(rho.tolist(), beta.tolist())):
-        with contextlib.suppress(DomainError):
-            ks[i] = adaptive_k(n, rho_i, beta_i, j, generalized)
-    return ks
+def _tail_sizes(n: int, rho: np.ndarray, beta: np.ndarray, j: int, R) -> np.ndarray:
+    """Per row, :func:`~gtail.asymptotics.tail_size` at the scaled tuning R
+    (0.0, or each row's R*_j(rho)), rounded half to even and clipped to
+    [2, n-1]; NaN where the optimum is not finite."""
+    return np.clip(np.rint(tail_size(R, rho, beta, j, n)), 2, n - 1)
 
 
 def _valid_or_2(k: np.ndarray) -> np.ndarray:
@@ -340,10 +341,11 @@ def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineAr
     rho = np.where(placeholder, -1.0, second.rho)
     beta = np.where(placeholder, 1.0, second.beta)
     kind, rows = estimators.KIND_OF_J[j], np.arange(block.rows)
-    k_c = _tail_sizes(block.n, rho, beta, j, generalized=False)
+    R = np.array([r_star(x, j) for x in rho.tolist()])
+    k_c = _tail_sizes(block.n, rho, beta, j, 0.0)
     gamma_c = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_c), 0.0)
-    r = np.array([r_star(x, j) for x in rho.tolist()]) / gamma_c  # NaN where gamma_c failed
-    k_g = _tail_sizes(block.n, rho, beta, j, generalized=True)
+    r = R / gamma_c  # NaN where gamma_c failed
+    k_g = _tail_sizes(block.n, rho, beta, j, R)
     gamma_g = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_g),
                                          np.where(gamma_c > 0.0, r, 0.0))
     fails = {

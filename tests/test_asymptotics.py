@@ -143,6 +143,11 @@ class TestKStar:
         with pytest.raises(DegenerateSampleError):
             asy.k_star(m, 0.1, 1, 1000)
 
+    def test_bias_free_tuning_rejected(self):
+        # nu_2 = 0 where 1 - R^2 - rho = 0, here at R = -2, rho = -3
+        with pytest.raises(DegenerateSampleError, match="nu_j"):
+            asy.k_star_real(model(1.0, -3.0, 1.0), -2.0, 2, 1000)
+
     def test_clamping_warns(self):
         m = model(1.0, -0.05, 1.0)
         with pytest.warns(UserWarning):

@@ -274,6 +274,16 @@ class TestSimulate:
         assert code == 3
         assert "replications must be >= 1" in err
 
+    @pytest.mark.parametrize("where", ["config", "option"])
+    def test_negative_seed_rejected(self, tmp_path, where, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.replace("seed = 31", "seed = -1") if where == "config" else CONFIG)
+        code, _, err = run(["simulate", cfg, "--output-dir", tmp_path / "out"]
+                           + (["--seed", "-1"] if where == "option" else []), capsys)
+        assert code == 3
+        assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRobustness:
     def test_bounded_shift_positive_r(self, capsys):
@@ -303,3 +313,10 @@ class TestRobustness:
                           "--n", "1000", "--k", "100", "--seed", "3",
                           "--x-list", "10"], capsys)
         assert code == 3
+
+    def test_negative_seed_rejected(self, capsys):
+        code, _, err = run(["robustness", "--gamma", "1", "--r", "0.5",
+                            "--n", "200", "--k", "20", "--seed", "-3",
+                            "--x-list", "10"], capsys)
+        assert code == 3
+        assert "seeds and stream keys must be >= 0, got -3" in err

@@ -192,6 +192,31 @@ class TestSampling:
             u[u == 0.0] = 2.0**-53
             assert np.array_equal(row, dist.quantile(d, u)), key
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128 - 1),
+                          st.integers(2**128, 2**200)),
+           keys=st.lists(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100)),
+                                  max_size=6).map(tuple), max_size=8))
+    def test_philox_keys_are_numpys_seed_sequence(self, seed, keys):
+        """Row by row, numpy's own hash: seeds past 2^128 (run entropy
+        longer than the pool), empty keys, key words of several 32-bit words
+        and keys of mixed lengths in one call."""
+        got = dist._philox_keys(seed, keys)
+        assert got.shape == (len(keys), 2) and got.dtype == np.uint64
+        for row, key in zip(got, keys):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2, np.uint64)
+            assert np.array_equal(row, want), key
+
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (5, (-1,)), (5, (3, -2**40)), (-2**70, (1,))])
+    def test_negative_seed_or_key_is_a_domain_error(self, seed, key):
+        d = dist.DistSpec("burr", 1.0, -1.0)
+        with pytest.raises(DomainError, match="must be >= 0"):
+            dist.substream(seed, *key)
+        with pytest.raises(DomainError, match="must be >= 0"):
+            dist.draw_block(d, 10, seed, [(0,), key])
+        with pytest.raises(DomainError, match="must be >= 0"):
+            dist.sample(d, 10, seed, stream_key=key)
+
     @pytest.mark.slow
     def test_ks_distance_burr(self):
         """Manual one-sample Kolmogorov-Smirnov check on 1e5 draws."""

@@ -51,6 +51,8 @@ class TestConfig:
             small_cfg(estimators=("hill", "nope"))
         with pytest.raises(DomainError):
             small_cfg(grid=(((-1.0, -1.0)),))
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            small_cfg(seed=-1)
 
     def test_digest_stability(self):
         assert small_cfg().digest() == small_cfg().digest()

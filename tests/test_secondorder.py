@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtail import estimators as est
 from gtail import secondorder as so
@@ -250,6 +252,22 @@ class TestAdaptiveK:
                    - 2.0 * math.log(abs(beta)) - var_power * math.log(1.0 - 2.0 * R))
         return ln_base / (1.0 - 2.0 * rho) - 2.0 * rho / (1.0 - 2.0 * rho) * math.log(n)
 
+    @classmethod
+    def printed_k(cls, n, rho, beta, j, generalized):
+        """The printed formula's k, as test_arrays_match_the_printed_formula
+        expects it, or None where the optimum is not a finite float."""
+        try:
+            beta2 = beta**2
+        except OverflowError:
+            beta2 = math.inf
+        ln_k = cls.printed_ln_k(n, rho, beta, j, generalized)
+        if not sys.float_info.min <= beta2 < math.inf or ln_k >= math.log(sys.float_info.max):
+            return None
+        try:
+            return cls.printed_formula(n, rho, beta, j, generalized)
+        except (ArithmeticError, ValueError):
+            return min(max(round(math.exp(ln_k)), 2), n - 1)
+
     def test_arrays_match_the_printed_formula(self):
         """Entry by entry, DomainError exactly where the optimum is not a
         finite float: beta^2 overflowing or underflowing (below the smallest
@@ -285,6 +303,31 @@ class TestAdaptiveK:
         got = so.adaptive_k(1000, -1.0, 1.0, 1, generalized=False)
         assert type(got) is int
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([100, 1000, 10**6]), j=st.sampled_from([1, 3]),
+           generalized=st.booleans(),
+           rows=st.lists(st.tuples(st.floats(-25.0, -1e-6), st.sampled_from([-1.0, 1.0]),
+                                   st.floats(-170.0, 170.0)), min_size=1, max_size=16))
+    # k* overflows in row 1, beta^2 overflows in row 2 and underflows in row 3
+    @example(n=10**6, j=1, generalized=True,
+             rows=[(-1.0, 1.0, 0.0), (-1e-6, -1.0, -153.0), (-2.0, 1.0, 160.0), (-0.5, -1.0, -160.0)])
+    def test_block_plug_in_is_the_printed_formula(self, n, j, generalized, rows):
+        """The array plug-in on a block of rows, one R*_j(rho) per row on
+        the tuned route, against the printed formula row by row: NaN exactly
+        where the reference has no finite optimum, its k elsewhere."""
+        rho = np.array([r for r, _, _ in rows])
+        beta = np.array([sign * 10.0**e for _, sign, e in rows])
+        R = np.array([r_star(r, j) for r in rho.tolist()]) if generalized else 0.0
+        got = so._tail_sizes(n, rho, beta, j, R)
+        for k, r, b in zip(got.tolist(), rho.tolist(), beta.tolist()):
+            want = self.printed_k(n, r, b, j, generalized)
+            assert math.isnan(k) if want is None else k == want, (r, b)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_n_below_1_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            so.adaptive_k(n, -1.0, 1.0, 1, False)
+
     def test_monotone_in_n(self):
         ks = [so.adaptive_k(n, -1.0, 1.0, 3, True) for n in (200, 2000, 20000, 200000)]
         assert ks == sorted(ks)
@@ -297,7 +340,7 @@ class TestAdaptiveK:
             so.adaptive_k(1000, -1.0, 0.0, 1, False)
         with pytest.raises(DomainError):
             so.adaptive_k(1000, -1.0, 1.0, 2, False)
-        # one row at a time: _tail_arrays loops the rows of a block
+        # floats only: a block's rows go through the array plug-in _tail_sizes
         with pytest.raises(TypeError):
             so.adaptive_k(1000, np.array([-1.0, -2.0]), 1.0, 1, False)
         with pytest.raises(TypeError):
@@ -374,7 +417,7 @@ class TestBlockTailSteps:
     @pytest.mark.parametrize("beta, shown", [(1e200, "1e+200"), (1e-160, "1e-160")])
     def test_row_without_a_finite_tail_size_fails_at_k_classical(self, beta, shown):
         # beta^2 overflows or falls below the smallest normal float, so
-        # adaptive_k raises for this row and _tail_arrays records NaN
+        # _tail_sizes gives NaN for this row, where adaptive_k raises
         s = burr_sample(1.0, -1.0, 1000, 5)
         second = so._SecondOrder(np.arange(0), int(s.n**0.995), np.array([-1.0]), np.array([0]),
                                  np.empty((1, 0)), np.array([beta]), np.array([-1]))
