@@ -45,7 +45,10 @@ LABELS = tuple(PIPELINES)
 #: n = 1000, one row for n > 16384, where per-call overhead no longer
 #: matters. Each block pays a fixed cost in steps 1-5, so fewer, larger
 #: blocks run faster; 512 KiB ran faster still but raised the peak memory of
-#: a cell at n = 1000 by 6-7 % (the rho sweep holds about 7 copies of a block).
+#: a cell at n = 1000 by 6-7 %. A cell's peak holds about 7 copies of a
+#: block (tracemalloc on one run_cell at n = 1000: 7.2 / 6.8 / 6.6 at 128 /
+#: 256 / 512 KiB), now set by the draws and their quantile temporaries; the
+#: rho sweep, which works in tiles of one scratch buffer, holds about 4.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -18,10 +18,13 @@ whose path has the smaller interquartile range wins, and the path median is
 reported.
 
 All five steps run on a :class:`~gtail.stats.SampleBlock` of equal-size
-samples, one replication per row. One prefix-sum log-moment profile per
-block serves both tau; the rho paths, the tau choice, the median, the
-clamps, beta, both tail sizes and both estimates are array operations over
-all rows. Only :func:`~gtail.asymptotics.r_star` is looped, once per row
+samples, one replication per row. The rho sweep is one pass of
+:func:`~gtail.stats.log_moment_profile` over the block in L2-sized tiles
+of one scratch buffer: each tile's log-moment statistics become both taus'
+rho paths in place, written straight into one (2, rows, k) array, the only
+array the sweep holds over the whole window. The tau choice, the median,
+the clamps, beta, both tail sizes and both estimates are array operations
+over all rows. Only :func:`~gtail.asymptotics.r_star` is looped, once per row
 and pipeline, because a numpy R* would differ in the last bit; the same R
 feeds the tuned tail size and the tuning. Both tail sizes are
 :func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped;
@@ -76,19 +79,34 @@ class BetaEstimate:
     k_used: int
 
 
-def _t_statistic(m1, m2, m3, tau: int):
-    """The three-moment contrast whose distance from 3 encodes rho (array-safe)."""
+def _t_statistic(m1, m2, m3, tau: int, out=None, spare=(None, None)):
+    """The three-moment contrast T whose distance from 3 encodes rho, on
+    floats or arrays. With out and spare, arrays shaped like the moments, T
+    is written to out and spare is overwritten."""
     if tau == 0:
-        half_log_m2 = 0.5 * np.log(m2)
-        num = np.log(m1) - half_log_m2
-        den = half_log_m2 - np.log(m3) / 3.0
+        half_log_m2 = np.multiply(np.log(m2, out=spare[0]), 0.5, out=spare[0])
+        num = np.subtract(np.log(m1, out=out), half_log_m2, out=out)
+        third = np.divide(np.log(m3, out=spare[1]), 3.0, out=spare[1])
+        den = np.subtract(half_log_m2, third, out=spare[0])
     elif tau > 0:
-        m2_power = m2 ** (tau / 2.0)
-        num = m1**tau - m2_power
-        den = m2_power - m3 ** (tau / 3.0)
+        m2_power = np.power(m2, tau / 2.0, out=spare[0])
+        num = np.subtract(np.power(m1, tau, out=out), m2_power, out=out)
+        den = np.subtract(m2_power, np.power(m3, tau / 3.0, out=spare[1]), out=spare[0])
     else:
         raise DomainError(f"tau must be 0 or a positive integer, got {tau}")
-    return num, den
+    return np.divide(num, den, out=out)
+
+
+def _rho_path(m1, m2, m3, tau: int, out=None, spare=(None, None)):
+    """rho_hat = -|3(T-1)/(T-3)| from the three moments, on floats or
+    arrays (see _t_statistic for out and spare); not finite where the
+    contrast is degenerate."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = _t_statistic(m1, m2, m3, tau, out, spare)
+        t_minus_3 = np.subtract(t, 3.0, out=spare[0])
+        x = np.multiply(np.subtract(t, 1.0, out=out), 3.0, out=out)
+        x = np.divide(x, t_minus_3, out=out)
+        return np.negative(np.abs(x, out=out), out=out)
 
 
 def rho_hat(s: Sample, k: int, tau: int) -> float:
@@ -97,23 +115,25 @@ def rho_hat(s: Sample, k: int, tau: int) -> float:
     m2, m3 = m2 / 2.0, m3 / 6.0
     if m1 <= 0.0 or m2 <= 0.0 or m3 <= 0.0:
         raise DegenerateSampleError(f"non-positive log-moment statistic at k={k}")
-    num, den = _t_statistic(m1, m2, m3, tau)
-    if den == 0.0:
-        raise DegenerateSampleError(f"degenerate moment contrast (zero denominator) at k={k}")
-    t = num / den
-    if t == 3.0:
-        raise DegenerateSampleError(f"degenerate moment contrast (T = 3) at k={k}")
-    return -abs(3.0 * (t - 1.0) / (t - 3.0))
+    rho = float(_rho_path(m1, m2, m3, tau))
+    if not math.isfinite(rho):
+        raise DegenerateSampleError(f"degenerate moment contrast at k={k}")
+    return rho
 
 
-def _rho_path(m1, m2, m3, ok, tau: int) -> np.ndarray:
-    """rho_hat over the k window for every row; invalid entries become NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _t_statistic(m1, m2, m3, tau)
-        t = num / den
-        path = -np.abs(3.0 * (t - 1.0) / (t - 3.0))
-    path[~(ok & np.isfinite(path))] = np.nan
-    return path
+def _rho_tile(g, spare, dst) -> None:
+    """The fill of the rho sweep: rho_hat(k, tau) for tau = 0 and 1 into
+    dst[tau] from one tile of log-moment statistics g, NaN at k where a
+    moment is not positive or rho_hat is not finite."""
+    m1, m2, m3 = g
+    np.divide(m2, 2.0, out=m2)
+    np.divide(m3, 6.0, out=m3)
+    ok = (m1 > 0) & (m2 > 0) & (m3 > 0)
+    *tmp, path = spare
+    for tau in (0, 1):
+        _rho_path(m1, m2, m3, tau, path, tmp)
+        path[~(ok & np.isfinite(path))] = np.nan
+        np.copyto(dst[tau], path[:, : dst.shape[-1]])
 
 
 def _path_stats(path: np.ndarray):
@@ -158,12 +178,8 @@ def _rho_arrays(block: SampleBlock):
     the chosen tau (-1 there) and the path rho_hat(k, tau) over the window
     (NaN at invalid k). Warns once per row clamped to RHO_FLOOR."""
     ks = _k_window(block.n)
-    prof = log_moment_profile(block, ks)
-    # contiguous columns, so that every row goes through the same ufunc loops
-    m1, m2, m3 = prof[..., 0].copy(), prof[..., 1] / 2.0, prof[..., 2] / 6.0
-    del prof
-    ok = (m1 > 0) & (m2 > 0) & (m3 > 0)
-    paths = np.stack([_rho_path(m1, m2, m3, ok, tau) for tau in (0, 1)])
+    paths = log_moment_profile(block, int(ks[0]), int(ks[-1]),
+                               np.empty((2, block.rows, ks.size)), _rho_tile)
     # both taus' rows through one sort
     (n0, n1), (iqr0, iqr1), (med0, med1) = (
         x.reshape(2, block.rows) for x in _path_stats(paths.reshape(2 * block.rows, ks.size)))
@@ -189,7 +205,7 @@ def _rho_estimate(ks, k_used: int, rho: float, tau: int, path: np.ndarray) -> Rh
 def estimate_rho(s: Sample) -> RhoEstimate:
     """Sweep rho_hat over the high-k window, pick the more stable tau by
     interquartile range, and report the path median (clamped to stay in
-    [RHO_FLOOR, RHO_CEILING]). One log-moment profile serves both tau.
+    [RHO_FLOOR, RHO_CEILING]). One tiled sweep serves both tau.
     """
     ks, k_used, rho, tau, paths = _rho_arrays(SampleBlock.of(s))
     return _rho_estimate(ks, k_used, float(rho[0]), int(tau[0]), paths[0])
@@ -201,13 +217,18 @@ def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray):
     i = np.arange(1, k + 1, dtype=float)
     desc = block.sorted_desc
     # i-th scaled log-spacing of consecutive descending order statistics;
-    # log of the ratio keeps the estimate exactly scale-free
-    w = i * np.log(desc[:, :k] / desc[:, 1: k + 1])
-    x = np.exp(-rho[:, None] * np.log(i / k))
+    # log of the ratio keeps the estimate exactly scale-free. Three (rows, k)
+    # arrays, each step written in place in the order of
+    # w = i * log(d_i / d_i+1), x = exp(-rho * log(i / k)), x * w, (x * x) * w
+    w = np.divide(desc[:, :k], desc[:, 1: k + 1])
+    np.multiply(i, np.log(w, out=w), out=w)
+    x = np.multiply(-rho[:, None], np.log(i / k))
+    np.exp(x, out=x)
     a1 = np.mean(x, axis=1)
     a2 = np.mean(w, axis=1)
-    a3 = np.mean(x * w, axis=1)
-    a4 = np.mean(x * x * w, axis=1)
+    xx = np.multiply(x, x)
+    a3 = np.mean(np.multiply(x, w, out=x), axis=1)
+    a4 = np.mean(np.multiply(xx, w, out=xx), axis=1)
     den = a1 * a3 - a4
     prefactor = np.array([math.exp(r * math.log(k / block.n)) for r in rho.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -60,6 +60,33 @@ class TestRhoHat:
         with pytest.raises(DegenerateSampleError):
             so.rho_hat(s, 3, 1)
 
+    def test_path_forms_agree(self):
+        """_rho_path on floats (rho_hat's call), on arrays and in place into
+        out and spare gives the same bits."""
+        rng = np.random.default_rng(8)
+        m = np.exp(rng.uniform(-30.0, 30.0, (3, 4, 50)))
+        m[:, 0, :3] = m[0, 0, :3]  # T = 1 up to rounding
+        for tau in (0, 1, 2):
+            fresh = so._rho_path(*m, tau)
+            out, spare = np.empty((3, 4, 60))[0, :, 5:55], np.empty((2, 4, 50))
+            assert so._rho_path(*m, tau, out, spare) is out
+            assert np.array_equal(out, fresh, equal_nan=True)
+            floats = [so._rho_path(*m[:, i, j].tolist(), tau) for i in range(4) for j in range(50)]
+            assert np.array_equal(np.array(floats).reshape(4, 50), fresh, equal_nan=True)
+
+    def test_tile_masks_non_positive_moments(self):
+        """A moment at or below 0, which the prefix sums can leave by
+        cancellation, makes its k NaN in both paths even where rho_hat would
+        be finite."""
+        g = np.array([[[-1e-17, 0.5, 0.5]], [[1.0, 0.7, 0.7]], [[3.0, 1.1, 1.1]]])
+        dst = np.empty((2, 1, 2))
+        so._rho_tile(g.copy(), np.empty((3, 1, 3)), dst)
+        assert np.isfinite(so._rho_path(*g[:, 0, 0] / [1.0, 2.0, 6.0], 1))
+        assert np.isnan(dst[:, 0, 0]).all()
+        for tau in (0, 1):
+            want = so._rho_path(0.5, 0.7 / 2.0, 1.1 / 6.0, tau)
+            assert np.isfinite(want) and dst[tau, 0, 1] == want
+
     def test_bad_tau(self):
         s = Sample.from_values([1.0, 2.0, 4.0, 8.0])
         with pytest.raises(DomainError):

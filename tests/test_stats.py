@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
-from gtail.stats import (Sample, SampleBlock, log_moment_profile, power_log, stat_g, stat_g_rows,
-                         stat_h)
+from gtail.stats import (PROFILE_TILE, Sample, SampleBlock, log_moment_profile, power_log, stat_g,
+                         stat_g_rows, stat_h)
 
 E = math.e
 
@@ -282,11 +282,82 @@ class TestStatH:
             assert abs(stat_h(s, k, 1e-12) - float(oracle)) < 1e-6
 
 
+def _copy_then_clobber(g, spare, dst):
+    """A fill that keeps the statistics (without the column after the tile)
+    and then overwrites everything the kernel lends it, as a fill may."""
+    for src, to in zip(g, dst):
+        assert src.flags.c_contiguous and src.shape[-1] == to.shape[-1] + 1
+        assert np.isfinite(src[:, -1]).all()
+        np.copyto(to, src[:, :-1])
+    for a in (*g, *spare):
+        a.fill(np.nan)
+
+
+def profile(s, lo, hi, **tiling):
+    """G_n(k, 0, u) for u = 1, 2, 3 and k in [lo, hi]: shape (3, rows, k)."""
+    rows = s.sorted_desc.reshape(-1, s.n).shape[0]
+    out = np.empty((3, rows, hi - lo + 1))
+    assert log_moment_profile(s, lo, hi, out, _copy_then_clobber, **tiling) is out
+    return out
+
+
 def test_log_moment_profile_matches_stat_g():
     rng = np.random.default_rng(23)
     s = Sample.from_values(rng.pareto(0.8, size=500) + 1.0)
-    ks = np.array([2, 10, 100, 250, 499])
-    prof = log_moment_profile(s, ks)
-    for row, k in enumerate(ks):
+    prof = profile(s, 2, 499)
+    for k in (2, 10, 100, 250, 499):
         for col, u in enumerate((1.0, 2.0, 3.0)):
-            assert prof[row, col] == pytest.approx(stat_g(s, int(k), 0.0, u), rel=1e-9)
+            assert prof[col, 0, k - 2] == pytest.approx(stat_g(s, k, 0.0, u), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64), n=st.integers(100, 5000),
+       spread=st.floats(1e-3, 690.0), data=st.data())
+def test_log_moment_profile_tiling_is_bit_identical(seed, rows, n, spread, data):
+    """Any tile width, from one column to wider than the sweep, gives the
+    single-tile statistics bit for bit, with data spanning up to
+    1e-300..1e300 and tile edges at lo - 1, lo and hi among others."""
+    rng = np.random.default_rng(seed)
+    block = SampleBlock.from_values(np.exp(rng.uniform(-spread, spread, (rows, n))))
+    lo, hi = data.draw(st.sampled_from([(max(2, int(n**0.90)), min(n - 1, int(n**0.995))),
+                                        (2, n - 1), (n - 1, n - 1)]))
+    # the sweep cuts tiles at multiples of the width below lo and at lo plus
+    # multiples of it from lo on
+    width = data.draw(st.one_of(st.sampled_from([1, max(1, lo - 1), lo, max(1, hi - lo), hi + 2]),
+                                st.integers(1, hi + 2)))
+    whole = profile(block, lo, hi, _columns=hi + 1)
+    assert np.array_equal(profile(block, lo, hi, _columns=width), whole, equal_nan=True)
+    for i, s in enumerate(block.samples()[:2]):
+        assert np.array_equal(profile(s, lo, hi, _columns=width)[:, 0], whole[:, i],
+                              equal_nan=True)
+
+
+def test_log_moment_profile_production_tiles():
+    """n = 2e5 runs the sweep in several tiles of PROFILE_TILE elements; it
+    equals the one-tile sweep bit for bit."""
+    s = Sample.from_values(np.random.default_rng(5).pareto(1.0, size=200_000) + 1.0)
+    lo, hi = int(s.n**0.90), int(s.n**0.995)
+    assert hi + 1 > 2 * PROFILE_TILE
+    prof = profile(s, lo, hi)
+    assert np.array_equal(prof, profile(s, lo, hi, _columns=hi + 1))
+    for k in (lo, hi):
+        for col, u in enumerate((1.0, 2.0, 3.0)):
+            assert prof[col, 0, k - lo] == pytest.approx(stat_g(s, k, 0.0, u), rel=1e-9)
+
+
+def test_log_moment_profile_domain():
+    s = Sample.from_values(np.arange(1.0, 11.0))
+    for lo, hi in ((1, 5), (2, 10), (6, 5)):
+        with pytest.raises(DomainError, match="outside"):
+            log_moment_profile(s, lo, hi, np.empty((3, 1, 8)), _copy_then_clobber)
+    with pytest.raises(DomainError, match="k columns"):
+        log_moment_profile(s, 2, 9, np.empty((3, 1, 7)), _copy_then_clobber)
+
+
+def test_stat_g_rows_no_triples_and_unequal_lengths():
+    block = SampleBlock.from_values(np.arange(1.0, 21.0).reshape(2, 10))
+    assert stat_g_rows(block, [], [], 0.0, (1.0, 2.0)).shape == (2, 0)
+    assert stat_g_rows(block, np.array([], dtype=int), [], np.array([]), (1.0,)).shape == (1, 0)
+    for rows, ks, r in (([0, 1], [3], 0.0), (0, [3, 4], 0.0), ([0, 1], [3, 4], np.ones(3))):
+        with pytest.raises(DomainError, match="one entry per triple"):
+            stat_g_rows(block, rows, ks, r, (1.0,))
