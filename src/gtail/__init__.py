@@ -53,7 +53,6 @@ from .secondorder import (
     BetaEstimate,
     RhoEstimate,
     adaptive_estimate,
-    adaptive_k,
     beta_hat,
     estimate_rho,
     rho_hat,

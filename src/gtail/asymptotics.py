@@ -74,11 +74,6 @@ class JointLimitConstants:
     s12: float
 
 
-def d_r(gamma: float, r: float, k: int) -> float:
-    """The recurring factor 1 - k*gamma*r; shared verbatim by every formula."""
-    return 1.0 - k * gamma * r
-
-
 def xi(gamma: float, r: float, u: float) -> float:
     """Limit in probability of the statistic G_n(k,r,u): gamma^u Gamma(1+u) / (1-gamma r)^(1+u)."""
     if gamma <= 0:
@@ -99,7 +94,7 @@ def joint_limit_constants(m: SecondOrderModel, r: float) -> JointLimitConstants:
     """Constants of the bivariate normal limit of the two raw statistics."""
     g, rho = m.gamma, m.rho
     _check_half(g, r)
-    d1, d2 = d_r(g, r, 1), d_r(g, r, 2)
+    d1, d2 = 1.0 - g * r, 1.0 - 2 * g * r
     nu1 = r / (d1 * (d1 - rho))
     nu2 = (1.0 - rho - g**2 * r**2) / (d1**2 * (d1 - rho) ** 2)
     s1_sq = g**2 * r**2 / (d2 * d1**2)
@@ -156,17 +151,6 @@ def amse(m: SecondOrderModel, r: float, j: int, k: int, n: int) -> float:
     return nu**2 * a**2 + sigma2 / k
 
 
-def k_star_real(m: SecondOrderModel, r: float, j: int, n: int) -> float:
-    """Unclamped real-valued AMSE-optimal tail size."""
-    if m.bias_free:
-        raise DegenerateSampleError(
-            "bias-free model (beta = 0): AMSE has no interior optimum; use the largest admissible k")
-    k = float(tail_size(_scaled_tuning(m.gamma, r, j), m.rho, m.beta_hall, j, n))
-    if math.isnan(k):
-        raise DomainError(NO_TAIL_SIZE.format(rho=m.rho, beta=m.beta_hall))
-    return k
-
-
 #: The error of a tail size that is not a finite float.
 NO_TAIL_SIZE = "no finite AMSE-optimal tail size at rho={rho}, beta={beta}"
 
@@ -199,8 +183,15 @@ def tail_size(R, rho, beta, j: int, n: int):
 
 
 def k_star(m: SecondOrderModel, r: float, j: int, n: int) -> int:
-    """AMSE-optimal tail size, rounded and clamped to [2, n-1]."""
-    k_real = k_star_real(m, r, j, n)
+    """AMSE-optimal tail size, rounded half to even and clamped to [2, n-1]
+    with a warning. Raises DegenerateSampleError for a bias-free model or
+    tuning and DomainError where the optimum is not finite."""
+    if m.bias_free:
+        raise DegenerateSampleError(
+            "bias-free model (beta = 0): AMSE has no interior optimum; use the largest admissible k")
+    k_real = float(tail_size(_scaled_tuning(m.gamma, r, j), m.rho, m.beta_hall, j, n))
+    if math.isnan(k_real):
+        raise DomainError(NO_TAIL_SIZE.format(rho=m.rho, beta=m.beta_hall))
     k = int(round(k_real))
     if k < 2 or k > n - 1:
         warnings.warn(f"optimal k {k_real:.1f} clamped to [2, {n - 1}]", stacklevel=2)

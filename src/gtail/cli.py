@@ -111,8 +111,9 @@ _CURVES = {"psiH": asymptotics.psi_H, "psiMR": asymptotics.psi_MR,
 def cmd_amse(args) -> int:
     if not (args.rho_min < args.rho_max < 0):
         raise DomainError("need rho_min < rho_max < 0")
-    if not args.step > 0:
-        raise DomainError(f"need step > 0, got {args.step}")
+    # a step too small to move rho_min would never reach rho_max
+    if not args.rho_min + args.step > args.rho_min:
+        raise DomainError(f"step {args.step} does not advance rho from {args.rho_min}")
     fn = _CURVES[args.curve]
     lines = ["rho,value"]
     rho = args.rho_min
@@ -201,7 +202,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    xs = [float(x) for x in args.x_list.split(",")]
+    try:
+        xs = [float(x) for x in args.x_list.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"--x-list: {exc}") from None
     rows = montecarlo.contamination_experiment(
         args.gamma, args.r, args.j, args.n, args.k, args.seed, xs)
     lines = ["x,delta"] + [f"{x:.17g},{d:.17g}" for x, d in rows]

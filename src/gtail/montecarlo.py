@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from . import estimators as est
-from .asymptotics import SecondOrderModel, phi3, psi_H, psi_MR, estimator_limit_constants
-from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample, sample_block
+from .asymptotics import phi3, psi_H, psi_MR
+from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample
 from .errors import DomainError
 from .secondorder import adaptive_arrays
 from .stats import SampleBlock
@@ -263,17 +263,6 @@ def _gammas(block: SampleBlock, j: int, k: int, r: float) -> np.ndarray:
     if failed.any():
         est.evaluate(block.samples()[int(np.argmax(failed))], est.EstimatorSpec(kind, k, r))
     return gamma
-
-
-def variance_check(gamma: float, r: float, j: int, n: int, k: int, reps: int,
-                   seed: int) -> dict:
-    """Empirical variance of sqrt(k)(gamma_hat - gamma) on strict Pareto
-    against the asymptotic variance (the rate function vanishes, so the limit
-    is centered)."""
-    block = sample_block(DistSpec("pareto", gamma), n, seed, [(rep,) for rep in range(reps)])
-    scaled = math.sqrt(k) * (_gammas(block, j, k, r) - gamma)
-    sigma2 = estimator_limit_constants(SecondOrderModel(gamma, -1.0, 1.0), r, j)[1]
-    return {"empirical_var_scaled": float(np.var(scaled)), "theoretical": sigma2}
 
 
 def contamination_experiment(gamma: float, r: float, j: int, n: int, k: int,

@@ -27,14 +27,15 @@ the clamps, beta, both tail sizes and both estimates are array operations
 over all rows. Only :func:`~gtail.asymptotics.r_star` is looped, once per row
 and pipeline, because a numpy R* would differ in the last bit; the same R
 feeds the tuned tail size and the tuning. Both tail sizes are
-:func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped;
-:func:`adaptive_k` is its one-row call. Each row's value is bit for bit
-the one a single sample gets. :func:`adaptive_arrays` returns these arrays,
-with the index of each row's failed step in :data:`STEPS`, and builds no
-objects. The functions that return result objects (:func:`estimate_rho`,
-:func:`beta_hat`, :func:`adaptive_all`, :func:`adaptive_estimate`) take one
-Sample, run it as a one-row block and build the result from row 0, raising
-where that row fails; its two Estimates, or an estimator's error, come from
+:func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped
+as :func:`~gtail.asymptotics.k_star` rounds one model's. Each row's value
+is bit for bit the one a single sample gets. :func:`adaptive_arrays`
+returns these arrays, with the index of each row's failed step in
+:data:`STEPS`, and builds no objects. The functions that return result
+objects (:func:`estimate_rho`, :func:`beta_hat`, :func:`adaptive_all`,
+:func:`adaptive_estimate`) take one Sample, run it as a one-row block and
+build the result from row 0, raising where that row fails; its two
+Estimates, or an estimator's error, come from
 :func:`~gtail.estimators.evaluate` on that Sample.
 """
 
@@ -253,28 +254,6 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
     return float(beta[0])
 
 
-def adaptive_k(n: int, rho: float, beta: float, j: int, generalized: bool) -> int:
-    """Plug-in AMSE-optimal tail size, rounded and clamped to [2, n-1], at
-    the classical (R = 0) or optimally tuned (R = R*_j(rho)) route of
-    estimator 1 or 3: one row of the block plug-in ``_tail_sizes``.
-
-    rho and beta are floats. Raises DomainError where the optimum is not
-    finite (beta^2 overflows or underflows, or the tail size overflows).
-    """
-    rho, beta = float(rho), float(beta)
-    if j not in (1, 3):
-        raise DomainError(f"adaptive tail size defined for j in {{1, 3}}, got {j}")
-    if not rho < 0:
-        raise DomainError(f"rho must be < 0, got {rho}")
-    if beta == 0.0:
-        raise DomainError("beta must be nonzero")
-    R = r_star(rho, j) if generalized else 0.0
-    (k,) = _tail_sizes(n, np.array([rho]), np.array([beta]), j, R).tolist()
-    if math.isnan(k):
-        raise DomainError(NO_TAIL_SIZE.format(rho=rho, beta=beta))
-    return int(k)
-
-
 #: The steps of the adaptive pipeline in order; PipelineArrays.failed_step
 #: holds the index of a row's failed step, -1 for a row that did not fail.
 STEPS = ("rho", "beta", "k_classical", "classical", "r_star", "k_generalized", "generalized")
@@ -340,6 +319,9 @@ def adaptive_arrays(block: SampleBlock, js: tuple = (1, 3)) -> dict:
     are, bit for bit, those of adaptive_estimate on that row alone, and its
     failed_step is the step at which that call raises, or -1.
     """
+    for j in js:
+        if j not in (1, 3):
+            raise DomainError(f"adaptive pipeline defined for j in {{1, 3}}, got {j}")
     if block.n < 100:
         raise DomainError(f"adaptive pipeline needs n >= 100, got {block.n}")
     second = _second_order(block)
@@ -398,8 +380,6 @@ def adaptive_estimate(s: Sample, j: int) -> AdaptiveResult:
 
     Any failing step aborts with a PipelineError naming the step.
     """
-    if j not in (1, 3):
-        raise DomainError(f"adaptive pipeline defined for j in {{1, 3}}, got {j}")
     return _result(adaptive_arrays(SampleBlock.of(s), (j,))[j], 0, s)
 
 

@@ -239,16 +239,11 @@ def test_criterion_8_contamination_robustness():
 def test_criterion_9_adaptive_mse_dominance():
     """Burr cells: adaptive tuned moment-ratio beats the classical one in MSE,
     and the ratio tracks the asymptotic prediction within a factor of two."""
-    n, reps = 1000, 1000
-    results = []
+    cfg = mc.ExperimentConfig(family="burr", n=1000, replications=1000, seed=20_240)
+    # cell keys 0..3, one per rho, and psi_MR alongside each mr/gmr MSE ratio
+    results = mc.ratio_curve(cfg, 1.0, (-0.5, -1.0, -2.0, -4.0))
     ok = True
-    for i, rho in enumerate((-0.5, -1.0, -2.0, -4.0)):
-        cfg = mc.ExperimentConfig(family="burr", n=n, replications=reps,
-                                  seed=20_240, gamma=1.0, rho=rho)
-        cell = mc.run_cell(cfg, 1.0, rho, cell_key=i)
-        ratio = cell.stats["mr"].mse / cell.stats["gmr"].mse
-        theory = float(asy.psi_MR(rho))
-        results.append((rho, ratio, theory))
+    for rho, ratio, theory in results:
         if not (ratio >= 1.0 and 0.5 * theory <= ratio <= 2.0 * theory):
             ok = False
     detail = "; ".join(f"rho={r}: ratio {x:.3f} vs psi_MR {t:.3f}"

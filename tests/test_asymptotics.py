@@ -114,8 +114,8 @@ class TestKStar:
     def test_beta_doubling_exponent(self):
         m1 = model(1.0, -1.0, 1.0)
         m2 = model(1.0, -1.0, 2.0)
-        k1 = asy.k_star_real(m1, 0.0, 1, 10_000)
-        k2 = asy.k_star_real(m2, 0.0, 1, 10_000)
+        k1 = float(asy.tail_size(0.0, m1.rho, m1.beta_hall, 1, 10_000))
+        k2 = float(asy.tail_size(0.0, m2.rho, m2.beta_hall, 1, 10_000))
         assert k2 / k1 == pytest.approx(2.0 ** (-2.0 / 3.0), rel=1e-12)
 
     def test_brute_force_scan_agreement(self):
@@ -146,7 +146,7 @@ class TestKStar:
     def test_bias_free_tuning_rejected(self):
         # nu_2 = 0 where 1 - R^2 - rho = 0, here at R = -2, rho = -3
         with pytest.raises(DegenerateSampleError, match="nu_j"):
-            asy.k_star_real(model(1.0, -3.0, 1.0), -2.0, 2, 1000)
+            asy.k_star(model(1.0, -3.0, 1.0), -2.0, 2, 1000)
 
     def test_clamping_warns(self):
         m = model(1.0, -0.05, 1.0)

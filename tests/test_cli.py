@@ -173,8 +173,8 @@ class TestAmse:
         assert np.all(curve[:, 1] <= 1.06)
 
     def test_bad_range(self, capsys):
-        # a step <= 0 would never reach rho_max
-        for lo, hi, step in ((-1, -2, 0.01), (-2, -1, 0), (-2, -1, -0.1)):
+        # a step <= 0, or one too small to move rho, would never reach rho_max
+        for lo, hi, step in ((-1, -2, 0.01), (-2, -1, 0), (-2, -1, -0.1), (-2, -1, 1e-300)):
             code, _, _ = run(["amse", "--curve", "psiH", "--rho-min", lo,
                               "--rho-max", hi, "--step", step], capsys)
             assert code == 3
@@ -320,3 +320,10 @@ class TestRobustness:
                             "--x-list", "10"], capsys)
         assert code == 3
         assert "seeds and stream keys must be >= 0, got -3" in err
+
+    def test_unparseable_x_list_names_the_entry(self, capsys):
+        code, _, err = run(["robustness", "--gamma", "1", "--r", "0.5",
+                            "--n", "200", "--k", "20", "--seed", "3",
+                            "--x-list", "1e2,abc"], capsys)
+        assert code == 2
+        assert "--x-list" in err and "'abc'" in err

@@ -203,12 +203,6 @@ def test_ratio_curve_smoke():
         assert math.isnan(ratio) or ratio > 0
 
 
-def test_variance_check_smoke():
-    out = mc.variance_check(1.0, 0.2, 1, 2000, 200, 50, seed=5)
-    assert out["theoretical"] > 0
-    assert 0 < out["empirical_var_scaled"] < 10 * out["theoretical"]
-
-
 class TestContamination:
     def test_monotone_and_bounded_for_positive_r(self):
         xs = [1e2, 1e4, 1e6, 1e8]

@@ -19,6 +19,16 @@ def burr_sample(gamma, rho, n, seed):
     return sample(DistSpec("burr", gamma, rho), n, seed)
 
 
+def plug_in_k(n, rho, beta, j, generalized):
+    """The rounded plug-in tail size of one (rho, beta): k_star at gamma = 1
+    (tail sizes at R*/gamma are gamma-free) and R = R*_j(rho) on the tuned
+    route, R = 0 on the classical one."""
+    R = r_star(rho, j) if generalized else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamps to [2, n-1] are expected
+        return k_star(SecondOrderModel(1.0, rho, beta), R, j, n)
+
+
 def block_results(block):
     """Per row of a block, {j: AdaptiveResult, or the PipelineError its row
     raises}, built from the array core."""
@@ -230,25 +240,25 @@ class TestBetaHat:
 
 
 class TestAdaptiveK:
+    """The plug-in tail size: the block form _tail_sizes that the pipeline
+    runs, and its one-model form k_star."""
+
     def test_hand_value_matches_generic_optimum(self):
         # classical Hill route at rho=-1, beta=1, n=1000: same 126 as the
         # generic AMSE optimum
-        assert so.adaptive_k(1000, -1.0, 1.0, 1, generalized=False) == 126
+        assert so._tail_sizes(1000, np.array([-1.0]), np.array([1.0]), 1, 0.0).tolist() == [126]
 
     def test_printed_formulas_match_generic_k_star(self):
-        for rho in (-0.3, -1.0, -2.5, -6.0):
-            for beta in (0.5, 1.0, -1.5):
-                for n in (500, 5000, 100_000):
-                    for j in (1, 3):
-                        for generalized in (False, True):
-                            gamma = 1.0  # tail sizes at R*/gamma are gamma-free
-                            r = (r_star(rho, j) / gamma) if generalized else 0.0
-                            m = SecondOrderModel(gamma, rho, beta)
-                            with warnings.catch_warnings():
-                                warnings.simplefilter("ignore")
-                                expected = k_star(m, r, j, n)
-                            got = so.adaptive_k(n, rho, beta, j, generalized)
-                            assert got == expected, (rho, beta, n, j, generalized, got, expected)
+        rho = np.repeat([-0.3, -1.0, -2.5, -6.0], 3)
+        beta = np.tile([0.5, 1.0, -1.5], 4)
+        for n in (500, 5000, 100_000):
+            for j in (1, 3):
+                for generalized in (False, True):
+                    R = np.array([r_star(r, j) for r in rho.tolist()]) if generalized else 0.0
+                    got = so._tail_sizes(n, rho, beta, j, R).tolist()
+                    expected = [plug_in_k(n, r, b, j, generalized)
+                                for r, b in zip(rho.tolist(), beta.tolist())]
+                    assert got == expected, (n, j, generalized)
 
     @staticmethod
     def printed_formula(n, rho, beta, j, generalized):
@@ -318,16 +328,16 @@ class TestAdaptiveK:
                         ln_k = self.printed_ln_k(n, r, b, j, generalized)
                         if not sys.float_info.min <= beta2 < math.inf or ln_k >= ln_max:
                             with pytest.raises(DomainError):
-                                so.adaptive_k(n, r, b, j, generalized)
+                                plug_in_k(n, r, b, j, generalized)
                             raised += 1
                             continue
                         try:
                             want = self.printed_formula(n, r, b, j, generalized)
                         except (ArithmeticError, ValueError):
                             want = min(max(round(math.exp(ln_k)), 2), n - 1)
-                        assert so.adaptive_k(n, r, b, j, generalized) == want
+                        assert plug_in_k(n, r, b, j, generalized) == want
                     assert 0 < raised < rho.size
-        got = so.adaptive_k(1000, -1.0, 1.0, 1, generalized=False)
+        got = plug_in_k(1000, -1.0, 1.0, 1, generalized=False)
         assert type(got) is int
 
     @settings(max_examples=300, deadline=None)
@@ -353,25 +363,12 @@ class TestAdaptiveK:
     @pytest.mark.parametrize("n", [0, -5])
     def test_n_below_1_is_a_domain_error(self, n):
         with pytest.raises(DomainError, match="n must be >= 1"):
-            so.adaptive_k(n, -1.0, 1.0, 1, False)
+            plug_in_k(n, -1.0, 1.0, 1, False)
 
     def test_monotone_in_n(self):
-        ks = [so.adaptive_k(n, -1.0, 1.0, 3, True) for n in (200, 2000, 20000, 200000)]
+        ks = [plug_in_k(n, -1.0, 1.0, 3, True) for n in (200, 2000, 20000, 200000)]
         assert ks == sorted(ks)
         assert ks[0] < ks[-1]
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            so.adaptive_k(1000, 0.5, 1.0, 1, False)
-        with pytest.raises(DomainError):
-            so.adaptive_k(1000, -1.0, 0.0, 1, False)
-        with pytest.raises(DomainError):
-            so.adaptive_k(1000, -1.0, 1.0, 2, False)
-        # floats only: a block's rows go through the array plug-in _tail_sizes
-        with pytest.raises(TypeError):
-            so.adaptive_k(1000, np.array([-1.0, -2.0]), 1.0, 1, False)
-        with pytest.raises(TypeError):
-            so.adaptive_k(1000, -1.0, np.array([1.0, 2.0]), 3, True)
 
 
 class TestBlockTailSteps:
@@ -398,7 +395,7 @@ class TestBlockTailSteps:
                     continue
                 rho_hat = so.estimate_rho(s).rho_hat
                 beta_hat = so.beta_hat(s, int(n**0.995), rho_hat)
-                k_c = so.adaptive_k(n, rho_hat, beta_hat, j, generalized=False)
+                k_c = plug_in_k(n, rho_hat, beta_hat, j, generalized=False)
                 checked += 1
                 if isinstance(res, PipelineError):
                     assert res.step in ("classical", "r_star")
@@ -408,7 +405,7 @@ class TestBlockTailSteps:
                     else:
                         assert classical(s, k_c).gamma_hat <= 0.0
                     continue
-                k_g = so.adaptive_k(n, rho_hat, beta_hat, j, generalized=True)
+                k_g = plug_in_k(n, rho_hat, beta_hat, j, generalized=True)
                 assert res.classical.gamma_hat == classical(s, k_c).gamma_hat
                 assert res.classical == tuned(s, k_c, 0.0)
                 assert res.r_generalized == r_star(rho_hat, j) / res.classical.gamma_hat
@@ -444,7 +441,7 @@ class TestBlockTailSteps:
     @pytest.mark.parametrize("beta, shown", [(1e200, "1e+200"), (1e-160, "1e-160")])
     def test_row_without_a_finite_tail_size_fails_at_k_classical(self, beta, shown):
         # beta^2 overflows or falls below the smallest normal float, so
-        # _tail_sizes gives NaN for this row, where adaptive_k raises
+        # _tail_sizes gives NaN for this row, where k_star raises
         s = burr_sample(1.0, -1.0, 1000, 5)
         second = so._SecondOrder(np.arange(0), int(s.n**0.995), np.array([-1.0]), np.array([0]),
                                  np.empty((1, 0)), np.array([beta]), np.array([-1]))
@@ -529,6 +526,12 @@ class TestPipelineArrays:
         (only,) = so.adaptive_arrays(block, (3,)).values()
         assert only.j == 3
         assert np.array_equal(only.gamma_g, so.adaptive_arrays(block)[3].gamma_g)
+
+    @pytest.mark.parametrize("js", [(2,), (0,), (1, 5)])
+    def test_pipelines_other_than_1_and_3_rejected(self, js):
+        block = sample_block(DistSpec("burr", 1.0, -1.0), 400, 1, [(0,), (1,)])
+        with pytest.raises(DomainError, match=f"^adaptive pipeline defined for j in .1, 3., got {js[-1]}$"):
+            so.adaptive_arrays(block, js)
 
 
 class TestAdaptivePipeline:
