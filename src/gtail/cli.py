@@ -104,6 +104,9 @@ def cmd_optimal(args) -> int:
     return 0
 
 
+#: Most rows an AMSE curve may have (the CSV is built in memory first).
+AMSE_MAX_ROWS = 1_000_000
+
 _CURVES = {"psiH": asymptotics.psi_H, "psiMR": asymptotics.psi_MR,
            "phi2": asymptotics.phi2, "phi3": asymptotics.phi3}
 
@@ -114,6 +117,9 @@ def cmd_amse(args) -> int:
     # a step too small to move rho_min would never reach rho_max
     if not args.rho_min + args.step > args.rho_min:
         raise DomainError(f"step {args.step} does not advance rho from {args.rho_min}")
+    rows = (args.rho_max - args.rho_min) / args.step
+    if rows > AMSE_MAX_ROWS:
+        raise DomainError(f"step {args.step} gives {rows:.3g} rows, more than {AMSE_MAX_ROWS}")
     fn = _CURVES[args.curve]
     lines = ["rho,value"]
     rho = args.rho_min
@@ -126,10 +132,9 @@ def cmd_amse(args) -> int:
 
 def _load_config(path: str, seed_override: int | None) -> montecarlo.ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ParseError(f"cannot read config file {path}")
     try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ParseError(f"cannot read config file {path}")
         dist = parser["distribution"]
         exp = parser["experiment"]
         family = dist.get("family")
@@ -162,7 +167,7 @@ def _load_config(path: str, seed_override: int | None) -> montecarlo.ExperimentC
         return montecarlo.ExperimentConfig(
             family=family, n=n, replications=reps, seed=seed, gamma=gamma, rho=rho,
             estimators=labels, grid=grid, scale=scale)
-    except (configparser.Error, KeyError, TypeError) as exc:
+    except (configparser.Error, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise ParseError(f"bad config file {path}: {exc}") from exc
 
 
@@ -186,9 +191,9 @@ def _centers(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    report = montecarlo.simulate(cfg, workers=args.threads)
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)  # before the grid runs, so a bad path fails first
+    report = montecarlo.simulate(cfg, workers=args.threads)
     (outdir / "report.csv").write_text(montecarlo.report_to_csv(report))
     (outdir / "manifest.json").write_text(montecarlo.manifest_json(report))
     if args.dominance:
@@ -278,7 +283,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, FileNotFoundError) as exc:
+    except (DomainError, OSError) as exc:  # a file that cannot be read or written
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (PipelineError, DegenerateSampleError) as exc:

@@ -34,7 +34,7 @@ from .asymptotics import phi3, psi_H, psi_MR
 from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample
 from .errors import DomainError
 from .secondorder import adaptive_arrays
-from .stats import SampleBlock
+from .stats import Sample, SampleBlock
 
 #: label -> (j, tuned) of the four adaptive estimates: the classical (r = 0)
 #: or optimally tuned estimate of the adaptive pipeline j
@@ -254,17 +254,6 @@ def ratio_curve(cfg: ExperimentConfig, gamma: float, rho_values, pair=("mr", "gm
     return rows
 
 
-def _gammas(block: SampleBlock, j: int, k: int, r: float) -> np.ndarray:
-    """Estimator j at (k, r) on every row of a block; raises the error of
-    the first row that fails, from the per-sample call on that row."""
-    kind = est.KIND_OF_J[j]
-    gamma = est.estimate_arrays(block, kind, np.arange(block.rows), k, r)
-    failed = np.isnan(gamma)
-    if failed.any():
-        est.evaluate(block.samples()[int(np.argmax(failed))], est.EstimatorSpec(kind, k, r))
-    return gamma
-
-
 def contamination_experiment(gamma: float, r: float, j: int, n: int, k: int,
                              seed: int, x_values) -> list[tuple]:
     """Effect of replacing the largest-observation slot with a contaminant x.
@@ -275,12 +264,12 @@ def contamination_experiment(gamma: float, r: float, j: int, n: int, k: int,
     """
     if gamma * r >= 1:
         raise DomainError(f"need gamma*r < 1, got {gamma * r}")
-    xs = sorted(float(x) for x in x_values)
+    kind = est.KIND_OF_J[j]
     clean = sample(DistSpec("pareto", gamma), n - 1, seed)
-    (baseline,) = _gammas(SampleBlock.of(clean), j, k - 1, r).tolist()
-    contaminated = SampleBlock.from_values(
-        np.column_stack([np.tile(clean.values, (len(xs), 1)), xs]))
-    return [(x, g - baseline) for x, g in zip(xs, _gammas(contaminated, j, k, r).tolist())]
+    baseline = est.evaluate(clean, est.EstimatorSpec(kind, k - 1, r)).gamma_hat
+    return [(x, est.evaluate(Sample.from_values(np.append(clean.values, x)),
+                             est.EstimatorSpec(kind, k, r)).gamma_hat - baseline)
+            for x in sorted(float(x) for x in x_values)]
 
 
 # --- serialization ------------------------------------------------------------

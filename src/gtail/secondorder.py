@@ -30,12 +30,13 @@ feeds the tuned tail size and the tuning. Both tail sizes are
 :func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped
 as :func:`~gtail.asymptotics.k_star` rounds one model's. Each row's value
 is bit for bit the one a single sample gets. :func:`adaptive_arrays`
-returns these arrays, with the index of each row's failed step in
-:data:`STEPS`, and builds no objects. The functions that return result
-objects (:func:`estimate_rho`, :func:`beta_hat`, :func:`adaptive_all`,
-:func:`adaptive_estimate`) take one Sample, run it as a one-row block and
-build the result from row 0, raising where that row fails; its two
-Estimates, or an estimator's error, come from
+returns these arrays and builds no objects. NaN alone carries a failed row
+through the steps; its failed step, an index into :data:`STEPS`, is the
+first True of its column in one table of per-step tests. The functions
+that return result objects (:func:`estimate_rho`, :func:`beta_hat`,
+:func:`adaptive_all`, :func:`adaptive_estimate`) take one Sample, run it
+as a one-row block and build the result from row 0, raising where that
+row fails; its two Estimates, or an estimator's error, come from
 :func:`~gtail.estimators.evaluate` on that Sample.
 """
 
@@ -163,12 +164,6 @@ def _path_stats(path: np.ndarray):
     return count, quantile(0.75) - quantile(0.25), np.where(count % 2 == 1, odd, even)
 
 
-def _k_window(n: int) -> np.ndarray:
-    lo = max(2, int(n**_K_WINDOW_LOW))
-    hi = min(n - 1, int(n**_K_WINDOW_HIGH))
-    return np.arange(lo, hi + 1)
-
-
 _RHO_DEGENERATE = "rho estimation degenerate over the whole k window"
 _BETA_DEGENERATE = "beta estimation degenerate (zero denominator)"
 
@@ -178,7 +173,8 @@ def _rho_arrays(block: SampleBlock):
     clamped rho_hat (NaN where the path is invalid over the whole window),
     the chosen tau (-1 there) and the path rho_hat(k, tau) over the window
     (NaN at invalid k). Warns once per row clamped to RHO_FLOOR."""
-    ks = _k_window(block.n)
+    n = block.n
+    ks = np.arange(max(2, int(n**_K_WINDOW_LOW)), min(n - 1, int(n**_K_WINDOW_HIGH)) + 1)
     paths = log_moment_profile(block, int(ks[0]), int(ks[-1]),
                                np.empty((2, block.rows, ks.size)), _rho_tile)
     # both taus' rows through one sort
@@ -212,9 +208,9 @@ def estimate_rho(s: Sample) -> RhoEstimate:
     return _rho_estimate(ks, k_used, float(rho[0]), int(tau[0]), paths[0])
 
 
-def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray):
-    """Per row, beta_hat at k in [2, n-1] and the row's rho < 0, and whether
-    its denominator vanishes (beta is then not an estimate)."""
+def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray) -> np.ndarray:
+    """Per row, beta_hat at k in [2, n-1] and the row's rho < 0; NaN where
+    rho is NaN or the denominator vanishes (beta is then not an estimate)."""
     i = np.arange(1, k + 1, dtype=float)
     desc = block.sorted_desc
     # i-th scaled log-spacing of consecutive descending order statistics;
@@ -233,8 +229,7 @@ def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray):
     den = a1 * a3 - a4
     prefactor = np.array([math.exp(r * math.log(k / block.n)) for r in rho.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = prefactor * (a1 * a2 - a3) / den
-    return beta, den == 0.0
+        return np.where(den == 0.0, np.nan, prefactor * (a1 * a2 - a3) / den)
 
 
 def beta_hat(s: Sample, k: int, rho: float) -> float:
@@ -248,10 +243,10 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
         raise DomainError(f"rho must be < 0, got {rho}")
     if not (2 <= k <= s.n - 1):
         raise DomainError(f"k={k} outside [2, n-1] for n={s.n}")
-    beta, degenerate = _beta_arrays(block, k, np.array([rho], dtype=float))
-    if degenerate[0]:
+    (beta,) = _beta_arrays(block, k, np.array([rho], dtype=float)).tolist()
+    if math.isnan(beta):
         raise DegenerateSampleError(_BETA_DEGENERATE)
-    return float(beta[0])
+    return beta
 
 
 #: The steps of the adaptive pipeline in order; PipelineArrays.failed_step
@@ -266,11 +261,11 @@ class PipelineArrays:
     rho, tau, path and beta are the second-order step, shared by both
     pipelines of a block: the clamped rho_hat, the chosen tau, rho_hat(k,
     tau) over ``k_window`` (NaN at invalid k) and beta_hat at k_used.
-    k_c and k_g are the classical and tuned tail sizes (NaN where the
-    optimum is not finite), r the tuning, gamma_c and gamma_g the two
-    estimates (NaN where the per-sample call raises, which makes the
-    Estimate or the error). Entries of a row from its failed step on are not
-    estimates; they hold NaN or values computed from placeholders.
+    k_c and k_g are the classical and tuned tail sizes, r the tuning,
+    gamma_c and gamma_g the two estimates (NaN where the per-sample call
+    raises, which makes the Estimate or the error). NaN alone carries a
+    failed row (tau is -1 where rho is NaN): a row's entries from its failed
+    step on are NaN, or an unused estimate at k = 2 where k is NaN.
     """
 
     j: int
@@ -301,8 +296,8 @@ def _valid_or_2(k: np.ndarray) -> np.ndarray:
 
 
 class _SecondOrder(NamedTuple):
-    """Steps 1 and 2 on every row of a block (see PipelineArrays);
-    failed_step is 0 (rho), 1 (beta) or -1."""
+    """Steps 1 and 2 on every row of a block: the first six fields of
+    PipelineArrays."""
 
     k_window: np.ndarray
     k_used: int
@@ -310,7 +305,6 @@ class _SecondOrder(NamedTuple):
     tau: np.ndarray
     path: np.ndarray
     beta: np.ndarray
-    failed_step: np.ndarray
 
 
 def adaptive_arrays(block: SampleBlock, js: tuple = (1, 3)) -> dict:
@@ -329,41 +323,27 @@ def adaptive_arrays(block: SampleBlock, js: tuple = (1, 3)) -> dict:
 
 
 def _second_order(block: SampleBlock) -> _SecondOrder:
+    """Steps 1 and 2; a row's NaN rho (no valid path) gives it a NaN beta."""
     ks, k_used, rho, tau, path = _rho_arrays(block)
-    no_rho = tau < 0
-    beta, degenerate = _beta_arrays(block, k_used, np.where(no_rho, RHO_CEILING, rho))
-    beta = np.where(no_rho | degenerate, np.nan, beta)
-    failed_step = np.where(no_rho, 0, np.where(degenerate | (beta == 0.0), 1, -1))
-    return _SecondOrder(ks, k_used, rho, tau, path, beta, failed_step)
+    return _SecondOrder(ks, k_used, rho, tau, path, _beta_arrays(block, k_used, rho))
 
 
 def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineArrays:
-    """Steps 3-5 of pipeline j on every row. A row whose second-order step
-    failed goes through them with placeholder values (rho = -1, beta = 1)."""
-    placeholder = second.failed_step >= 0
-    rho = np.where(placeholder, -1.0, second.rho)
-    beta = np.where(placeholder, 1.0, second.beta)
+    """Steps 3-5 of pipeline j on every row, which a failed row's NaN flows
+    through; its failed step is the first True in a (STEPS, rows) table."""
+    rho, beta = second.rho, second.beta
     kind, rows = estimators.KIND_OF_J[j], np.arange(block.rows)
-    R = np.array([r_star(x, j) for x in rho.tolist()])
+    R = np.array([r_star(x, j) if x < 0 else math.nan for x in rho.tolist()])
     k_c = _tail_sizes(block.n, rho, beta, j, 0.0)
     gamma_c = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_c), 0.0)
     r = R / gamma_c  # NaN where gamma_c failed
     k_g = _tail_sizes(block.n, rho, beta, j, R)
     gamma_g = estimators.estimate_arrays(block, kind, rows, _valid_or_2(k_g),
                                          np.where(gamma_c > 0.0, r, 0.0))
-    fails = {
-        "k_classical": np.isnan(k_c),
-        "classical": np.isnan(gamma_c),
-        "r_star": ~(gamma_c > 0.0),
-        "k_generalized": np.isnan(k_g),
-        "generalized": np.isnan(gamma_g),
-    }
-    failed_step = second.failed_step.copy()
-    # a row fails at its first failing step, so later steps are marked first
-    for step in reversed(STEPS[2:]):
-        failed_step[fails[step] & ~placeholder] = STEPS.index(step)
-    return PipelineArrays(j, second.k_window, second.k_used, second.rho, second.tau, second.path,
-                          second.beta, k_c, gamma_c, r, k_g, gamma_g, failed_step)
+    fails = np.array([np.isnan(rho), np.isnan(beta) | (beta == 0.0), np.isnan(k_c),
+                      np.isnan(gamma_c), ~(gamma_c > 0.0), np.isnan(k_g), np.isnan(gamma_g)])
+    failed_step = np.where(fails.any(0), fails.argmax(0), -1)
+    return PipelineArrays(j, *second, k_c, gamma_c, r, k_g, gamma_g, failed_step)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ class Sample:
         numpy's loadtxt parses a well-formed file; anything it rejects or
         reads as other than one column (a bad line, several values on a line,
         no values, or a number only float() reads, such as ``1_000``) is read
-        again line by line, which reports the first bad line.
+        again line by line, which reports the first bad line, or raises
+        ParseError for bytes that are not UTF-8.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -68,8 +69,11 @@ class Sample:
         except ValueError:
             arr = None
         if arr is None or arr.shape[0] == 0 or arr.shape[1] != 1:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_values(_parse_lines(fh))
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    return cls.from_values(_parse_lines(fh))
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
         return cls.from_values(arr[:, 0])
 
     def scaled(self, c: float) -> "Sample":
@@ -249,8 +253,8 @@ def stat_h(s: Sample, k: int, r: float) -> float:
 PROFILE_TILE = 3 << 13
 
 
-def log_moment_profile(s: Sample | SampleBlock, lo: int, hi: int, out: np.ndarray, fill, *,
-                       _columns: int | None = None) -> np.ndarray:
+def log_moment_profile(s: Sample | SampleBlock, lo: int, hi: int, out: np.ndarray,
+                       fill) -> np.ndarray:
     """G_n(k, 0, u) for u = 1, 2, 3 and every k in [lo, hi], tile by tile.
 
     The sweep reads the descending order statistics in tiles of about
@@ -278,7 +282,7 @@ def log_moment_profile(s: Sample | SampleBlock, lo: int, hi: int, out: np.ndarra
         raise DomainError(f"out has {out.shape[-1]} k columns, expected {hi - lo + 1}")
     desc = s.sorted_desc.reshape(-1, n)
     rows = desc.shape[0]
-    width = min(_columns or max(1, PROFILE_TILE // rows - 1), max(lo, hi - lo + 1))
+    width = min(max(1, PROFILE_TILE // rows - 1), max(lo, hi - lo + 1))
     # per tile of w columns, each (rows, w + 1): the prefix sums of L, L^2 and
     # L^3 after the carried sums; L; two temporaries; and the tile's k
     size = 6 * rows * (width + 1)

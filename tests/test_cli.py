@@ -5,6 +5,7 @@ import pytest
 
 from gtail import asymptotics as asy
 from gtail import estimators as est
+from gtail import montecarlo
 from gtail.cli import main
 from gtail.distributions import DistSpec, sample
 from gtail.stats import Sample
@@ -105,10 +106,26 @@ class TestEstimate:
         assert code == 2
         assert "3" in err
 
-    def test_missing_file(self, capsys):
-        code, _, _ = run(["estimate", "/no/such/file", "--kind", "hill", "--k", "5"],
-                         capsys)
-        assert code == 3
+    def test_missing_file(self, tmp_path, capsys):
+        # a directory cannot be read as a data file either
+        for path in ("/no/such/file", tmp_path):
+            code, _, err = run(["estimate", path, "--kind", "hill", "--k", "5"], capsys)
+            assert code == 3
+            assert err.startswith("invalid input:")
+
+    @pytest.mark.parametrize("text", [b"1.0\n\xff2.0\n3.0\n", b"\xff\n1.0\n2.0\n3.0\n"])
+    def test_undecodable_data_is_parse_error(self, tmp_path, text, capsys):
+        p = tmp_path / "bytes.txt"
+        p.write_bytes(text)
+        code, _, err = run(["estimate", p, "--kind", "hill", "--k", "2"], capsys)
+        assert code == 2
+        assert "not UTF-8" in err
+
+    def test_output_directory_is_precondition_error(self, data_file, tmp_path, capsys):
+        code, out, err = run(["estimate", data_file, "--kind", "hill", "--k", "50",
+                              "--output", tmp_path], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("invalid input:")
 
 
 class TestOptimal:
@@ -178,6 +195,11 @@ class TestAmse:
             code, _, _ = run(["amse", "--curve", "psiH", "--rho-min", lo,
                               "--rho-max", hi, "--step", step], capsys)
             assert code == 3
+        # a step that advances rho but gives more rows than the cap
+        code, out, err = run(["amse", "--curve", "psiH", "--rho-min", -1, "--rho-max", -0.5,
+                              "--step", 1e-15], capsys)
+        assert (code, out) == (3, "")
+        assert "5e+14 rows" in err
 
 
 CONFIG = """\
@@ -259,12 +281,13 @@ class TestSimulate:
 
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
-        for text in ("[distribution]\nfamily = burr\n",
+        for text in ("[distribution]\nfamily = burr\n", "family = burr\n",
                      GRID_CONFIG.replace("gamma_step = 0.5", "gamma_step = 0"),
                      GRID_CONFIG.replace("rho_step = 0.5", "rho_step = -0.5"),
                      GRID_CONFIG.replace("n = 300", "n = abc"),
-                     GRID_CONFIG.replace("gamma_step = 0.5", "gamma_step = x")):
-            cfg.write_text(text)
+                     GRID_CONFIG.replace("gamma_step = 0.5", "gamma_step = x"),
+                     GRID_CONFIG.replace("burr", "burr\xff")):  # a byte that is not UTF-8
+            cfg.write_bytes(text.encode("latin-1"))
             code, _, err = run(["simulate", cfg], capsys)
             assert code == 2
             assert "bad config file" in err
@@ -273,6 +296,20 @@ class TestSimulate:
         code, _, err = run(["simulate", cfg], capsys)
         assert code == 3
         assert "replications must be >= 1" in err
+
+    def test_output_dir_that_is_a_file_fails_before_the_grid(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG)
+        (tmp_path / "taken").write_text("")
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran before the output directory was made")
+
+        monkeypatch.setattr(montecarlo, "simulate", no_grid)
+        for out in ("taken", "taken/sub"):
+            code, _, err = run(["simulate", cfg, "--output-dir", tmp_path / out], capsys)
+            assert code == 3
+            assert err.startswith("invalid input:")
 
     @pytest.mark.parametrize("where", ["config", "option"])
     def test_negative_seed_rejected(self, tmp_path, where, capsys):

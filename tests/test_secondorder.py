@@ -431,7 +431,7 @@ class TestBlockTailSteps:
         s = Sample.from_values(sample(DistSpec("pareto", 1.0), 400, 3).values ** 60)
         k = int(s.n**0.995)
         second = so._SecondOrder(np.arange(0), k, np.array([so.RHO_CEILING]), np.array([0]),
-                                 np.empty((1, 0)), np.array([1.0]), np.array([-1]))
+                                 np.empty((1, 0)), np.array([1.0]))
         res = so._result(so._tail_arrays(SampleBlock.of(s), 3, second), 0, s)
         assert 0.0 < abs(res.r_generalized) < SMALL_R
         assert res.generalized.spec.r == 0.0
@@ -444,7 +444,7 @@ class TestBlockTailSteps:
         # _tail_sizes gives NaN for this row, where k_star raises
         s = burr_sample(1.0, -1.0, 1000, 5)
         second = so._SecondOrder(np.arange(0), int(s.n**0.995), np.array([-1.0]), np.array([0]),
-                                 np.empty((1, 0)), np.array([beta]), np.array([-1]))
+                                 np.empty((1, 0)), np.array([beta]))
         a = so._tail_arrays(SampleBlock.of(s), 1, second)
         assert np.isnan(a.k_c[0])
         with pytest.raises(PipelineError) as info:
@@ -453,6 +453,39 @@ class TestBlockTailSteps:
         assert type(info.value.__cause__) is DomainError
         assert str(info.value.__cause__) == (
             f"no finite AMSE-optimal tail size at rho=-1.0, beta={shown}")
+
+    @pytest.mark.parametrize("rho, tau, beta, step, message", [
+        (math.nan, -1, math.nan, "rho", so._RHO_DEGENERATE),
+        (-1.0, 0, 0.0, "beta", "beta estimate is exactly zero"),
+        (-1.0, 0, math.nan, "beta", so._BETA_DEGENERATE),
+    ])
+    def test_failed_second_order_row_is_nan_from_its_step_on(self, rho, tau, beta, step, message):
+        # NaN is the only stand-in: it flows through steps 3-5, and the
+        # row's failed step is the first failing test in order
+        s = burr_sample(1.0, -1.0, 1000, 5)
+        second = so._SecondOrder(np.arange(0), int(s.n**0.995), np.array([rho]), np.array([tau]),
+                                 np.empty((1, 0)), np.array([beta]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = so._tail_arrays(SampleBlock.of(s), 1, second)
+        assert so.STEPS[a.failed_step[0]] == step
+        assert np.isnan(a.k_c[0]) and np.isnan(a.k_g[0])
+        with pytest.raises(PipelineError) as info:
+            so._result(a, 0, s)
+        assert (info.value.step, str(info.value)) == (step, f"step '{step}': {message}")
+
+    def test_beta_of_a_nan_rho_row_is_nan(self):
+        block = sample_block(DistSpec("burr", 1.0, -1.0), 1000, 5, [(0, i) for i in range(4)])
+        k, rho = int(block.n**0.995), np.array([-1.0, -0.5, -2.0, -0.25])
+        with_nan = rho.copy()
+        with_nan[1] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = so._beta_arrays(block, k, with_nan)
+        assert np.isnan(beta[1])
+        keep = [0, 2, 3]
+        assert np.array_equal(beta[keep], so._beta_arrays(block, k, rho)[keep])
+        assert np.isfinite(beta[keep]).all()
 
 
 class TestPipelineArrays:

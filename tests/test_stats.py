@@ -1,10 +1,12 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gtail import stats
 from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
 from gtail.stats import (PROFILE_TILE, Sample, SampleBlock, log_moment_profile, power_log, stat_g,
                          stat_g_rows, stat_h)
@@ -293,11 +295,14 @@ def _copy_then_clobber(g, spare, dst):
         a.fill(np.nan)
 
 
-def profile(s, lo, hi, **tiling):
-    """G_n(k, 0, u) for u = 1, 2, 3 and k in [lo, hi]: shape (3, rows, k)."""
+def profile(s, lo, hi, width=None):
+    """G_n(k, 0, u) for u = 1, 2, 3 and k in [lo, hi]: shape (3, rows, k).
+    A width sets PROFILE_TILE so that a tile spans that many columns."""
     rows = s.sorted_desc.reshape(-1, s.n).shape[0]
     out = np.empty((3, rows, hi - lo + 1))
-    assert log_moment_profile(s, lo, hi, out, _copy_then_clobber, **tiling) is out
+    tile = PROFILE_TILE if width is None else rows * (width + 1)
+    with patch.object(stats, "PROFILE_TILE", tile):
+        assert log_moment_profile(s, lo, hi, out, _copy_then_clobber) is out
     return out
 
 
@@ -325,10 +330,10 @@ def test_log_moment_profile_tiling_is_bit_identical(seed, rows, n, spread, data)
     # multiples of it from lo on
     width = data.draw(st.one_of(st.sampled_from([1, max(1, lo - 1), lo, max(1, hi - lo), hi + 2]),
                                 st.integers(1, hi + 2)))
-    whole = profile(block, lo, hi, _columns=hi + 1)
-    assert np.array_equal(profile(block, lo, hi, _columns=width), whole, equal_nan=True)
+    whole = profile(block, lo, hi, width=hi + 1)
+    assert np.array_equal(profile(block, lo, hi, width=width), whole, equal_nan=True)
     for i, s in enumerate(block.samples()[:2]):
-        assert np.array_equal(profile(s, lo, hi, _columns=width)[:, 0], whole[:, i],
+        assert np.array_equal(profile(s, lo, hi, width=width)[:, 0], whole[:, i],
                               equal_nan=True)
 
 
@@ -339,7 +344,7 @@ def test_log_moment_profile_production_tiles():
     lo, hi = int(s.n**0.90), int(s.n**0.995)
     assert hi + 1 > 2 * PROFILE_TILE
     prof = profile(s, lo, hi)
-    assert np.array_equal(prof, profile(s, lo, hi, _columns=hi + 1))
+    assert np.array_equal(prof, profile(s, lo, hi, width=hi + 1))
     for k in (lo, hi):
         for col, u in enumerate((1.0, 2.0, 3.0)):
             assert prof[col, 0, k - lo] == pytest.approx(stat_g(s, k, 0.0, u), rel=1e-9)
