@@ -22,6 +22,7 @@ rho would otherwise overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -220,19 +221,26 @@ def eta(rho: float, R, j: int):
 
 def r2_polynomial_coeffs(rho: float) -> np.ndarray:
     """Coefficients (descending powers R^9..R^0) of the stationarity polynomial
-    for the second estimator's optimal scaled tuning."""
-    return np.array([
-        2.0,
-        -2.0 * (1.0 - rho),
-        -2.0 * (5.0 - 3.0 * rho),
-        2.0 * (rho**2 - 3.0 * rho + 6.0),
-        -2.0 * rho * (5.0 - 2.0 * rho),
-        -6.0 * (1.0 - rho) ** 2,
-        8.0 * rho**2 - 22.0 * rho + 15.0,
-        -2.0 * (5.0 * rho**2 - 14.0 * rho + 9.0),
-        4.0 * (rho**2 - 3.0 * rho + 2.0),
-        -(1.0 - rho),
-    ])
+    for the second estimator's optimal scaled tuning; a DomainError where
+    one is not a finite float."""
+    try:
+        coeffs = np.array([
+            2.0,
+            -2.0 * (1.0 - rho),
+            -2.0 * (5.0 - 3.0 * rho),
+            2.0 * (rho**2 - 3.0 * rho + 6.0),
+            -2.0 * rho * (5.0 - 2.0 * rho),
+            -6.0 * (1.0 - rho) ** 2,
+            8.0 * rho**2 - 22.0 * rho + 15.0,
+            -2.0 * (5.0 * rho**2 - 14.0 * rho + 9.0),
+            4.0 * (rho**2 - 3.0 * rho + 2.0),
+            -(1.0 - rho),
+        ])
+    except OverflowError:  # a power of a float rho
+        coeffs = np.array([math.inf])
+    if not np.isfinite(coeffs).all():
+        raise DomainError(f"the R*_2 polynomial is not a finite float at rho={rho}")
+    return coeffs
 
 
 def r_star(rho: float, j: int) -> float:
@@ -241,15 +249,20 @@ def r_star(rho: float, j: int) -> float:
     j = 1 and j = 3 have closed forms (roots of quadratics); j = 2 requires
     all real roots of a degree-9 polynomial, found via the companion matrix,
     each admissible root scored by eta and the minimizer returned. rho is
-    one float: ``secondorder._tail_arrays`` calls this once per row.
+    one float: ``secondorder._tail_arrays`` calls this once per row. A
+    DomainError where R*_j is not a finite float.
     """
     rho = float(rho)
     if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
-    if j == 1:
-        return ((2.0 - rho) - math.sqrt((2.0 - rho) ** 2 - 2.0)) / 2.0
-    if j == 3:
-        return ((2.0 - rho) - math.sqrt((2.0 - rho) ** 2 - 4.0 * rho)) / 2.0
+    if j in (1, 3):
+        try:
+            R = ((2.0 - rho) - math.sqrt((2.0 - rho) ** 2 - (2.0 if j == 1 else 4.0 * rho))) / 2.0
+        except OverflowError:
+            R = math.nan
+        if not math.isfinite(R):
+            raise DomainError(f"R*_{j} is not a finite float at rho={rho}")
+        return R
     if j == 2:
         roots = np.roots(r2_polynomial_coeffs(rho))
         real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
@@ -267,28 +280,37 @@ def amse_ratio(rho: float, R_num, j_num: int, R_den, j_den: int) -> float:
     return math.exp(ln / (1.0 - 2.0 * rho))
 
 
+def _closed_ratio(ln):
+    """The AMSE ratio exp(ln(rho) / (1 - 2 rho)) on a float or an array of
+    rho < 0; a DomainError at the first rho where it is not a finite float."""
+    @functools.wraps(ln)
+    def ratio(rho):
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho >= 0):
+            raise DomainError(f"{ln.__name__} requires rho < 0")
+        with np.errstate(all="ignore"):  # a rho too negative for a float ends in NaN
+            out = np.exp(ln(rho) / (1.0 - 2.0 * rho))
+        bad = rho[~np.isfinite(out)]
+        if bad.size:
+            raise DomainError(f"{ln.__name__} is not a finite float at rho={float(bad[0])}")
+        return float(out) if out.ndim == 0 else out
+    return ratio
+
+
+@_closed_ratio
 def psi_H(rho):
     """AMSE of the Hill estimator over AMSE of the optimally tuned generalized Hill."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho >= 0):
-        raise DomainError("psi_H requires rho < 0")
     R = ((2.0 - rho) - np.sqrt((2.0 - rho) ** 2 - 2.0)) / 2.0
-    ln = (2.0 * np.log(1.0 - R - rho) - 2.0 * rho * np.log(1.0 - 2.0 * R)
-          - 2.0 * np.log(1.0 - rho) - (2.0 - 4.0 * rho) * np.log(1.0 - R))
-    out = np.exp(ln / (1.0 - 2.0 * rho))
-    return float(out) if out.ndim == 0 else out
+    return (2.0 * np.log(1.0 - R - rho) - 2.0 * rho * np.log(1.0 - 2.0 * R)
+            - 2.0 * np.log(1.0 - rho) - (2.0 - 4.0 * rho) * np.log(1.0 - R))
 
 
+@_closed_ratio
 def psi_MR(rho):
     """AMSE of the moment ratio over AMSE of the optimally tuned generalized moment ratio."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho >= 0):
-        raise DomainError("psi_MR requires rho < 0")
     v = np.sqrt((2.0 - rho) ** 2 - 4.0 * rho)
-    ln = (-8.0 * rho * np.log(2.0) + 4.0 * np.log(v - rho) - 6.0 * rho * np.log(v - 1.0 + rho)
-          - 4.0 * np.log(1.0 - rho) - (4.0 - 8.0 * rho) * np.log(v + rho))
-    out = np.exp(ln / (1.0 - 2.0 * rho))
-    return float(out) if out.ndim == 0 else out
+    return (-8.0 * rho * np.log(2.0) + 4.0 * np.log(v - rho) - 6.0 * rho * np.log(v - 1.0 + rho)
+            - 4.0 * np.log(1.0 - rho) - (4.0 - 8.0 * rho) * np.log(v + rho))
 
 
 def phi2(rho: float) -> float:
@@ -297,20 +319,16 @@ def phi2(rho: float) -> float:
     return amse_ratio(rho, r_star(rho, 1), 1, r_star(rho, 2), 2)
 
 
+@_closed_ratio
 def phi3(rho):
     """AMSE of the tuned generalized Hill over AMSE of the tuned generalized
     moment ratio; crosses 1 at PHI3_CROSSING."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho >= 0):
-        raise DomainError("phi3 requires rho < 0")
     v = np.sqrt((2.0 - rho) ** 2 - 4.0 * rho)
     w = np.sqrt((2.0 - rho) ** 2 - 2.0)
-    ln = (-6.0 * rho * np.log(3.0) + (8.0 - 8.0 * rho) * np.log(v - rho)
-          - 2.0 * rho * np.log(w + 1.0 - rho)
-          - (3.0 - 5.0 * rho) * np.log(4.0) - 2.0 * np.log(1.0 - 2.0 * rho)
-          + 6.0 * rho * np.log(v + 1.0 - rho) - (4.0 - 4.0 * rho) * np.log(w - rho))
-    out = np.exp(ln / (1.0 - 2.0 * rho))
-    return float(out) if out.ndim == 0 else out
+    return (-6.0 * rho * np.log(3.0) + (8.0 - 8.0 * rho) * np.log(v - rho)
+            - 2.0 * rho * np.log(w + 1.0 - rho)
+            - (3.0 - 5.0 * rho) * np.log(4.0) - 2.0 * np.log(1.0 - 2.0 * rho)
+            + 6.0 * rho * np.log(v + 1.0 - rho) - (4.0 - 4.0 * rho) * np.log(w - rho))
 
 
 def robustness_limit(gamma: float, r: float, j: int = 1) -> float:

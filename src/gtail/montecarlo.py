@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import estimators as est
-from .asymptotics import phi3, psi_H, psi_MR
+from .asymptotics import psi_MR
 from .distributions import GENERATOR_NAME, DistSpec, draw_block, hall_model, sample
 from .errors import DomainError
 from .secondorder import adaptive_arrays
@@ -228,29 +228,15 @@ def dominance_map(report: SimReport) -> list[tuple]:
     return rows
 
 
-_PAIR_CURVES = {
-    ("hill", "gh"): psi_H,
-    ("mr", "gmr"): psi_MR,
-    ("gh", "gmr"): phi3,
-}
-
-
-def ratio_curve(cfg: ExperimentConfig, gamma: float, rho_values, pair=("mr", "gmr"),
-                workers: int = 1) -> list[tuple]:
-    """Empirical MSE ratio of an estimator pair across rho, with the matching
-    theoretical curve value alongside (NaN for degenerate points)."""
-    num, den = pair
-    theory = _PAIR_CURVES.get((num, den))
+def ratio_curve(cfg: ExperimentConfig, gamma: float, rho_values, workers: int = 1) -> list[tuple]:
+    """Empirical MSE ratio of mr to gmr across rho, with psi_MR(rho)
+    alongside (NaN for degenerate points)."""
     rows = []
     for cell in _run_cells(cfg, [(gamma, rho) for rho in rho_values], workers):
-        rho = cell.rho
-        st_num, st_den = cell.stats.get(num), cell.stats.get(den)
-        if cell.degenerate or st_num is None or st_den is None \
-                or st_num.count == 0 or st_den.count == 0 or st_den.mse == 0.0:
-            ratio = math.nan
-        else:
-            ratio = st_num.mse / st_den.mse
-        rows.append((rho, ratio, float(theory(rho)) if theory else math.nan))
+        num, den = cell.stats.get("mr"), cell.stats.get("gmr")
+        valid = not cell.degenerate and num is not None and den is not None \
+            and num.count > 0 and den.count > 0 and den.mse != 0.0
+        rows.append((cell.rho, num.mse / den.mse if valid else math.nan, psi_MR(cell.rho)))
     return rows
 
 

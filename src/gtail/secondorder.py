@@ -19,32 +19,33 @@ reported.
 
 All five steps run on a :class:`~gtail.stats.SampleBlock` of equal-size
 samples, one replication per row. The rho sweep is one pass of
-:func:`~gtail.stats.log_moment_profile` over the block in L2-sized tiles
-of one scratch buffer: each tile's log-moment statistics become both taus'
-rho paths in place, written straight into one (2, rows, k) array, the only
-array the sweep holds over the whole window. The tau choice, the median,
-the clamps, beta, both tail sizes and both estimates are array operations
-over all rows. Only :func:`~gtail.asymptotics.r_star` is looped, once per row
-and pipeline, because a numpy R* would differ in the last bit; the same R
-feeds the tuned tail size and the tuning. Both tail sizes are
-:func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped
-as :func:`~gtail.asymptotics.k_star` rounds one model's. Each row's value
-is bit for bit the one a single sample gets. :func:`adaptive_arrays`
-returns these arrays and builds no objects. NaN alone carries a failed row
-through the steps; its failed step, an index into :data:`STEPS`, is the
-first True of its column in one table of per-step tests. The functions
-that return result objects (:func:`estimate_rho`, :func:`beta_hat`,
-:func:`adaptive_all`, :func:`adaptive_estimate`) take one Sample, run it
-as a one-row block and build the result from row 0, raising where that
-row fails; its two Estimates, or an estimator's error, come from
-:func:`~gtail.estimators.evaluate` on that Sample.
+:func:`~gtail.stats.log_moment_profile` over the block in L2-sized tiles of
+one scratch buffer: each tile's log-moment statistics become both taus' rho
+paths in place, written straight into one (2, rows, k) array, the only array
+the sweep holds over the whole window; after one sort, step 1 keeps only each
+row's rho_hat and tau (one k's value is :func:`rho_hat`). The tau choice, the
+median, the clamps, beta, both tail sizes and both estimates are array
+operations over all rows. Only :func:`~gtail.asymptotics.r_star` is looped,
+once per row and pipeline, because a numpy R* would differ in the last bit;
+the same R feeds the tuned tail size and the tuning. Both tail sizes are
+:func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped as
+:func:`~gtail.asymptotics.k_star` rounds one model's. Each row's value is bit
+for bit the one a single sample gets. :func:`adaptive_arrays` returns these
+arrays and builds no objects. NaN alone carries a failed row through the
+steps; its failed step, an index into :data:`STEPS`, is the first True of its
+column in one table of per-step tests. The functions that return result
+objects (:func:`estimate_rho`, :func:`beta_hat`, :func:`adaptive_all`,
+:func:`adaptive_estimate`) take one Sample, run it as a one-row block and
+build the result from row 0, raising where that row fails; its two Estimates,
+or an estimator's error, come from :func:`~gtail.estimators.evaluate` on that
+Sample.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +62,9 @@ RHO_FLOOR = -25.0
 #: rho estimates are kept strictly negative.
 RHO_CEILING = -1e-6
 
+#: The largest x whose math.exp(x) is a finite float.
+_LOG_MAX = math.log(np.finfo(float).max)
+
 _K_WINDOW_LOW = 0.90
 _K_WINDOW_HIGH = 0.995
 
@@ -70,9 +74,6 @@ class RhoEstimate:
     rho_hat: float
     tau: int
     k_used: int
-    #: (k, rho_hat(k, tau)) rows over the k window at the chosen tau, finite
-    #: values only
-    path: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -169,34 +170,23 @@ _BETA_DEGENERATE = "beta estimation degenerate (zero denominator)"
 
 
 def _rho_arrays(block: SampleBlock):
-    """Step 1 on every row: the k window, the k beta uses, and per row the
-    clamped rho_hat (NaN where the path is invalid over the whole window),
-    the chosen tau (-1 there) and the path rho_hat(k, tau) over the window
-    (NaN at invalid k). Warns once per row clamped to RHO_FLOOR."""
+    """Step 1 on every row: the k beta uses (the top of the k window), and
+    per row the clamped rho_hat (NaN where the path is invalid over the
+    whole window) and the chosen tau (-1 there). Warns once per row clamped
+    to RHO_FLOOR."""
     n = block.n
-    ks = np.arange(max(2, int(n**_K_WINDOW_LOW)), min(n - 1, int(n**_K_WINDOW_HIGH)) + 1)
-    paths = log_moment_profile(block, int(ks[0]), int(ks[-1]),
-                               np.empty((2, block.rows, ks.size)), _rho_tile)
-    # both taus' rows through one sort
-    (n0, n1), (iqr0, iqr1), (med0, med1) = (
-        x.reshape(2, block.rows) for x in _path_stats(paths.reshape(2 * block.rows, ks.size)))
+    lo, hi = max(2, int(n**_K_WINDOW_LOW)), min(n - 1, int(n**_K_WINDOW_HIGH))
+    # both taus' rows through one sort, which is the paths' last use
+    stats = _path_stats(log_moment_profile(
+        block, lo, hi, np.empty((2, block.rows, hi - lo + 1)), _rho_tile).reshape(2 * block.rows, -1))
+    (n0, n1), (iqr0, iqr1), (med0, med1) = (x.reshape(2, block.rows) for x in stats)
     # tau = 1 wins where only it has a valid path or its path is more stable
     one = (n1 > 0) & ((n0 == 0) | (iqr1 < iqr0))
     tau = np.where(one, 1, np.where(n0 > 0, 0, -1))
     median = np.where(one, med1, np.where(n0 > 0, med0, np.nan))
     for rho in median[median < RHO_FLOOR].tolist():
         warnings.warn(f"rho estimate {rho:.2f} clamped to {RHO_FLOOR}", stacklevel=3)
-    rho = np.clip(median, RHO_FLOOR, RHO_CEILING)
-    return ks, int(ks[-1]), rho, tau, np.where(one[:, None], paths[1], paths[0])
-
-
-def _rho_estimate(ks, k_used: int, rho: float, tau: int, path: np.ndarray) -> RhoEstimate:
-    """One row of _rho_arrays as a RhoEstimate; raises for a row whose path
-    is invalid over the whole window."""
-    if tau < 0:
-        raise DegenerateSampleError(_RHO_DEGENERATE)
-    valid = ~np.isnan(path)
-    return RhoEstimate(rho, tau, k_used, np.column_stack((ks[valid], path[valid])))
+    return hi, np.clip(median, RHO_FLOOR, RHO_CEILING), tau
 
 
 def estimate_rho(s: Sample) -> RhoEstimate:
@@ -204,13 +194,16 @@ def estimate_rho(s: Sample) -> RhoEstimate:
     interquartile range, and report the path median (clamped to stay in
     [RHO_FLOOR, RHO_CEILING]). One tiled sweep serves both tau.
     """
-    ks, k_used, rho, tau, paths = _rho_arrays(SampleBlock.of(s))
-    return _rho_estimate(ks, k_used, float(rho[0]), int(tau[0]), paths[0])
+    k_used, rho, tau = _rho_arrays(SampleBlock.of(s))
+    if tau[0] < 0:
+        raise DegenerateSampleError(_RHO_DEGENERATE)
+    return RhoEstimate(float(rho[0]), int(tau[0]), k_used)
 
 
-def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray) -> np.ndarray:
-    """Per row, beta_hat at k in [2, n-1] and the row's rho < 0; NaN where
-    rho is NaN or the denominator vanishes (beta is then not an estimate)."""
+def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray):
+    """Per row, beta_hat at k in [2, n-1] and the row's rho < 0, NaN where it
+    is not an estimate (rho is NaN, or (k/n)^rho or beta_hat is not a finite
+    float), and whether the row's denominator vanishes (beta is NaN there)."""
     i = np.arange(1, k + 1, dtype=float)
     desc = block.sorted_desc
     # i-th scaled log-spacing of consecutive descending order statistics;
@@ -227,25 +220,29 @@ def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray) -> np.ndarray:
     a3 = np.mean(np.multiply(x, w, out=x), axis=1)
     a4 = np.mean(np.multiply(xx, w, out=xx), axis=1)
     den = a1 * a3 - a4
-    prefactor = np.array([math.exp(r * math.log(k / block.n)) for r in rho.tolist()])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den == 0.0, np.nan, prefactor * (a1 * a2 - a3) / den)
+    ln_prefactor = (rho * math.log(k / block.n)).tolist()
+    prefactor = np.array([math.exp(y) if y <= _LOG_MAX else math.inf for y in ln_prefactor])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = prefactor * (a1 * a2 - a3) / den
+    return np.where(np.isfinite(beta), beta, np.nan), den == 0.0
 
 
 def beta_hat(s: Sample, k: int, rho: float) -> float:
     """Hall-class beta estimate from weighted scaled log-spacings.
 
-    Power weights (i/k)^(-rho) and the prefactor (k/n)^rho are taken through
-    exp/log so that strongly negative rho stays finite.
+    Power weights (i/k)^(-rho) and the prefactor (k/n)^rho go through
+    exp/log; a DomainError where the prefactor or the estimate overflows.
     """
     block = SampleBlock.of(s)
     if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
     if not (2 <= k <= s.n - 1):
         raise DomainError(f"k={k} outside [2, n-1] for n={s.n}")
-    (beta,) = _beta_arrays(block, k, np.array([rho], dtype=float)).tolist()
-    if math.isnan(beta):
+    (beta,), (zero_den,) = (x.tolist() for x in _beta_arrays(block, k, np.array([rho], dtype=float)))
+    if zero_den:
         raise DegenerateSampleError(_BETA_DEGENERATE)
+    if math.isnan(beta):
+        raise DomainError(f"(k/n)^rho or beta_hat is not a finite float at rho={rho}, k={k}, n={s.n}")
     return beta
 
 
@@ -258,22 +255,20 @@ STEPS = ("rho", "beta", "k_classical", "classical", "r_star", "k_generalized", "
 class PipelineArrays:
     """Adaptive pipeline j on every row of a block, as arrays.
 
-    rho, tau, path and beta are the second-order step, shared by both
-    pipelines of a block: the clamped rho_hat, the chosen tau, rho_hat(k,
-    tau) over ``k_window`` (NaN at invalid k) and beta_hat at k_used.
-    k_c and k_g are the classical and tuned tail sizes, r the tuning,
-    gamma_c and gamma_g the two estimates (NaN where the per-sample call
-    raises, which makes the Estimate or the error). NaN alone carries a
-    failed row (tau is -1 where rho is NaN): a row's entries from its failed
-    step on are NaN, or an unused estimate at k = 2 where k is NaN.
+    rho, tau and beta are the second-order step, shared by both pipelines
+    of a block: the clamped rho_hat, the chosen tau and beta_hat at k_used
+    (no path is kept: rho_hat(s, k, tau) gives one k's value). k_c and k_g
+    are the classical and tuned tail sizes, r the tuning, gamma_c and
+    gamma_g the two estimates (NaN where the per-sample call raises, which
+    makes the Estimate or the error). NaN alone carries a failed row (tau
+    is -1 where rho is NaN): a row's entries from its failed step on are
+    NaN, or an unused estimate at k = 2 where k is NaN.
     """
 
     j: int
-    k_window: np.ndarray
     k_used: int
     rho: np.ndarray
     tau: np.ndarray
-    path: np.ndarray = field(repr=False)
     beta: np.ndarray
     k_c: np.ndarray
     gamma_c: np.ndarray
@@ -296,14 +291,12 @@ def _valid_or_2(k: np.ndarray) -> np.ndarray:
 
 
 class _SecondOrder(NamedTuple):
-    """Steps 1 and 2 on every row of a block: the first six fields of
+    """Steps 1 and 2 on every row of a block: the first four fields of
     PipelineArrays."""
 
-    k_window: np.ndarray
     k_used: int
     rho: np.ndarray
     tau: np.ndarray
-    path: np.ndarray
     beta: np.ndarray
 
 
@@ -324,8 +317,8 @@ def adaptive_arrays(block: SampleBlock, js: tuple = (1, 3)) -> dict:
 
 def _second_order(block: SampleBlock) -> _SecondOrder:
     """Steps 1 and 2; a row's NaN rho (no valid path) gives it a NaN beta."""
-    ks, k_used, rho, tau, path = _rho_arrays(block)
-    return _SecondOrder(ks, k_used, rho, tau, path, _beta_arrays(block, k_used, rho))
+    k_used, rho, tau = _rho_arrays(block)
+    return _SecondOrder(k_used, rho, tau, _beta_arrays(block, k_used, rho)[0])
 
 
 def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineArrays:
@@ -383,7 +376,7 @@ def _result(a: PipelineArrays, i: int, s: Sample) -> AdaptiveResult:
     if step is None:
         return AdaptiveResult(
             estimate(a.k_c[i]), estimate(a.k_g[i], a.r[i]),
-            _rho_estimate(a.k_window, a.k_used, rho, int(a.tau[i]), a.path[i]),
+            RhoEstimate(rho, int(a.tau[i]), a.k_used),
             BetaEstimate(beta, a.k_used), float(a.r[i]))
     if step == "rho":
         cause = DegenerateSampleError(_RHO_DEGENERATE)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -173,6 +174,15 @@ class TestRStar:
             with pytest.raises(TypeError):
                 asy.r_star(np.array([-1.0, -2.0]), j)
 
+    @pytest.mark.parametrize("rho, j", [(-1e300, 1), (-1e300, 3), (-1e200, 3), (-1e300, 2),
+                                        (-1e154, 2)])
+    def test_rho_too_negative_for_a_float_is_a_domain_error(self, rho, j):
+        # (2 - rho)^2 or a coefficient of the degree-9 polynomial overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"not a finite float at rho={rho}") + "$"):
+                asy.r_star(rho, j)
+
     def test_r2_polynomial_residual(self):
         for rho in np.linspace(-10, -0.1, 25):
             R = asy.r_star(float(rho), 2)
@@ -258,6 +268,18 @@ class TestRatioFunctions:
         grid = np.linspace(-30.0, -0.05, 200)
         assert np.all(asy.psi_H(grid) >= 1.0)
         assert np.all(asy.psi_MR(grid) >= 1.0)
+
+    @pytest.mark.parametrize("fn, rho", [
+        (asy.psi_MR, -1e17), (asy.psi_H, -1.4e154), (asy.phi3, -1.4e154)])
+    def test_not_a_float_is_a_domain_error(self, fn, rho):
+        # the closed form ends in NaN here; an array names its first such rho
+        message = re.escape(f"{fn.__name__} is not a finite float at rho={rho}") + "$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (rho, np.array([-1.0, rho, 10.0 * rho])):
+                with pytest.raises(DomainError, match=message):
+                    fn(arg)
+        assert math.isfinite(fn(rho / 10.0))
 
     def test_phi2_finite_and_positive(self):
         for rho in np.linspace(-9.5, -0.2, 30):

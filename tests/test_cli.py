@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,26 @@ class TestEstimate:
             assert key in report
         assert report["rho_hat"] < 0
         assert 0.3 < report["gamma_hat"] < 3.0
+
+    @pytest.mark.parametrize("kind", ["hill", "gmr"])
+    def test_adaptive_bias_and_interval_are_the_printed_formulas(self, data_file, kind, capsys):
+        # bias = nu gamma beta (n/k)^rho and half-width = z sqrt(sigma2 / k),
+        # from the report's own estimates at R = gamma r
+        code, out, _ = run(["estimate", data_file, "--kind", kind, "--adaptive"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        n, k, gamma, rho, beta = (report[key] for key in ("n", "k", "gamma_hat", "rho_hat", "beta_hat"))
+        R = gamma * report["r"]
+        assert n == 1000
+        if kind == "hill":
+            nu, sigma2 = 1.0 / (1.0 - rho), gamma**2
+        else:
+            nu = (1.0 - R) ** 2 / (1.0 - R - rho) ** 2
+            sigma2 = 2.0 * gamma**2 * (1.0 - R) ** 4 / (1.0 - 2.0 * R) ** 3
+        assert report["asymptotic_bias"] == pytest.approx(
+            nu * gamma * beta * (n / k) ** rho, rel=1e-12)
+        half = 1.959963984540054 * math.sqrt(sigma2 / k)
+        assert report["ci95"] == pytest.approx([gamma - half, gamma + half], rel=1e-12)
 
     def test_missing_k_is_precondition_error(self, data_file, capsys):
         code, _, err = run(["estimate", data_file, "--kind", "hill"], capsys)
@@ -165,6 +186,16 @@ class TestOptimal:
         assert "invalid input" in err
 
 
+    @pytest.mark.parametrize("j, rho, more", [
+        (1, "-1e300", []), (2, "-1e300", []),
+        (3, "-1e200", ["--gamma", "1", "--beta", "1", "--n", "1000"])])
+    def test_rho_too_negative_for_a_float_rejected(self, j, rho, more, capsys):
+        # (2 - rho)^2 or rho^2 overflows
+        code, out, err = run(["optimal", "--j", j, f"--rho={rho}", *more], capsys)
+        assert (code, out) == (3, "")
+        assert f"is not a finite float at rho={float(rho)}" in err
+
+
 class TestAmse:
     def _curve(self, capsys, name, lo, hi, step=0.01):
         code, out, _ = run(["amse", "--curve", name, "--rho-min", lo,
@@ -200,6 +231,13 @@ class TestAmse:
                               "--step", 1e-15], capsys)
         assert (code, out) == (3, "")
         assert "5e+14 rows" in err
+
+    @pytest.mark.parametrize("curve", ["phi2", "psiMR", "psiH", "phi3"])
+    def test_rho_too_negative_for_a_float_rejected(self, curve, capsys):
+        code, out, err = run(["amse", "--curve", curve, "--rho-min=-1e300", "--rho-max=-1e299",
+                              "--step", "1e299"], capsys)
+        assert (code, out) == (3, "")
+        assert "is not a finite float at rho=-1e+300" in err
 
 
 CONFIG = """\

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -12,7 +13,7 @@ from gtail import secondorder as so
 from gtail.asymptotics import SecondOrderModel, k_star, r_star
 from gtail.distributions import DistSpec, sample, sample_block
 from gtail.errors import DegenerateSampleError, DomainError, PipelineError
-from gtail.stats import SMALL_R, Sample, SampleBlock
+from gtail.stats import SMALL_R, Sample, SampleBlock, log_moment_profile
 
 
 def burr_sample(gamma, rho, n, seed):
@@ -134,16 +135,6 @@ class TestEstimateRho:
         assert r.tau in (0, 1)
         assert r.k_used == int(2000**0.995)
 
-    def test_path_is_a_k_rho_array(self):
-        s = burr_sample(1.0, -1.0, 1000, 3)
-        r = so.estimate_rho(s)
-        ks = np.arange(int(1000**0.90), int(1000**0.995) + 1)
-        assert r.path.shape == (ks.size, 2)
-        assert np.array_equal(r.path[:, 0], ks)
-        assert np.all(r.path[:, 1] <= 0.0)
-        assert "path" not in repr(r)
-        assert r == so.RhoEstimate(r.rho_hat, r.tau, r.k_used, r.path[:3])
-
     def test_block_rows_match_single_samples(self):
         samples = [burr_sample(1.0, -1.0, 500, seed) for seed in range(5)]
         block = SampleBlock.from_values(np.stack([s.values for s in samples]))
@@ -153,7 +144,6 @@ class TestEstimateRho:
                 rho = row[j].rho
                 assert (rho.rho_hat, rho.tau, rho.k_used) == (
                     one_rho.rho_hat, one_rho.tau, one_rho.k_used)
-                assert np.array_equal(rho.path, one_rho.path)
             one = so.adaptive_all(s)
             for j in (1, 3):
                 assert row[j].generalized.gamma_hat == one[j].generalized.gamma_hat
@@ -193,10 +183,16 @@ class TestEstimateRho:
             assert median[row] == np.median(vals)
 
     def test_path_matches_pointwise(self):
+        """The sweep's path of each tau is rho_hat at each k of the window,
+        and never positive."""
         s = burr_sample(1.0, -1.0, 1000, 3)
-        r = so.estimate_rho(s)
-        for k, v in r.path[:5]:
-            assert so.rho_hat(s, int(k), r.tau) == pytest.approx(v, rel=1e-12)
+        lo, hi = int(1000**0.90), int(1000**0.995)
+        out = np.empty((2, 1, hi - lo + 1))
+        paths = log_moment_profile(SampleBlock.of(s), lo, hi, out, so._rho_tile)
+        assert np.all(paths <= 0.0)
+        for tau in (0, 1):
+            for k, v in zip(range(lo, hi + 1), paths[tau, 0].tolist()):
+                assert so.rho_hat(s, k, tau) == pytest.approx(v, rel=1e-12)
 
 
 class TestBetaHat:
@@ -230,6 +226,16 @@ class TestBetaHat:
             so.beta_hat(s, 100, 0.5)
         with pytest.raises(DomainError):
             so.beta_hat(s, 1, -1.0)
+
+    @pytest.mark.parametrize("k, rho", [(2, -200.0), (5, -133.963), (2, -1e300)])
+    def test_rho_too_negative_for_a_finite_estimate(self, k, rho):
+        # (k/n)^rho = 500^200 overflows; 200^133.963 = 1.79e308 is a float,
+        # but beta_hat is not
+        s = sample(DistSpec("burr", 1.0, -1.0), 1000, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"at rho={rho}, k={k}, n=1000") + "$"):
+                so.beta_hat(s, k, rho)
 
     def test_zero_denominator(self):
         # the top 10 values tie, so every log-spacing below k = 10 is 0
@@ -430,8 +436,7 @@ class TestBlockTailSteps:
         # the moment ratio
         s = Sample.from_values(sample(DistSpec("pareto", 1.0), 400, 3).values ** 60)
         k = int(s.n**0.995)
-        second = so._SecondOrder(np.arange(0), k, np.array([so.RHO_CEILING]), np.array([0]),
-                                 np.empty((1, 0)), np.array([1.0]))
+        second = so._SecondOrder(k, np.array([so.RHO_CEILING]), np.array([0]), np.array([1.0]))
         res = so._result(so._tail_arrays(SampleBlock.of(s), 3, second), 0, s)
         assert 0.0 < abs(res.r_generalized) < SMALL_R
         assert res.generalized.spec.r == 0.0
@@ -443,8 +448,7 @@ class TestBlockTailSteps:
         # beta^2 overflows or falls below the smallest normal float, so
         # _tail_sizes gives NaN for this row, where k_star raises
         s = burr_sample(1.0, -1.0, 1000, 5)
-        second = so._SecondOrder(np.arange(0), int(s.n**0.995), np.array([-1.0]), np.array([0]),
-                                 np.empty((1, 0)), np.array([beta]))
+        second = so._SecondOrder(int(s.n**0.995), np.array([-1.0]), np.array([0]), np.array([beta]))
         a = so._tail_arrays(SampleBlock.of(s), 1, second)
         assert np.isnan(a.k_c[0])
         with pytest.raises(PipelineError) as info:
@@ -463,8 +467,7 @@ class TestBlockTailSteps:
         # NaN is the only stand-in: it flows through steps 3-5, and the
         # row's failed step is the first failing test in order
         s = burr_sample(1.0, -1.0, 1000, 5)
-        second = so._SecondOrder(np.arange(0), int(s.n**0.995), np.array([rho]), np.array([tau]),
-                                 np.empty((1, 0)), np.array([beta]))
+        second = so._SecondOrder(int(s.n**0.995), np.array([rho]), np.array([tau]), np.array([beta]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = so._tail_arrays(SampleBlock.of(s), 1, second)
@@ -481,10 +484,24 @@ class TestBlockTailSteps:
         with_nan[1] = math.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta = so._beta_arrays(block, k, with_nan)
+            beta, _ = so._beta_arrays(block, k, with_nan)
         assert np.isnan(beta[1])
         keep = [0, 2, 3]
-        assert np.array_equal(beta[keep], so._beta_arrays(block, k, rho)[keep])
+        assert np.array_equal(beta[keep], so._beta_arrays(block, k, rho)[0][keep])
+        assert np.isfinite(beta[keep]).all()
+
+    def test_beta_of_an_overflowing_row_is_nan(self):
+        # (k/n)^rho = 500^200 is not a float at k = 2, n = 1000
+        block = sample_block(DistSpec("burr", 1.0, -1.0), 1000, 5, [(0, i) for i in range(4)])
+        rho = np.array([-1.0, -0.5, -2.0, -0.25])
+        with_huge = rho.copy()
+        with_huge[2] = -200.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, zero_den = so._beta_arrays(block, 2, with_huge)
+        assert np.isnan(beta[2]) and not zero_den.any()
+        keep = [0, 1, 3]
+        assert np.array_equal(beta[keep], so._beta_arrays(block, 2, rho)[0][keep])
         assert np.isfinite(beta[keep]).all()
 
 
@@ -495,8 +512,7 @@ class TestPipelineArrays:
 
     # TestBlockTailSteps' cells and a cell whose rho estimates are clamped
     CELLS = TestBlockTailSteps.CELLS + [("burr", 6e-16, -15.0, 1000)]
-    FIELDS = ("rho", "tau", "path", "beta", "k_c", "gamma_c", "r", "k_g", "gamma_g",
-              "failed_step")
+    FIELDS = ("rho", "tau", "beta", "k_c", "gamma_c", "r", "k_g", "gamma_g", "failed_step")
 
     @pytest.mark.parametrize("family, gamma, rho, n", CELLS)
     def test_rows_are_the_per_sample_results(self, family, gamma, rho, n):
@@ -522,9 +538,6 @@ class TestPipelineArrays:
                 assert a.failed_step[i] == -1
                 assert (a.rho[i], a.tau[i], a.beta[i]) == (
                     res.rho.rho_hat, res.rho.tau, res.beta.beta_hat)
-                valid = ~np.isnan(a.path[i])
-                assert np.array_equal(a.k_window[valid], res.rho.path[:, 0])
-                assert np.array_equal(a.path[i][valid], res.rho.path[:, 1])
                 assert (a.k_c[i], a.gamma_c[i]) == (res.classical.spec.k, res.classical.gamma_hat)
                 assert a.r[i] == res.r_generalized
                 assert (a.k_g[i], a.gamma_g[i]) == (
