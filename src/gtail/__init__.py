@@ -28,7 +28,7 @@ from .asymptotics import (
     estimator_limit_constants,
     xi,
 )
-from .distributions import DistSpec, hall_model, quantile, sample, sample_block
+from .distributions import DistSpec, hall_model, quantile, sample
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -57,4 +57,4 @@ from .secondorder import (
     estimate_rho,
     rho_hat,
 )
-from .stats import Sample, SampleBlock, power_log, stat_g, stat_h
+from .stats import Sample, SampleBlock, stat_g

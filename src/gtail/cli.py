@@ -14,6 +14,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -28,8 +29,6 @@ Z_95 = 1.959963984540054
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_DEGENERATE = 4
-
-_KIND_TO_J = {"hill": 1, "g1": 1, "hme": 1, "g2": 2, "moment_ratio": 3, "g3": 3}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -75,7 +74,7 @@ def cmd_estimate(args) -> int:
                                         beta=args.beta)
         e = estimators.evaluate(s, spec)
         report.update({"gamma_hat": e.gamma_hat, "k": args.k, "r": e.spec.r})
-        j = _KIND_TO_J.get(args.kind)
+        j = estimators.J_OF_KIND.get(args.kind)
         if j is not None:
             report["ci95"] = _confidence_interval(e.gamma_hat, e.spec.r, j, args.k)
     _emit(json.dumps(report, indent=2) + "\n", args.output)
@@ -276,8 +275,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_negative_values(words) -> list:
+    """The words of a command line with each option and a negative number
+    given as the next word joined into one (``--rho -1e3`` as
+    ``--rho=-1e3``), as argparse reads a word such as -1e3 as an option."""
+    joined = []
+    for word in words:
+        if joined and re.fullmatch(r"--\w[\w-]*", joined[-1]) and re.match(r"-\.?\d", word):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .asymptotics import SecondOrderModel
 from .errors import DomainError
-from .stats import Sample, SampleBlock
+from .stats import Sample
 
 FAMILIES = ("pareto", "burr", "kumaraswamy")
 
@@ -90,18 +90,6 @@ def quantile(d: DistSpec, p):
                 x[far] = np.exp(a[far] * (g / rho))
     x = d.scale * x
     return float(x) if x.ndim == 0 else x
-
-
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for a derived stream, e.g. one replication.
-
-    The stream is keyed by (seed, *key) through numpy's SeedSequence, so a
-    single replication of an experiment is reproducible in isolation; this
-    is the per-key form of the streams that :func:`draw_block` draws. A
-    negative seed or key word raises DomainError.
-    """
-    seq = np.random.SeedSequence(entropy=_stream_int(seed), spawn_key=tuple(map(_stream_int, key)))
-    return np.random.Generator(np.random.Philox(seq))
 
 
 def _stream_int(v) -> int:
@@ -181,13 +169,13 @@ def draw_block(d: DistSpec, n: int, seed: int, stream_keys) -> np.ndarray:
     """n i.i.d. draws per stream key, stacked as rows, unchecked: where a
     quantile underflows to 0.0 the row is not a valid sample.
 
-    Row i is the quantile of the first n doubles of
-    ``substream(seed, *stream_keys[i])`` (exact zeros nudged to 2^-53). A
-    Philox stream is defined by its key at counter 0, so one Philox is
-    re-keyed per row, as ``Philox(SeedSequence)`` seeds itself: counter 0,
-    empty buffer, and the key from ``generate_state(2, uint64)``, which
-    ``_philox_keys`` hashes for all rows in one numpy pass. A negative seed
-    or key word raises DomainError.
+    Row i is the quantile of the first n doubles of numpy's
+    ``Generator(Philox(SeedSequence(seed, spawn_key=stream_keys[i])))``, with
+    exact zeros nudged to 2^-53. A Philox stream is defined by its key at
+    counter 0, so one Philox is re-keyed per row, as ``Philox(SeedSequence)``
+    seeds itself: counter 0, empty buffer, and the key from
+    ``generate_state(2, uint64)``, which ``_philox_keys`` hashes for all rows
+    in one numpy pass. A negative seed or key word raises DomainError.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -209,17 +197,10 @@ def draw_block(d: DistSpec, n: int, seed: int, stream_keys) -> np.ndarray:
     return quantile(d, u)
 
 
-def sample_block(d: DistSpec, n: int, seed: int, stream_keys) -> SampleBlock:
-    """One sample of n i.i.d. draws per stream key, stacked as rows; row i is
-    ``sample(d, n, seed, stream_key=stream_keys[i])``."""
-    return SampleBlock.from_values(draw_block(d, n, seed, stream_keys))
-
-
 def sample(d: DistSpec, n: int, seed: int, *, stream_key: tuple[int, ...] = ()) -> Sample:
     """n i.i.d. draws via inverse transform; identical (d, n, seed) gives
     identical output."""
-    (s,) = sample_block(d, n, seed, [stream_key]).samples()
-    return s
+    return Sample.from_values(draw_block(d, n, seed, [stream_key]))
 
 
 def hall_model(d: DistSpec) -> SecondOrderModel:

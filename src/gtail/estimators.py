@@ -124,6 +124,10 @@ _NAMES = {us: tuple(f"g_r{u:.0f}" for u in us)
           for kind in _KINDS.values() for us in kind[:2] if us}
 #: The kind of the paper's estimator j.
 KIND_OF_J = {1: "g1", 2: "g2", 3: "g3"}
+#: The paper's estimator j whose closed form each kind shares (moment has
+#: none): hill and hme are g1's, moment_ratio is g3's.
+J_OF_KIND = {kind: j for kind, (_, _, form) in _KINDS.items()
+             for j, g in KIND_OF_J.items() if _KINDS[g][2] is form}
 
 
 def _branch(kind: str, param):
@@ -158,9 +162,9 @@ def _gamma(form, g: list, r: float) -> float:
         return math.nan
 
 
-def estimate_arrays(s: Sample | SampleBlock, kind: str, rows, ks, params) -> np.ndarray:
+def estimate_arrays(s: SampleBlock, kind: str, rows, ks, params) -> np.ndarray:
     """kind's gamma_hat at every (row, k, param) triple of a block (a Sample
-    is a block whose one row is 0); rows, ks and params broadcast to one 1-D
+    is the block whose one row is 0); rows, ks and params broadcast to one 1-D
     shape, and rows may repeat. param is the r of g1, g2 and g3 and the beta
     of hme; the classical kinds ignore it. Each estimate is, bit for bit, the
     per-sample call's, NaN where that call raises; a k outside [2, n-1] in
@@ -185,8 +189,7 @@ def estimate_arrays(s: Sample | SampleBlock, kind: str, rows, ks, params) -> np.
         stats[:, zero] = stat_g_rows(s, rows[zero], ks[zero], 0.0, at_zero)
         stats[:, ~zero] = stat_g_rows(s, rows[~zero], ks[~zero], r[~zero], tuned)
     r = np.where(zero, 0.0, r)
-    desc = s.sorted_desc.reshape(-1, s.n)
-    tie = desc[rows, 0] == desc[rows, ks]
+    tie = s.desc[rows, 0] == s.desc[rows, ks]
     gamma = np.array([math.nan if t else _gamma(form, g, x)
                       for t, g, x in zip(tie.tolist(), stats.T.tolist(), r.tolist())])
     gamma[~np.isfinite(gamma)] = math.nan

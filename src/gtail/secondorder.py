@@ -18,7 +18,8 @@ whose path has the smaller interquartile range wins, and the path median is
 reported.
 
 All five steps run on a :class:`~gtail.stats.SampleBlock` of equal-size
-samples, one replication per row. The rho sweep is one pass of
+samples, one replication per row (a Sample is the one-row block). The rho
+sweep is one pass of
 :func:`~gtail.stats.log_moment_profile` over the block in L2-sized tiles of
 one scratch buffer: each tile's log-moment statistics become both taus' rho
 paths in place, written straight into one (2, rows, k) array, the only array
@@ -34,11 +35,12 @@ for bit the one a single sample gets. :func:`adaptive_arrays` returns these
 arrays and builds no objects. NaN alone carries a failed row through the
 steps; its failed step, an index into :data:`STEPS`, is the first True of its
 column in one table of per-step tests. The functions that return result
-objects (:func:`estimate_rho`, :func:`beta_hat`, :func:`adaptive_all`,
-:func:`adaptive_estimate`) take one Sample, run it as a one-row block and
-build the result from row 0, raising where that row fails; its two Estimates,
-or an estimator's error, come from :func:`~gtail.estimators.evaluate` on that
-Sample.
+objects (:func:`estimate_rho`, :func:`beta_hat`, :func:`adaptive_estimate`)
+take one Sample, run it as the one-row block it is and build the result from
+row 0, raising where that row fails; its two Estimates, or an estimator's
+error, come from :func:`~gtail.estimators.evaluate` on that Sample. Both
+pipelines of one sample, sharing its rho/beta step, are
+``adaptive_arrays(s)``.
 """
 
 from __future__ import annotations
@@ -169,6 +171,13 @@ _RHO_DEGENERATE = "rho estimation degenerate over the whole k window"
 _BETA_DEGENERATE = "beta estimation degenerate (zero denominator)"
 
 
+def _one_sample(s: Sample) -> Sample:
+    """s, checked to be one Sample, not a block of several."""
+    if not isinstance(s, Sample):
+        raise DomainError(f"expected one Sample, got {type(s).__name__}")
+    return s
+
+
 def _rho_arrays(block: SampleBlock):
     """Step 1 on every row: the k beta uses (the top of the k window), and
     per row the clamped rho_hat (NaN where the path is invalid over the
@@ -194,7 +203,7 @@ def estimate_rho(s: Sample) -> RhoEstimate:
     interquartile range, and report the path median (clamped to stay in
     [RHO_FLOOR, RHO_CEILING]). One tiled sweep serves both tau.
     """
-    k_used, rho, tau = _rho_arrays(SampleBlock.of(s))
+    k_used, rho, tau = _rho_arrays(_one_sample(s))
     if tau[0] < 0:
         raise DegenerateSampleError(_RHO_DEGENERATE)
     return RhoEstimate(float(rho[0]), int(tau[0]), k_used)
@@ -205,7 +214,7 @@ def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray):
     is not an estimate (rho is NaN, or (k/n)^rho or beta_hat is not a finite
     float), and whether the row's denominator vanishes (beta is NaN there)."""
     i = np.arange(1, k + 1, dtype=float)
-    desc = block.sorted_desc
+    desc = block.desc
     # i-th scaled log-spacing of consecutive descending order statistics;
     # log of the ratio keeps the estimate exactly scale-free. Three (rows, k)
     # arrays, each step written in place in the order of
@@ -233,7 +242,7 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
     Power weights (i/k)^(-rho) and the prefactor (k/n)^rho go through
     exp/log; a DomainError where the prefactor or the estimate overflows.
     """
-    block = SampleBlock.of(s)
+    block = _one_sample(s)
     if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
     if not (2 <= k <= s.n - 1):
@@ -353,14 +362,7 @@ def adaptive_estimate(s: Sample, j: int) -> AdaptiveResult:
 
     Any failing step aborts with a PipelineError naming the step.
     """
-    return _result(adaptive_arrays(SampleBlock.of(s), (j,))[j], 0, s)
-
-
-def adaptive_all(s: Sample) -> dict:
-    """Both adaptive pipelines (j = 1 and j = 3) sharing one rho/beta step:
-    {j: AdaptiveResult}, raising the PipelineError of the first failing
-    pipeline."""
-    return {j: _result(a, 0, s) for j, a in adaptive_arrays(SampleBlock.of(s)).items()}
+    return _result(adaptive_arrays(_one_sample(s), (j,))[j], 0, s)
 
 
 def _result(a: PipelineArrays, i: int, s: Sample) -> AdaptiveResult:

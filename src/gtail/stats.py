@@ -1,9 +1,10 @@
 """Core order-statistic machinery: samples and the power-log statistic family.
 
-A sample of strictly positive observations is wrapped in :class:`Sample`,
-which caches the descending order statistics (every estimator re-reads
-prefixes of the sorted data for varying tail sizes ``k``); a
-:class:`SampleBlock` stacks equal-size samples as rows for the array forms.
+A :class:`SampleBlock` stacks equal-size samples of strictly positive
+observations as rows and caches their descending order statistics (every
+estimator re-reads prefixes of the sorted data for varying tail sizes
+``k``). A :class:`Sample` is the one-row block, with 1-D ``values`` and
+``sorted_desc``, so every array form also takes one sample as its row 0.
 
 The statistic G_n(k, r, u) is the mean of
 ``(X_(i) / X_(k+1))^r * ln(X_(i) / X_(k+1))^u`` over the ``k`` largest
@@ -15,9 +16,8 @@ array form is :func:`stat_g_rows`; :func:`stat_g` is its one-triple call.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -30,21 +30,47 @@ SMALL_R = 1e-8
 
 
 @dataclass(frozen=True)
-class Sample:
-    """Immutable positive-valued sample with cached descending order statistics."""
+class SampleBlock:
+    """Equal-size samples stacked as rows, shape (rows, n), for steps that
+    run on many replications at once; row i holds the arrays that
+    ``Sample.from_values(values[i])`` would. ``desc`` is ``sorted_desc`` as
+    (rows, n), a Sample's too, stored at construction so no call reshapes."""
 
     values: np.ndarray
     sorted_desc: np.ndarray
+    desc: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "desc", np.atleast_2d(self.sorted_desc))
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
+
+    @property
+    def rows(self) -> int:
+        return self.desc.shape[0]
+
+    @classmethod
+    def from_values(cls, values) -> "SampleBlock":
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 2:
+            raise DomainError(f"a sample block needs a 2-D array, got {arr.ndim}-D")
+        return cls(arr, _order_statistics(arr))
+
+
+class Sample(SampleBlock):
+    """Immutable positive-valued sample with cached descending order
+    statistics: the one-row block, whose values and sorted_desc are 1-D."""
 
     @classmethod
     def from_values(cls, values) -> "Sample":
+        """One sample from a 1-D array or a single row; several rows are a
+        DomainError (SampleBlock.from_values stacks them)."""
         arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        if arr.ndim > 1 and arr.size != arr.shape[-1]:
+            raise DomainError(f"shape {arr.shape} is several samples: use SampleBlock.from_values")
+        arr = arr.ravel()
         return cls(arr, _order_statistics(arr))
 
     @classmethod
@@ -75,47 +101,6 @@ class Sample:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
         return cls.from_values(arr[:, 0])
-
-    def scaled(self, c: float) -> "Sample":
-        if c <= 0:
-            raise DomainError("scale factor must be > 0")
-        return Sample.from_values(self.values * c)
-
-
-@dataclass(frozen=True)
-class SampleBlock:
-    """Equal-size samples stacked as rows, shape (rows, n), for steps that
-    run on many replications at once; row i holds the arrays that
-    ``Sample.from_values(values[i])`` would."""
-
-    values: np.ndarray
-    sorted_desc: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @classmethod
-    def from_values(cls, values) -> "SampleBlock":
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 2:
-            raise DomainError(f"a sample block needs a 2-D array, got {arr.ndim}-D")
-        return cls(arr, _order_statistics(arr))
-
-    @classmethod
-    def of(cls, s: Sample) -> "SampleBlock":
-        """The one-row block of a sample (views, no copies)."""
-        if not isinstance(s, Sample):
-            raise DomainError(f"expected one Sample, got {type(s).__name__}")
-        return cls(s.values[None], s.sorted_desc[None])
-
-    def samples(self) -> list[Sample]:
-        """One Sample per row (views into the block)."""
-        return [Sample(v, d) for v, d in zip(self.values, self.sorted_desc)]
 
 
 def _is_header(line: str) -> bool:
@@ -163,37 +148,21 @@ def _check_k(n: int, k: int) -> None:
         raise DomainError(f"k={k} outside [2, n-1] for n={n}")
 
 
-def power_log(r: float, u: float, x: float) -> float:
-    """Evaluate x^r * ln(x)^u for x >= 1.
-
-    For u < 0 the point x = 1 is excluded (ln x = 0 raised to a negative power).
-    """
-    if x < 1.0:
-        raise DomainError(f"power_log requires x >= 1, got {x}")
-    lx = math.log(x)
-    if u == 0:
-        return x**r
-    if lx == 0.0:
-        if u < 0:
-            raise DomainError("power_log undefined at x=1 for u < 0")
-        return 0.0
-    return x**r * lx**u
-
-
 def stat_g(s: Sample, k: int, r: float, u: float) -> float:
     """Mean of the power-log kernel over the top-k ratios: G_n(k, r, u), the
     one-triple call of :func:`stat_g_rows`."""
     return float(stat_g_rows(s, 0, k, r, (u,))[0])
 
 
-def stat_g_rows(s: Sample | SampleBlock, rows, ks, r, us) -> np.ndarray:
+def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     """G_n(k, r, u) at (row, k, r) triples of a block, for each u > -1 in us.
 
     rows and ks are two ints (one triple: shape (len(us),)) or two
     equal-length sequences (shape (len(us), triples), with no column for no
-    triples); rows may repeat, a Sample is a block whose one row is 0, and r
-    is a scalar or one value per triple; other shapes raise DomainError. A tie with the threshold contributes the kernel's limit at 1 for
-    u >= 0 and makes the statistic undefined for u < 0.
+    triples); rows may repeat, a Sample is the block whose one row is 0, and
+    r is a scalar or one value per triple; other shapes raise DomainError.
+    A tie with the threshold contributes the kernel's limit at 1 for u >= 0
+    and makes the statistic undefined for u < 0.
 
     The kernel reads the log of each ratio X_(i) / X_(k+1), so an exact
     rescaling of the sample leaves it bit-identical. Each triple's terms,
@@ -204,7 +173,7 @@ def stat_g_rows(s: Sample | SampleBlock, rows, ks, r, us) -> np.ndarray:
     one = isinstance(ks, (int, np.integer))
     if one:
         _check_k(s.n, ks)
-        d = s.sorted_desc if isinstance(s, Sample) else s.sorted_desc[rows]
+        d = s.desc[rows]
         logs = np.log(d[:ks] / d[ks])
     else:
         ks = np.asarray(ks, dtype=int).tolist()
@@ -215,7 +184,7 @@ def stat_g_rows(s: Sample | SampleBlock, rows, ks, r, us) -> np.ndarray:
             return np.empty((len(us), 0))
         if min(ks) < 2 or max(ks) > s.n - 1:
             _check_k(s.n, min(ks) if min(ks) < 2 else max(ks))
-        desc, rows = s.sorted_desc.reshape(-1, s.n), np.asarray(rows, dtype=int)
+        desc, rows = s.desc, np.asarray(rows, dtype=int)
         top = np.concatenate([desc[i, :k] for i, k in zip(rows.tolist(), ks)])
         logs = np.log(top / np.repeat(desc[rows, ks], ks))
         if np.ndim(r):
@@ -236,16 +205,6 @@ def stat_g_rows(s: Sample | SampleBlock, rows, ks, r, us) -> np.ndarray:
     return np.array(sums).T / ks
 
 
-def stat_h(s: Sample, k: int, r: float) -> float:
-    """The power-kernel statistic centered and scaled: (G_n(k,r,0) - 1)/r.
-
-    For |r| below :data:`SMALL_R` the continuity limit G_n(k,0,1) is returned.
-    """
-    if abs(r) < SMALL_R:
-        return stat_g(s, k, 0.0, 1.0)
-    return (stat_g(s, k, r, 0.0) - 1.0) / r
-
-
 #: Elements (rows x columns) of one tile of :func:`log_moment_profile`. Its
 #: scratch buffer is six tiles and a row of k, at most 1.3 MiB, within a
 #: 2 MiB L2 cache, and a 256 KiB Monte-Carlo block (32 rows at n = 1000)
@@ -253,8 +212,7 @@ def stat_h(s: Sample, k: int, r: float) -> float:
 PROFILE_TILE = 3 << 13
 
 
-def log_moment_profile(s: Sample | SampleBlock, lo: int, hi: int, out: np.ndarray,
-                       fill) -> np.ndarray:
+def log_moment_profile(s: SampleBlock, lo: int, hi: int, out: np.ndarray, fill) -> np.ndarray:
     """G_n(k, 0, u) for u = 1, 2, 3 and every k in [lo, hi], tile by tile.
 
     The sweep reads the descending order statistics in tiles of about
@@ -280,8 +238,7 @@ def log_moment_profile(s: Sample | SampleBlock, lo: int, hi: int, out: np.ndarra
         raise DomainError(f"k range [{lo}, {hi}] outside [2, n-1] for n={n}")
     if out.shape[-1] != hi - lo + 1:
         raise DomainError(f"out has {out.shape[-1]} k columns, expected {hi - lo + 1}")
-    desc = s.sorted_desc.reshape(-1, n)
-    rows = desc.shape[0]
+    desc, rows = s.desc, s.rows
     width = min(max(1, PROFILE_TILE // rows - 1), max(lo, hi - lo + 1))
     # per tile of w columns, each (rows, w + 1): the prefix sums of L, L^2 and
     # L^3 after the carried sums; L; two temporaries; and the tile's k

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ class TestEstimate:
             nu * gamma * beta * (n / k) ** rho, rel=1e-12)
         half = 1.959963984540054 * math.sqrt(sigma2 / k)
         assert report["ci95"] == pytest.approx([gamma - half, gamma + half], rel=1e-12)
+
+    @pytest.mark.parametrize("kind, j, extra", [
+        ("hill", 1, []), ("g1", 1, ["--r", "0.3"]), ("hme", 1, ["--beta", "0.7"]),
+        ("g2", 2, ["--r", "0.3"]), ("moment_ratio", 3, []), ("g3", 3, ["--r", "0.3"]),
+        ("moment", None, [])])
+    def test_interval_is_that_of_the_kinds_j(self, data_file, kind, j, extra, capsys):
+        # ci95 = gamma_hat -+ z sqrt(sigma2 / k) with the variance of the
+        # estimator j whose closed form the kind shares; moment shares none
+        code, out, _ = run(["estimate", data_file, "--kind", kind, "--k", "100", *extra], capsys)
+        assert code == 0
+        report = json.loads(out)
+        if j is None:
+            assert "ci95" not in report
+            return
+        gamma = report["gamma_hat"]
+        model = asy.SecondOrderModel(gamma, -1.0, 1.0)
+        half = 1.959963984540054 * math.sqrt(asy.estimator_limit_constants(model, report["r"], j)[1] / 100)
+        assert report["ci95"] == [gamma - half, gamma + half]
 
     def test_missing_k_is_precondition_error(self, data_file, capsys):
         code, _, err = run(["estimate", data_file, "--kind", "hill"], capsys)
@@ -402,3 +421,42 @@ class TestRobustness:
                             "--x-list", "1e2,abc"], capsys)
         assert code == 2
         assert "--x-list" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["optimal", "--j", "1", "--rho", "-1e3"],
+    ["optimal", "--j", "3", "--rho", "-1E0", "--gamma", "-2.5e-1"],
+    ["optimal", "--j", "1", "--rho", "-1", "--gamma", "1", "--beta", "-1e0", "--n", "1000"],
+    ["amse", "--curve", "psiH", "--rho-min", "-1e1", "--rho-max", "-1e-1", "--step", "5e-2"],
+    ["amse", "--curve", "psiH", "--rho-min", "-2", "--rho-max", "-1", "--step", "-5e-2"],
+    ["estimate", "DATA", "--kind", "g1", "--k", "100", "--r", "-3e-1"],
+    ["robustness", "--gamma", "1", "--r", "-5e-1", "--n", "200", "--k", "20", "--seed", "3",
+     "--x-list", "10,100"],
+])
+def test_negative_float_in_exponent_form_is_a_value(args, data_file, capsys):
+    """A float option followed by a negative number in exponent form, which
+    argparse alone reads as an unknown option, is parsed as --option=value."""
+    args = [str(data_file) if a == "DATA" else a for a in args]
+    joined = []
+    for a in args:
+        if a.startswith("-") and not a.startswith("--"):
+            joined[-1] += f"={a}"
+        else:
+            joined.append(a)
+    assert len(joined) < len(args)
+    spaced = run(args, capsys)
+    assert spaced == run(joined, capsys)
+    assert "expected one argument" not in spaced[2]
+
+
+def test_negative_bounds_in_exponent_form_through_sys_argv(monkeypatch, capsys):
+    argv = ["amse", "--curve", "psiH", "--rho-min", "-1e1", "--rho-max", "-1e-1", "--step", "5e-2"]
+    monkeypatch.setattr(sys, "argv", ["gtail", *argv])
+    assert main() == 0
+    out = capsys.readouterr().out
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 199
+    assert float(rows[0][0]) == -10.0 and float(rows[-1][0]) == pytest.approx(-0.1, abs=1e-12)
+    code, joined, _ = run(["amse", "--curve", "psiH", "--rho-min=-1e1", "--rho-max=-1e-1",
+                           "--step", "5e-2"], capsys)
+    assert (code, joined) == (0, out)

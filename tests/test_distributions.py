@@ -23,6 +23,13 @@ def cdf_kumaraswamy(x, gamma, rho):
     return 1.0 - (1.0 - np.exp(-(x ** (rho / gamma)))) ** (-1.0 / rho)
 
 
+def substream(seed, *key):
+    """numpy's generator of the stream keyed by (seed, *key), which
+    draw_block's rows reproduce."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
 class TestDistSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -171,9 +178,14 @@ class TestSampling:
         assert s.values.min() >= 2.5
 
     def test_substream_isolated_reproducibility(self):
-        g1 = dist.substream(5, 3, 11)
-        g2 = dist.substream(5, 3, 11)
-        assert np.array_equal(g1.random(8), g2.random(8))
+        """One replication's stream, drawn alone or among others, is numpy's
+        generator keyed by (seed, *key)."""
+        d = dist.DistSpec("pareto", 1.0)
+        u = substream(5, 3, 11).random(8)
+        u[u == 0.0] = 2.0**-53
+        want = dist.quantile(d, u)
+        assert np.array_equal(dist.sample(d, 8, 5, stream_key=(3, 11)).values, want)
+        assert np.array_equal(dist.draw_block(d, 8, 5, [(0,), (3, 11), (3, 12)])[1], want)
 
     @settings(max_examples=200, deadline=None)
     @given(family=st.sampled_from(dist.FAMILIES),
@@ -188,7 +200,7 @@ class TestSampling:
         got = dist.draw_block(d, n, seed, keys)
         assert got.shape == (len(keys), n)
         for row, key in zip(got, keys):
-            u = dist.substream(seed, *key).random(n)
+            u = substream(seed, *key).random(n)
             u[u == 0.0] = 2.0**-53
             assert np.array_equal(row, dist.quantile(d, u)), key
 
@@ -210,8 +222,6 @@ class TestSampling:
     @pytest.mark.parametrize("seed, key", [(-1, ()), (5, (-1,)), (5, (3, -2**40)), (-2**70, (1,))])
     def test_negative_seed_or_key_is_a_domain_error(self, seed, key):
         d = dist.DistSpec("burr", 1.0, -1.0)
-        with pytest.raises(DomainError, match="must be >= 0"):
-            dist.substream(seed, *key)
         with pytest.raises(DomainError, match="must be >= 0"):
             dist.draw_block(d, 10, seed, [(0,), key])
         with pytest.raises(DomainError, match="must be >= 0"):

@@ -11,13 +11,29 @@ from hypothesis import strategies as st
 from gtail import estimators as est
 from gtail import secondorder as so
 from gtail.asymptotics import SecondOrderModel, k_star, r_star
-from gtail.distributions import DistSpec, sample, sample_block
+from gtail.distributions import DistSpec, draw_block, sample
 from gtail.errors import DegenerateSampleError, DomainError, PipelineError
 from gtail.stats import SMALL_R, Sample, SampleBlock, log_moment_profile
 
 
 def burr_sample(gamma, rho, n, seed):
     return sample(DistSpec("burr", gamma, rho), n, seed)
+
+
+def sample_block(d, n, seed, stream_keys):
+    """One sample of n draws per stream key, stacked as rows: row i holds
+    sample(d, n, seed, stream_key=stream_keys[i])."""
+    return SampleBlock.from_values(draw_block(d, n, seed, stream_keys))
+
+
+def row_samples(block):
+    """One Sample per row of a block."""
+    return [Sample.from_values(v) for v in block.values]
+
+
+def both_pipelines(s):
+    """{j: adaptive_estimate(s, j)} for j = 1 and 3."""
+    return {j: so.adaptive_estimate(s, j) for j in (1, 3)}
 
 
 def plug_in_k(n, rho, beta, j, generalized):
@@ -35,7 +51,7 @@ def block_results(block):
     raises}, built from the array core."""
     arrays = so.adaptive_arrays(block)
     rows = []
-    for i, s in enumerate(block.samples()):
+    for i, s in enumerate(row_samples(block)):
         row = {}
         for j, a in arrays.items():
             try:
@@ -109,7 +125,7 @@ class TestRhoHat:
         leaves it bit-identical at any scale (the log-moment profile, which
         sums raw logs, does not: see estimate_rho)."""
         s = burr_sample(1.0, -1.0, 2000, 11)
-        scaled = s.scaled(2.0**m)
+        scaled = Sample.from_values(s.values * 2.0**m)
         for k in (10, 500, 1999):
             for tau in (0, 1):
                 assert so.rho_hat(scaled, k, tau) == so.rho_hat(s, k, tau)
@@ -144,7 +160,7 @@ class TestEstimateRho:
                 rho = row[j].rho
                 assert (rho.rho_hat, rho.tau, rho.k_used) == (
                     one_rho.rho_hat, one_rho.tau, one_rho.k_used)
-            one = so.adaptive_all(s)
+            one = both_pipelines(s)
             for j in (1, 3):
                 assert row[j].generalized.gamma_hat == one[j].generalized.gamma_hat
                 assert row[j].beta.beta_hat == one[j].beta.beta_hat
@@ -158,7 +174,7 @@ class TestEstimateRho:
         assert isinstance(results[1][1], PipelineError)
         assert results[1][1].step == "rho"
         with pytest.raises(PipelineError):
-            so.adaptive_all(Sample.from_values(tied))
+            so.adaptive_estimate(Sample.from_values(tied), 1)
 
     def test_degenerate_over_the_whole_window(self):
         tied = Sample.from_values(np.concatenate([np.full(196, 2.0), [0.5, 0.6, 0.7, 0.8]]))
@@ -188,7 +204,7 @@ class TestEstimateRho:
         s = burr_sample(1.0, -1.0, 1000, 3)
         lo, hi = int(1000**0.90), int(1000**0.995)
         out = np.empty((2, 1, hi - lo + 1))
-        paths = log_moment_profile(SampleBlock.of(s), lo, hi, out, so._rho_tile)
+        paths = log_moment_profile(s, lo, hi, out, so._rho_tile)
         assert np.all(paths <= 0.0)
         for tau in (0, 1):
             for k, v in zip(range(lo, hi + 1), paths[tau, 0].tolist()):
@@ -199,8 +215,9 @@ class TestBetaHat:
     def test_scale_invariance(self):
         s = burr_sample(1.0, -1.0, 2000, 11)
         b = so.beta_hat(s, 1500, -1.0)
-        assert so.beta_hat(s.scaled(2.0**9), 1500, -1.0) == b
-        assert so.beta_hat(s.scaled(3.7), 1500, -1.0) == pytest.approx(b, rel=1e-9)
+        assert so.beta_hat(Sample.from_values(s.values * 2.0**9), 1500, -1.0) == b
+        arbitrary = Sample.from_values(s.values * 3.7)
+        assert so.beta_hat(arbitrary, 1500, -1.0) == pytest.approx(b, rel=1e-9)
 
     @pytest.mark.slow
     def test_burr_beta_targets_one(self):
@@ -394,7 +411,7 @@ class TestBlockTailSteps:
     def test_rows_are_the_estimators_at_their_k_and_r(self, family, gamma, rho, n):
         block = sample_block(DistSpec(family, gamma, rho), n, 7, [(0, i) for i in range(8)])
         checked = 0
-        for s, row in zip(block.samples(), block_results(block)):
+        for s, row in zip(row_samples(block), block_results(block)):
             for j, classical, tuned in ((1, est.hill, est.g1), (3, est.moment_ratio, est.g3)):
                 res = row[j]
                 if isinstance(res, PipelineError) and res.step == "rho":
@@ -428,7 +445,7 @@ class TestBlockTailSteps:
         for v, a, b, c in zip(values, eight, threes, ones):
             assert self.outcome(a) == self.outcome(b) == self.outcome(c)
             if not any(isinstance(res, PipelineError) for res in a.values()):
-                assert so.adaptive_all(Sample.from_values(v)) == a
+                assert both_pipelines(Sample.from_values(v)) == a
 
     def test_tuning_below_small_r_takes_the_r_zero_branch(self):
         # with rho_hat at RHO_CEILING, R*_3 ~ rho/2 = -5e-7, so a classical
@@ -437,7 +454,7 @@ class TestBlockTailSteps:
         s = Sample.from_values(sample(DistSpec("pareto", 1.0), 400, 3).values ** 60)
         k = int(s.n**0.995)
         second = so._SecondOrder(k, np.array([so.RHO_CEILING]), np.array([0]), np.array([1.0]))
-        res = so._result(so._tail_arrays(SampleBlock.of(s), 3, second), 0, s)
+        res = so._result(so._tail_arrays(s, 3, second), 0, s)
         assert 0.0 < abs(res.r_generalized) < SMALL_R
         assert res.generalized.spec.r == 0.0
         assert res.generalized == est.g3(s, res.generalized.spec.k, res.r_generalized)
@@ -449,7 +466,7 @@ class TestBlockTailSteps:
         # _tail_sizes gives NaN for this row, where k_star raises
         s = burr_sample(1.0, -1.0, 1000, 5)
         second = so._SecondOrder(int(s.n**0.995), np.array([-1.0]), np.array([0]), np.array([beta]))
-        a = so._tail_arrays(SampleBlock.of(s), 1, second)
+        a = so._tail_arrays(s, 1, second)
         assert np.isnan(a.k_c[0])
         with pytest.raises(PipelineError) as info:
             so._result(a, 0, s)
@@ -470,7 +487,7 @@ class TestBlockTailSteps:
         second = so._SecondOrder(int(s.n**0.995), np.array([rho]), np.array([tau]), np.array([beta]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a = so._tail_arrays(SampleBlock.of(s), 1, second)
+            a = so._tail_arrays(s, 1, second)
         assert so.STEPS[a.failed_step[0]] == step
         assert np.isnan(a.k_c[0]) and np.isnan(a.k_g[0])
         with pytest.raises(PipelineError) as info:
@@ -523,7 +540,7 @@ class TestPipelineArrays:
             arrays = so.adaptive_arrays(block)
             rows = block_results(block)
         failed = 0
-        for i, s in enumerate(block.samples()):
+        for i, s in enumerate(row_samples(block)):
             for j, a in arrays.items():
                 try:
                     with warnings.catch_warnings():
@@ -583,7 +600,7 @@ class TestPipelineArrays:
 class TestAdaptivePipeline:
     def test_result_functions_take_one_sample(self):
         block = sample_block(DistSpec("burr", 1.0, -1.0), 200, 1, [(0,), (1,), (2,)])
-        for call in (so.estimate_rho, so.adaptive_all, lambda b: so.beta_hat(b, 150, -1.0),
+        for call in (so.estimate_rho, lambda b: so.beta_hat(b, 150, -1.0),
                      lambda b: so.adaptive_estimate(b, 1), lambda b: so.adaptive_estimate(b, 3)):
             with pytest.raises(DomainError, match="^expected one Sample, got SampleBlock$"):
                 call(block)
@@ -617,9 +634,11 @@ class TestAdaptivePipeline:
 
     def test_adaptive_all_shares_second_order(self):
         s = burr_sample(1.0, -1.0, 1500, 10)
-        both = so.adaptive_all(s)
-        assert both[1].rho.rho_hat == both[3].rho.rho_hat
-        assert both[1].beta.beta_hat == both[3].beta.beta_hat
+        both = so.adaptive_arrays(s)
+        assert both[1].failed_step.tolist() == both[3].failed_step.tolist() == [-1]
+        for name in ("rho", "tau", "beta"):
+            assert getattr(both[1], name).tobytes() == getattr(both[3], name).tobytes(), name
+        assert both[1].k_used == both[3].k_used
 
     @pytest.mark.slow
     def test_burr_gamma_recovery_rate(self):
@@ -628,7 +647,7 @@ class TestAdaptivePipeline:
         hits = {1: 0, 3: 0}
         for i in range(reps):
             s = burr_sample(1.0, -1.0, n, 12_000 + i)
-            both = so.adaptive_all(s)
+            both = both_pipelines(s)
             for j in (1, 3):
                 if 0.5 < both[j].generalized.gamma_hat < 1.5:
                     hits[j] += 1

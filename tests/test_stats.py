@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtail import stats
+from gtail import estimators, secondorder, stats
+from gtail.distributions import DistSpec, sample
 from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
-from gtail.stats import (PROFILE_TILE, Sample, SampleBlock, log_moment_profile, power_log, stat_g,
-                         stat_g_rows, stat_h)
+from gtail.stats import PROFILE_TILE, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows
 
 E = math.e
 
@@ -18,27 +18,9 @@ def sample_1_e_e2():
     return Sample.from_values([1.0, E, E * E])
 
 
-class TestPowerLog:
-    def test_log_identity(self):
-        assert power_log(0, 1, E) == pytest.approx(1.0)
-
-    def test_power_identity(self):
-        assert power_log(1, 0, 5.0) == 5.0
-
-    def test_hand_evaluation(self):
-        # x^r ln^u x at r=2, u=1, x=e
-        assert power_log(2, 1, E) == pytest.approx(E**2, rel=1e-14)
-
-    def test_domain_below_one(self):
-        with pytest.raises(DomainError):
-            power_log(1, 1, 0.5)
-
-    def test_negative_u_at_one(self):
-        with pytest.raises(DomainError):
-            power_log(1, -0.5, 1.0)
-
-    def test_positive_u_at_one_is_zero(self):
-        assert power_log(2, 1, 1.0) == 0.0
+def row_samples(block):
+    """One Sample per row of a block."""
+    return [Sample.from_values(v) for v in block.values]
 
 
 class TestSample:
@@ -56,6 +38,20 @@ class TestSample:
         s = Sample.from_values([3.0, 1.0, 2.0, 2.0])
         assert list(s.sorted_desc) == [3.0, 2.0, 2.0, 1.0]
         assert sorted(s.values) == sorted(s.sorted_desc)
+
+    def test_from_values_takes_one_row(self):
+        """A 1-D array or a single row is one sample; several rows are a
+        block, never flattened into one sample."""
+        values = [3.0, 1.0, 2.0, 5.0]
+        for several in ([values, values], np.ones((3, 1))):
+            with pytest.raises(DomainError, match="SampleBlock.from_values"):
+                Sample.from_values(several)
+        s = Sample.from_values(values)
+        assert (s.n, s.rows, s.values.shape, s.sorted_desc.shape) == (4, 1, (4,), (4,))
+        assert np.array_equal(s.desc, s.sorted_desc[None])
+        row = Sample.from_values([values])
+        assert np.array_equal(row.values, s.values)
+        assert np.array_equal(row.sorted_desc, s.sorted_desc)
 
     def test_from_file_with_header(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -212,7 +208,7 @@ def test_stat_g_rows_is_stat_g_of_each_row(seed, rows, n, spread, triples, data)
     r = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1e-9, -0.5, 1.0]), st.floats(-3.0, 3.0)),
                            min_size=triples, max_size=triples))
     us = (0.0, 1.0, 2.0, 3.0)
-    samples = block.samples()
+    samples = row_samples(block)
     with np.errstate(all="ignore"):
         got = stat_g_rows(block, idx, ks, np.array(r), us)
         for t, (i, k, r_t) in enumerate(zip(idx, ks, r)):
@@ -235,7 +231,7 @@ def test_stat_g_rows_domain():
         stat_g_rows(block, [0, 1], [3, 5], 0.0, (-1.0,))
     # u in (-1, 0) is defined where no top value ties the threshold ...
     got = stat_g_rows(block, [0, 1, 1], [3, 5, 5], 0.5, (2.0, -0.5))
-    for t, (s, k) in enumerate(zip([block.samples()[i] for i in (0, 1, 1)], [3, 5, 5])):
+    for t, (s, k) in enumerate(zip([row_samples(block)[i] for i in (0, 1, 1)], [3, 5, 5])):
         assert got[:, t].tolist() == [stat_g(s, k, 0.5, 2.0), stat_g(s, k, 0.5, -0.5)]
     # ... and a tie in any triple raises stat_g's tie error
     tied = SampleBlock.from_values(np.array([[1.0, 2.0, 2.0, 5.0], [1.0, 2.0, 3.0, 5.0]]))
@@ -247,41 +243,10 @@ def test_stat_g_rows_domain():
 def test_scale_invariance_arbitrary_factor():
     rng = np.random.default_rng(11)
     s = Sample.from_values(rng.pareto(1.0, size=300) + 1.0)
-    scaled = s.scaled(math.pi)
+    scaled = Sample.from_values(s.values * math.pi)
     for r, u in [(0.0, 1.0), (0.5, 0.0), (-0.5, 2.0)]:
         assert stat_g(scaled, 100, r, u) == pytest.approx(
             stat_g(s, 100, r, u), rel=1e-12)
-
-
-class TestStatH:
-    def test_r_zero_equals_hill(self):
-        assert stat_h(sample_1_e_e2(), 2, 0.0) == pytest.approx(1.5, rel=1e-15)
-
-    def test_r_one(self):
-        expected = ((E**2 + E) / 2.0 - 1.0) / 1.0
-        assert stat_h(sample_1_e_e2(), 2, 1.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_small_r_routes_to_limit(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            s = Sample.from_values(rng.pareto(1.0, size=120) + 1.0)
-            assert abs(stat_h(s, 40, 1e-12) - stat_h(s, 40, 0.0)) < 1e-6
-
-    def test_continuity_against_high_precision_oracle(self):
-        # (mean(x^r) - 1)/r evaluated in 50-digit arithmetic at r = 1e-12
-        # must agree with the r=0 route to far better than 1e-6
-        import mpmath
-
-        mpmath.mp.dps = 50
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            s = Sample.from_values(rng.pareto(1.0, size=60) + 1.0)
-            k = 20
-            ratios = [mpmath.mpf(float(v)) / mpmath.mpf(float(s.sorted_desc[k]))
-                      for v in s.sorted_desc[:k]]
-            r = mpmath.mpf("1e-12")
-            oracle = (sum(x**r for x in ratios) / k - 1) / r
-            assert abs(stat_h(s, k, 1e-12) - float(oracle)) < 1e-6
 
 
 def _copy_then_clobber(g, spare, dst):
@@ -298,9 +263,8 @@ def _copy_then_clobber(g, spare, dst):
 def profile(s, lo, hi, width=None):
     """G_n(k, 0, u) for u = 1, 2, 3 and k in [lo, hi]: shape (3, rows, k).
     A width sets PROFILE_TILE so that a tile spans that many columns."""
-    rows = s.sorted_desc.reshape(-1, s.n).shape[0]
-    out = np.empty((3, rows, hi - lo + 1))
-    tile = PROFILE_TILE if width is None else rows * (width + 1)
+    out = np.empty((3, s.rows, hi - lo + 1))
+    tile = PROFILE_TILE if width is None else s.rows * (width + 1)
     with patch.object(stats, "PROFILE_TILE", tile):
         assert log_moment_profile(s, lo, hi, out, _copy_then_clobber) is out
     return out
@@ -332,7 +296,7 @@ def test_log_moment_profile_tiling_is_bit_identical(seed, rows, n, spread, data)
                                 st.integers(1, hi + 2)))
     whole = profile(block, lo, hi, width=hi + 1)
     assert np.array_equal(profile(block, lo, hi, width=width), whole, equal_nan=True)
-    for i, s in enumerate(block.samples()[:2]):
+    for i, s in enumerate(row_samples(block)[:2]):
         assert np.array_equal(profile(s, lo, hi, width=width)[:, 0], whole[:, i],
                               equal_nan=True)
 
@@ -366,3 +330,28 @@ def test_stat_g_rows_no_triples_and_unequal_lengths():
     for rows, ks, r in (([0, 1], [3], 0.0), (0, [3, 4], 0.0), ([0, 1], [3, 4], np.ones(3))):
         with pytest.raises(DomainError, match="one entry per triple"):
             stat_g_rows(block, rows, ks, r, (1.0,))
+
+
+def test_a_sample_is_its_one_row_block():
+    """A Sample passed straight to each array form gives, bit for bit, the
+    arrays of the one-row block of its values."""
+    s = sample(DistSpec("burr", 1.0, -1.0), 400, 29)
+    block = SampleBlock.from_values(s.values[None])
+    assert isinstance(s, SampleBlock) and (s.n, s.rows) == (block.n, block.rows)
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    us = (0.0, 1.0, 2.0)
+    for rows, ks, r in ((0, 50, 0.5), ([0, 0, 0], [2, 50, 399], np.array([0.0, -0.5, 1.0]))):
+        assert same(stat_g_rows(s, rows, ks, r, us), stat_g_rows(block, rows, ks, r, us))
+    assert same(profile(s, 50, 349), profile(block, 50, 349))
+    for kind in estimators.KINDS:
+        args = ([0, 0, 0], [2, 50, 399], [0.0, 0.3, -0.7])
+        assert same(estimators.estimate_arrays(s, kind, *args),
+                    estimators.estimate_arrays(block, kind, *args)), kind
+    one, whole = secondorder.adaptive_arrays(s), secondorder.adaptive_arrays(block)
+    for j in (1, 3):
+        assert one[j].failed_step.tolist() == [-1] and one[j].k_used == whole[j].k_used
+        for name in ("rho", "tau", "beta", "k_c", "gamma_c", "r", "k_g", "gamma_g", "failed_step"):
+            assert same(getattr(one[j], name), getattr(whole[j], name)), (j, name)
