@@ -33,6 +33,9 @@ from .stats import SMALL_R, Sample, SampleBlock, stat_g_rows
 
 @dataclass(frozen=True)
 class EstimatorSpec:
+    """An estimator kind at an int tail size k and finite tunings (r, and
+    beta for hme); anything else is a DomainError."""
+
     kind: str
     k: int
     r: float = 0.0
@@ -41,8 +44,14 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown estimator kind {self.kind!r}")
+        if not isinstance(self.k, (int, np.integer)):
+            raise DomainError(f"k must be an int, got {self.k!r}")
         if self.kind == "hme" and self.beta is None:
             raise DomainError("hme requires beta")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta}")
+        if not math.isfinite(self.r):
+            raise DomainError(f"r must be finite, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -144,13 +153,13 @@ def _one(s: Sample, kind: str, k: int, param) -> Estimate:
     zero, r = _branch(kind, param)
     if zero:
         r = 0.0
+    hme = kind == "hme"
+    spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
     at_zero, tuned, form = _KINDS[kind]
     us = at_zero if zero else tuned
     g = stat_g_rows(s, 0, k, r, us).tolist()
     if s.sorted_desc[0] == s.sorted_desc[k]:
         raise DegenerateSampleError(TIE_MESSAGE)
-    hme = kind == "hme"
-    spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
     return Estimate(form(g, r), spec, s.n, dict(zip(_NAMES[us], g)))
 
 
@@ -167,13 +176,19 @@ def estimate_arrays(s: SampleBlock, kind: str, rows, ks, params) -> np.ndarray:
     is the block whose one row is 0); rows, ks and params broadcast to one 1-D
     shape, and rows may repeat. param is the r of g1, g2 and g3 and the beta
     of hme; the classical kinds ignore it. Each estimate is, bit for bit, the
-    per-sample call's, NaN where that call raises; a k outside [2, n-1] in
-    any triple raises its DomainError for the whole call.
+    per-sample call's, NaN where that call raises or param is not finite; a
+    k that is not integral or outside [2, n-1], or a row outside the block,
+    in any triple raises its DomainError for the whole call.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown estimator kind {kind!r}")
+    ks = np.asarray(ks)
+    if ks.dtype.kind not in "iu":
+        whole = np.isfinite(ks) & (np.floor(ks) == ks)
+        if not whole.all():
+            raise DomainError(f"k must be integral, got {ks[~whole].flat[0]}")
     rows, ks, params = (np.atleast_1d(a) for a in np.broadcast_arrays(
-        np.asarray(rows, dtype=int), np.asarray(ks, dtype=int), np.asarray(params, dtype=float)))
+        np.asarray(rows, dtype=int), ks.astype(int), np.asarray(params, dtype=float)))
     zero, r = _branch(kind, params)
     zero = zero | np.zeros(r.size, dtype=bool)
     at_zero, tuned, form = _KINDS[kind]

@@ -3,8 +3,11 @@
 A :class:`SampleBlock` stacks equal-size samples of strictly positive
 observations as rows and caches their descending order statistics (every
 estimator re-reads prefixes of the sorted data for varying tail sizes
-``k``). A :class:`Sample` is the one-row block, with 1-D ``values`` and
-``sorted_desc``, so every array form also takes one sample as its row 0.
+``k``), which are read-only. A :class:`Sample` is the one-row block, with
+1-D ``values`` and ``sorted_desc``, so every array form also takes one
+sample as its row 0. A block also remembers the log-ratios of the last
+(row, k) that one-triple calls read, so that evaluating every kind at one k
+before moving to the next k takes the logs once per k.
 
 The statistic G_n(k, r, u) is the mean of
 ``(X_(i) / X_(k+1))^r * ln(X_(i) / X_(k+1))^u`` over the ``k`` largest
@@ -34,11 +37,19 @@ class SampleBlock:
     """Equal-size samples stacked as rows, shape (rows, n), for steps that
     run on many replications at once; row i holds the arrays that
     ``Sample.from_values(values[i])`` would. ``desc`` is ``sorted_desc`` as
-    (rows, n), a Sample's too, stored at construction so no call reshapes."""
+    (rows, n), a Sample's too, stored at construction so no call reshapes;
+    both are read-only.
+
+    ``last_logs`` is a memo of one entry, ``((row, k), L)``: the read-only
+    log-ratios ln(X_(i) / X_(k+1)), i = 1..k, of the last (row, k) that a
+    one-triple :func:`stat_g_rows` call read, so that all kinds at one k,
+    then the next k, take the logs once per k. A miss replaces the whole
+    tuple, so a thread never reads a key with another entry's vector."""
 
     values: np.ndarray
     sorted_desc: np.ndarray
     desc: np.ndarray = field(init=False, repr=False, compare=False)
+    last_logs: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "desc", np.atleast_2d(self.sorted_desc))
@@ -132,7 +143,8 @@ def _parse_lines(fh) -> list[float]:
 
 
 def _order_statistics(arr: np.ndarray) -> np.ndarray:
-    """Checked descending order statistics along the last axis."""
+    """Checked descending order statistics along the last axis, read-only,
+    so that no log-ratio memo outlives the data it was taken from."""
     if arr.shape[-1] < 3:
         raise DomainError(f"sample needs at least 3 observations, got {arr.shape[-1]}")
     if not np.all(np.isfinite(arr)):
@@ -140,12 +152,27 @@ def _order_statistics(arr: np.ndarray) -> np.ndarray:
     if np.any(arr <= 0.0):
         bad = float(arr[arr <= 0.0][0])
         raise DomainError(f"sample contains non-positive value {bad}; all observations must be > 0")
-    return np.sort(arr, axis=-1)[..., ::-1].copy()
+    desc = np.sort(arr, axis=-1)[..., ::-1].copy()
+    desc.flags.writeable = False
+    return desc
 
 
 def _check_k(n: int, k: int) -> None:
     if not (2 <= k <= n - 1):
         raise DomainError(f"k={k} outside [2, n-1] for n={n}")
+
+
+def _check_row(rows: int, row: int) -> None:
+    if not (0 <= row < rows):
+        raise DomainError(f"row {row} outside [0, {rows}) for a block of {rows} rows")
+
+
+def _check_us(us, logs: np.ndarray) -> None:
+    u_min = min(us)
+    if u_min <= -1:
+        raise DomainError(f"u must be > -1, got {u_min}")
+    if u_min < 0 and np.any(logs == 0.0):
+        raise DegenerateSampleError("tie with threshold makes ln^u undefined for u < 0")
 
 
 def stat_g(s: Sample, k: int, r: float, u: float) -> float:
@@ -160,46 +187,63 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     rows and ks are two ints (one triple: shape (len(us),)) or two
     equal-length sequences (shape (len(us), triples), with no column for no
     triples); rows may repeat, a Sample is the block whose one row is 0, and
-    r is a scalar or one value per triple; other shapes raise DomainError.
-    A tie with the threshold contributes the kernel's limit at 1 for u >= 0
-    and makes the statistic undefined for u < 0.
+    r is a scalar or one value per triple; other shapes, and a row outside
+    the block, raise DomainError. A tie with the threshold contributes the
+    kernel's limit at 1 for u >= 0 and makes the statistic undefined for
+    u < 0.
 
     The kernel reads the log of each ratio X_(i) / X_(k+1), so an exact
-    rescaling of the sample leaves it bit-identical. Each triple's terms,
-    all us at once, are summed by the pairwise sum of np.mean (a padded or
-    segmented sum rounds differently); many triples go through exp and the
-    powers as one flat array, one triple as a view of its row.
+    rescaling of the sample leaves it bit-identical. Each triple's terms are
+    summed, per u, by the pairwise sum of np.mean (a padded or segmented sum
+    rounds differently); many triples go through exp and the powers as one
+    flat array. One triple reads its logs from the block's one-entry memo
+    (see :class:`SampleBlock`), so that all kinds at one k, then the next k,
+    take the logs once per k; it skips exp(0 * L) at r = 0, which is exactly
+    1 where the largest log-ratio is finite, and L**1 at u = 1, which is L.
     """
-    one = isinstance(ks, (int, np.integer))
-    if one:
+    if isinstance(ks, (int, np.integer)):
         _check_k(s.n, ks)
-        d = s.desc[rows]
-        logs = np.log(d[:ks] / d[ks])
-    else:
-        ks = np.asarray(ks, dtype=int).tolist()
-        if np.shape(rows) != (len(ks),) or np.ndim(r) and np.shape(r) != (len(ks),):
-            raise DomainError(f"rows, ks and an array r need one entry per triple, got shapes "
-                              f"{np.shape(rows)}, {np.shape(ks)} and {np.shape(r)}")
-        if not ks:
-            return np.empty((len(us), 0))
-        if min(ks) < 2 or max(ks) > s.n - 1:
-            _check_k(s.n, min(ks) if min(ks) < 2 else max(ks))
-        desc, rows = s.desc, np.asarray(rows, dtype=int)
-        top = np.concatenate([desc[i, :k] for i, k in zip(rows.tolist(), ks)])
-        logs = np.log(top / np.repeat(desc[rows, ks], ks))
-        if np.ndim(r):
-            r = np.repeat(r, ks)
-    u_min = min(us)
-    if u_min <= -1:
-        raise DomainError(f"u must be > -1, got {u_min}")
-    if u_min < 0 and np.any(logs == 0.0):
-        raise DegenerateSampleError("tie with threshold makes ln^u undefined for u < 0")
+        if not isinstance(rows, (int, np.integer)):
+            raise DomainError(f"one k needs one int row, got {rows!r}")
+        _check_row(s.rows, rows)
+        key, (last, logs) = (rows, ks), s.last_logs
+        if last != key:
+            d = s.desc[rows]
+            logs = np.log(d[:ks] / d[ks])
+            logs.flags.writeable = False
+            object.__setattr__(s, "last_logs", (key, logs))
+        _check_us(us, logs)
+        # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
+        flat = r == 0.0 and logs[0] < np.inf
+        e = None if flat else np.exp(r * logs)
+        sums = []
+        for u in us:
+            if u == 0:
+                sums.append(float(ks) if flat else np.add.reduce(e))
+            else:
+                t = logs if u == 1 else logs**u  # L**1 is L, bit for bit
+                sums.append(np.add.reduce(t if flat else e * t))
+        return np.array(sums) / ks
+    ks = np.asarray(ks, dtype=int).tolist()
+    if np.shape(rows) != (len(ks),) or np.ndim(r) and np.shape(r) != (len(ks),):
+        raise DomainError(f"rows, ks and an array r need one entry per triple, got shapes "
+                          f"{np.shape(rows)}, {np.shape(ks)} and {np.shape(r)}")
+    if not ks:
+        return np.empty((len(us), 0))
+    if min(ks) < 2 or max(ks) > s.n - 1:
+        _check_k(s.n, min(ks) if min(ks) < 2 else max(ks))
+    desc, rows = s.desc, np.asarray(rows, dtype=int)
+    if rows.min() < 0 or rows.max() >= s.rows:
+        _check_row(s.rows, rows.min() if rows.min() < 0 else rows.max())
+    top = np.concatenate([desc[i, :k] for i, k in zip(rows.tolist(), ks)])
+    logs = np.log(top / np.repeat(desc[rows, ks], ks))
+    if np.ndim(r):
+        r = np.repeat(r, ks)
+    _check_us(us, logs)
     e = np.exp(r * logs)
     terms = np.empty((len(us), logs.size))
     for a, u in enumerate(us):
         terms[a] = e if u == 0 else e * logs**u
-    if one:
-        return np.add.reduce(terms, axis=1) / ks
     ends = list(accumulate(ks))
     sums = [np.add.reduce(terms[:, lo:hi], axis=1) for lo, hi in zip([0] + ends[:-1], ends)]
     return np.array(sums).T / ks

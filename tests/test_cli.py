@@ -139,6 +139,15 @@ class TestEstimate:
                                  beta=float(value) if option == "--beta" else None)
         assert json.loads(out)["gamma_hat"] == est.evaluate(s, spec).gamma_hat
 
+    @pytest.mark.parametrize("kind, option, value", [
+        ("g1", "--r", "nan"), ("g2", "--r", "inf"), ("hme", "--beta", "nan")])
+    def test_tuning_that_is_not_finite_is_precondition_error(self, data_file, kind, option, value,
+                                                              capsys):
+        code, out, err = run(["estimate", data_file, "--kind", kind, "--k", "5", option, value],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert f"{option[2:]} must be finite, got {value}" in err
+
     def test_malformed_line_reports_line_number(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("1.0\n2.0\nthree\n4.0\n")

@@ -350,6 +350,43 @@ def test_evaluate_dispatch():
         est.EstimatorSpec("hme", 2)  # beta required
 
 
+@pytest.mark.parametrize("kind, k, kwargs, match", [
+    ("hill", 10.0, {}, "k must be an int, got 10.0"),
+    ("g1", np.float64(10), {"r": 0.5}, "k must be an int"),
+    ("g1", 10, {"r": math.nan}, "r must be finite, got nan"),
+    ("g1", 10, {"r": math.inf}, "r must be finite, got inf"),
+    ("g3", 10, {"r": -math.inf}, "r must be finite"),
+    ("hme", 10, {"beta": math.nan}, "beta must be finite, got nan"),
+    ("hme", 10, {"beta": math.inf}, "beta must be finite"),
+])
+def test_spec_that_cannot_be_estimated_is_a_domain_error(kind, k, kwargs, match):
+    """A spec with a k that is not an int, or a tuning that is not finite,
+    is rejected when it is made, and so is the matching estimator call: not
+    a TypeError, nor a DegenerateSampleError for a NaN estimate."""
+    s = Sample.from_values(np.arange(1.0, 30.0))
+    with pytest.raises(DomainError, match=match):
+        est.EstimatorSpec(kind, k, **kwargs)
+    param = kwargs.get("beta", kwargs.get("r", 0.0))
+    with pytest.raises(DomainError, match=match):
+        getattr(est, kind)(s, k, *([param] if kind not in ("hill", "moment", "moment_ratio") else []))
+    assert est.evaluate(s, est.EstimatorSpec("hill", np.int64(10))) == est.hill(s, 10)
+
+
+def test_estimate_arrays_reads_integral_k_and_keeps_nan_tunings():
+    """A k that is not integral raises instead of being truncated; an
+    integral float k is that int; a NaN tuning gives NaN, as the pipeline
+    passes for a failed row."""
+    s = Sample.from_values(np.random.default_rng(3).pareto(1.0, 50) + 1.0)
+    for ks in (10.7, [10, 10.5], math.nan, math.inf):
+        with pytest.raises(DomainError, match="k must be integral"):
+            est.estimate_arrays(s, "hill", 0, ks, 0.0)
+    assert est.estimate_arrays(s, "hill", 0, [10.0, 20.0], 0.0).tolist() == [
+        est.hill(s, 10).gamma_hat, est.hill(s, 20).gamma_hat]
+    for kind in ("g1", "g2", "g3", "hme"):
+        got = est.estimate_arrays(s, kind, 0, [10, 10], [math.nan, 0.3])
+        assert math.isnan(got[0]) and got[1] == getattr(est, kind)(s, 10, 0.3).gamma_hat
+
+
 @pytest.mark.slow
 def test_consistency_sweep_strict_pareto():
     """Each estimator with gamma*r < 1 concentrates on gamma at desk scale."""

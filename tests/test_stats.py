@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest.mock import patch
 
 import numpy as np
@@ -355,3 +357,120 @@ def test_a_sample_is_its_one_row_block():
         assert one[j].failed_step.tolist() == [-1] and one[j].k_used == whole[j].k_used
         for name in ("rho", "tau", "beta", "k_c", "gamma_c", "r", "k_g", "gamma_g", "failed_step"):
             assert same(getattr(one[j], name), getattr(whole[j], name)), (j, name)
+
+
+def test_rows_outside_the_block_are_domain_errors():
+    """On both paths, and in estimate_arrays, a row outside [0, rows) is a
+    DomainError naming it, never an IndexError or a read of the last row."""
+    block = SampleBlock.from_values(np.arange(1.0, 46.0).reshape(3, 15))
+    stat_g_rows(block, 2, 10, 0.0, (1.0,))  # the memo holds row 2, which row -1 would read
+    for rows, ks, bad in ((5, 10, 5), (3, 10, 3), (-1, 10, -1),
+                          ([0, 3], [4, 10], 3), ([-1, 0], [4, 10], -1)):
+        with pytest.raises(DomainError, match=rf"row {bad} outside \[0, 3\) for a block of 3 rows"):
+            stat_g_rows(block, rows, ks, 0.0, (1.0,))
+    with pytest.raises(DomainError, match=r"row -1 outside \[0, 3\)"):
+        estimators.estimate_arrays(block, "hill", [-1], [10], 0.0)
+    with pytest.raises(DomainError, match=r"row 1 outside \[0, 1\)"):
+        stat_g_rows(Sample.from_values(block.values[0]), 1, 10, 0.0, (1.0,))
+    with pytest.raises(DomainError, match="one int row"):
+        stat_g_rows(block, [0], 10, 0.0, (1.0,))
+
+
+class TestLogMemo:
+    """A block remembers the log-ratios of the last (row, k) that a
+    one-triple stat_g_rows call read."""
+
+    def test_order_statistics_and_memo_are_read_only(self):
+        s = Sample.from_values([3.0, 1.0, 2.0, 5.0])
+        assert s.last_logs == (None, None)
+        stat_g(s, 2, 0.5, 1.0)
+        key, logs = s.last_logs
+        assert key == (0, 2) and logs.tolist() == np.log([5.0 / 2.0, 3.0 / 2.0]).tolist()
+        block = SampleBlock.from_values(np.arange(1.0, 7.0).reshape(2, 3))
+        for arr in (s.sorted_desc, s.desc, logs, block.sorted_desc, block.desc):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0] = 1.0
+        assert s.sorted_desc.tolist() == [5.0, 3.0, 2.0, 1.0]
+
+    def test_overflowing_log_ratio_keeps_its_nan_at_r_zero(self):
+        """The largest ratio overflows to inf: 0 * inf is NaN, so G(k, 0, u)
+        stays NaN for every u, on the first call and on memo hits."""
+        s = Sample.from_values([1e-300, 1e-299, 1e300])
+        with np.errstate(all="ignore"):
+            assert np.isnan([stat_g(s, 2, 0.0, u) for u in (0.0, 1.0, 2.0, 3.0)]).all()
+            assert np.isnan(stat_g_rows(s, 0, 2, 0.0, (0.0, 1.0, 2.0, 3.0))).all()
+
+    def test_threads_sharing_a_sample_get_the_serial_estimates(self):
+        """Four threads evaluate every kind at alternating k on one sample,
+        which swaps the memo on nearly every call, with a short switch
+        interval; each gets the estimates of a serial run on a fresh sample."""
+        s = sample(DistSpec("burr", 1.0, -1.0), 2000, 41)
+        calls = [(kind, k) for i in range(60) for kind in estimators.KINDS
+                 for k in ((50, 400) if i % 2 else (400, 50))]
+
+        def run(sample_, order):
+            return [estimators.evaluate(sample_, estimators.EstimatorSpec(
+                kind, k, r=0.3, beta=0.7)).gamma_hat for kind, k in order]
+
+        orders = [calls[t:] + calls[:t] for t in range(4)]
+        fresh = Sample.from_values(s.values)
+        want = [run(fresh, order) for order in orders]
+        got, errors = [None] * 4, []
+
+        def work(t):
+            try:
+                got[t] = run(s, orders[t])
+            except Exception as exc:  # reported below, as a thread's error is otherwise lost
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and not errors
+        assert got == want
+
+
+def _call_bits(fn, *args):
+    """A call's result as bytes, or the class and message of its error."""
+    try:
+        result = fn(*args)
+    except GtailError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, estimators.Estimate):
+        return result.spec, tuple(result.diagnostics), np.array(
+            [result.gamma_hat, *result.diagnostics.values()]).tobytes()
+    return result.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), spread=st.floats(1e-3, 690.0),
+       tied=st.booleans(), data=st.data())
+def test_memo_calls_are_fresh_calls(seed, n, spread, tied, data):
+    """On one sample, any sequence of calls at repeated and interleaved k
+    gives, bit for bit, the result of the same call on a fresh sample, or
+    raises the same error with the same message."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, 4, n) if tied else np.exp(rng.uniform(-spread, spread, n))
+    s = Sample.from_values(values)
+    pool = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    param = st.one_of(st.sampled_from([0.0, 1e-9, -0.5, 0.3, 1.0, -50.0, -1e6]),
+                      st.floats(-3.0, 3.0))
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(estimators.KINDS + ("stat_g",)),
+                                         st.sampled_from(pool), param), min_size=1, max_size=12))
+
+    def call(sample_, kind, k, p):
+        if kind == "stat_g":
+            return stat_g_rows(sample_, 0, k, p, (-0.5, 0.0, 1.0, 2.0, 3.0))
+        return estimators.evaluate(sample_, estimators.EstimatorSpec(kind, k, r=p, beta=p))
+
+    with np.errstate(all="ignore"):
+        for kind, k, p in calls:
+            assert _call_bits(call, s, kind, k, p) == _call_bits(
+                call, Sample.from_values(s.values), kind, k, p), (kind, k, p)
