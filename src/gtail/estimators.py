@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
-from .stats import SMALL_R, Sample, SampleBlock, stat_g_rows
+from .stats import SMALL_R, Sample, SampleBlock, int_array, stat_g_rows
 
 
 @dataclass(frozen=True)
@@ -177,18 +177,13 @@ def estimate_arrays(s: SampleBlock, kind: str, rows, ks, params) -> np.ndarray:
     shape, and rows may repeat. param is the r of g1, g2 and g3 and the beta
     of hme; the classical kinds ignore it. Each estimate is, bit for bit, the
     per-sample call's, NaN where that call raises or param is not finite; a
-    k that is not integral or outside [2, n-1], or a row outside the block,
-    in any triple raises its DomainError for the whole call.
+    row or k that is not integral, a k outside [2, n-1] or a row outside the
+    block in any triple raises its DomainError for the whole call.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown estimator kind {kind!r}")
-    ks = np.asarray(ks)
-    if ks.dtype.kind not in "iu":
-        whole = np.isfinite(ks) & (np.floor(ks) == ks)
-        if not whole.all():
-            raise DomainError(f"k must be integral, got {ks[~whole].flat[0]}")
     rows, ks, params = (np.atleast_1d(a) for a in np.broadcast_arrays(
-        np.asarray(rows, dtype=int), ks.astype(int), np.asarray(params, dtype=float)))
+        int_array(rows, "row"), int_array(ks, "k"), np.asarray(params, dtype=float)))
     zero, r = _branch(kind, params)
     zero = zero | np.zeros(r.size, dtype=bool)
     at_zero, tuned, form = _KINDS[kind]

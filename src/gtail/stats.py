@@ -5,9 +5,11 @@ observations as rows and caches their descending order statistics (every
 estimator re-reads prefixes of the sorted data for varying tail sizes
 ``k``), which are read-only. A :class:`Sample` is the one-row block, with
 1-D ``values`` and ``sorted_desc``, so every array form also takes one
-sample as its row 0. A block also remembers the log-ratios of the last
-(row, k) that one-triple calls read, so that evaluating every kind at one k
-before moving to the next k takes the logs once per k.
+sample as its row 0. A block also remembers the log-ratios, and the
+statistics already summed, of the last (row, k, r) that one-triple calls
+read, so that a k-plot that evaluates every kind at one (k, r), then the
+next r, then the next k, takes the logs once per k, the exp once per (k, r)
+and each G(k, r, u) once.
 
 The statistic G_n(k, r, u) is the mean of
 ``(X_(i) / X_(k+1))^r * ln(X_(i) / X_(k+1))^u`` over the ``k`` largest
@@ -32,7 +34,7 @@ from .errors import DegenerateSampleError, DomainError, ParseError
 SMALL_R = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBlock:
     """Equal-size samples stacked as rows, shape (rows, n), for steps that
     run on many replications at once; row i holds the arrays that
@@ -40,16 +42,22 @@ class SampleBlock:
     (rows, n), a Sample's too, stored at construction so no call reshapes;
     both are read-only.
 
-    ``last_logs`` is a memo of one entry, ``((row, k), L)``: the read-only
-    log-ratios ln(X_(i) / X_(k+1)), i = 1..k, of the last (row, k) that a
-    one-triple :func:`stat_g_rows` call read, so that all kinds at one k,
-    then the next k, take the logs once per k. A miss replaces the whole
-    tuple, so a thread never reads a key with another entry's vector."""
+    ``last_logs`` is a memo of one entry, ``((row, k), L, r, E, G)``, of
+    the last (row, k, r) that a one-triple :func:`stat_g_rows` call read:
+    the read-only log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; r; the
+    read-only exp(r * L), or None where r = 0 skips it; and a dict from u to
+    the G(k, r, u) already summed there. So all kinds at one (k, r), then
+    the next r, then the next k, take the logs once per k, the exp once per
+    (k, r) and each statistic once. A call at the same (row, k) and another
+    r keeps L and replaces the rest; another (row, k) replaces all of it.
+    The entry is swapped as one tuple, so a thread never reads a key with
+    another entry's arrays, and its dict only receives values that follow
+    from its own key, which any thread computes alike."""
 
     values: np.ndarray
     sorted_desc: np.ndarray
-    desc: np.ndarray = field(init=False, repr=False, compare=False)
-    last_logs: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    desc: np.ndarray = field(init=False, repr=False)
+    last_logs: tuple = field(default=(None,) * 5, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "desc", np.atleast_2d(self.sorted_desc))
@@ -167,6 +175,17 @@ def _check_row(rows: int, row: int) -> None:
         raise DomainError(f"row {row} outside [0, {rows}) for a block of {rows} rows")
 
 
+def int_array(values, name: str) -> np.ndarray:
+    """values as an int array; a value that is not integral raises
+    DomainError naming it, and an integral float is that int."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        whole = np.isfinite(arr) & (np.floor(arr) == arr)
+        if not whole.all():
+            raise DomainError(f"{name} must be integral, got {arr[~whole].flat[0]}")
+    return arr.astype(int)
+
+
 def _check_us(us, logs: np.ndarray) -> None:
     u_min = min(us)
     if u_min <= -1:
@@ -187,8 +206,9 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     rows and ks are two ints (one triple: shape (len(us),)) or two
     equal-length sequences (shape (len(us), triples), with no column for no
     triples); rows may repeat, a Sample is the block whose one row is 0, and
-    r is a scalar or one value per triple; other shapes, and a row outside
-    the block, raise DomainError. A tie with the threshold contributes the
+    r is a scalar or one value per triple; other shapes, a row or k that is
+    not integral (an integral float is that int) and a row outside the
+    block raise DomainError. A tie with the threshold contributes the
     kernel's limit at 1 for u >= 0 and makes the statistic undefined for
     u < 0.
 
@@ -196,35 +216,47 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     rescaling of the sample leaves it bit-identical. Each triple's terms are
     summed, per u, by the pairwise sum of np.mean (a padded or segmented sum
     rounds differently); many triples go through exp and the powers as one
-    flat array. One triple reads its logs from the block's one-entry memo
-    (see :class:`SampleBlock`), so that all kinds at one k, then the next k,
-    take the logs once per k; it skips exp(0 * L) at r = 0, which is exactly
-    1 where the largest log-ratio is finite, and L**1 at u = 1, which is L.
+    flat array. One triple reads the block's one-entry memo (see
+    :class:`SampleBlock`), so that a k-plot that asks for every kind at one
+    (k, r), then the next r, then the next k, takes the logs once per k, the
+    exp once per (k, r) and sums each G(k, r, u) once; a memo hit returns
+    the same float64 quotient as a fresh call, and r is matched by value,
+    as hme's 1 - beta can differ from r in the last bit. It skips exp(0 * L)
+    at r = 0, which is exactly 1 where the largest log-ratio is finite, and
+    L**1 at u = 1, which is L.
     """
     if isinstance(ks, (int, np.integer)):
-        _check_k(s.n, ks)
-        if not isinstance(rows, (int, np.integer)):
-            raise DomainError(f"one k needs one int row, got {rows!r}")
-        _check_row(s.rows, rows)
-        key, (last, logs) = (rows, ks), s.last_logs
-        if last != key:
+        entry = s.last_logs
+        # a (row, k) in the memo was checked when it was stored
+        if not (isinstance(rows, (int, np.integer)) and entry[0] == (rows, ks)):
+            _check_k(s.n, ks)
+            if not isinstance(rows, (int, np.integer)):
+                raise DomainError(f"one k needs one int row, got {rows!r}")
+            _check_row(s.rows, rows)
             d = s.desc[rows]
             logs = np.log(d[:ks] / d[ks])
             logs.flags.writeable = False
-            object.__setattr__(s, "last_logs", (key, logs))
+            entry = ((rows, ks), logs, None, None, None)
+        key, logs, last_r, e, g = entry
         _check_us(us, logs)
-        # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
-        flat = r == 0.0 and logs[0] < np.inf
-        e = None if flat else np.exp(r * logs)
-        sums = []
+        scalar = isinstance(r, (int, float))  # an array r could change after the call
+        if not (scalar and g is not None and last_r == r):
+            # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
+            e = None if r == 0.0 and logs[0] < np.inf else np.exp(r * logs)
+            if e is not None:
+                e.flags.writeable = False
+            g = {}
+            object.__setattr__(s, "last_logs", (key, logs, r if scalar else None, e, g))
         for u in us:
-            if u == 0:
-                sums.append(float(ks) if flat else np.add.reduce(e))
-            else:
-                t = logs if u == 1 else logs**u  # L**1 is L, bit for bit
-                sums.append(np.add.reduce(t if flat else e * t))
-        return np.array(sums) / ks
-    ks = np.asarray(ks, dtype=int).tolist()
+            if u not in g:
+                if u == 0:
+                    total = float(ks) if e is None else np.add.reduce(e)
+                else:
+                    t = logs if u == 1 else logs**u  # L**1 is L, bit for bit
+                    total = np.add.reduce(t if e is None else e * t)
+                g[u] = total / ks
+        return np.array([g[u] for u in us])
+    ks = int_array(ks, "k").tolist()
     if np.shape(rows) != (len(ks),) or np.ndim(r) and np.shape(r) != (len(ks),):
         raise DomainError(f"rows, ks and an array r need one entry per triple, got shapes "
                           f"{np.shape(rows)}, {np.shape(ks)} and {np.shape(r)}")
@@ -232,7 +264,7 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
         return np.empty((len(us), 0))
     if min(ks) < 2 or max(ks) > s.n - 1:
         _check_k(s.n, min(ks) if min(ks) < 2 else max(ks))
-    desc, rows = s.desc, np.asarray(rows, dtype=int)
+    desc, rows = s.desc, int_array(rows, "row")
     if rows.min() < 0 or rows.max() >= s.rows:
         _check_row(s.rows, rows.min() if rows.min() < 0 else rows.max())
     top = np.concatenate([desc[i, :k] for i, k in zip(rows.tolist(), ks)])

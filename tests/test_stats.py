@@ -55,6 +55,17 @@ class TestSample:
         assert np.array_equal(row.values, s.values)
         assert np.array_equal(row.sorted_desc, s.sorted_desc)
 
+    def test_equality_is_identity(self):
+        """== and hash are a sample's identity: a plain answer, never an
+        error from comparing arrays, and a sample can be a dict key."""
+        s = Sample.from_values([1.0, 2.0, 3.0, 4.0])
+        copy = Sample.from_values(s.values)
+        assert s == s and (s == copy) is False and s != copy
+        assert {s: "s", copy: "copy"}[s] == "s" and hash(s) == hash(s)
+        block = SampleBlock.from_values(np.arange(1.0, 7.0).reshape(2, 3))
+        assert block == block and block != SampleBlock.from_values(block.values)
+        assert block in {block}
+
     def test_from_file_with_header(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("value\n1.0\n2.5\n3.0\n")
@@ -372,25 +383,84 @@ def test_rows_outside_the_block_are_domain_errors():
         estimators.estimate_arrays(block, "hill", [-1], [10], 0.0)
     with pytest.raises(DomainError, match=r"row 1 outside \[0, 1\)"):
         stat_g_rows(Sample.from_values(block.values[0]), 1, 10, 0.0, (1.0,))
-    with pytest.raises(DomainError, match="one int row"):
-        stat_g_rows(block, [0], 10, 0.0, (1.0,))
+    for row in ([0], 2.0):  # 2.0 at the (row, k) in the memo
+        with pytest.raises(DomainError, match="one int row"):
+            stat_g_rows(block, row, 10, 0.0, (1.0,))
+
+
+def test_rows_and_ks_that_are_not_integral_are_domain_errors():
+    """A row or k that is not integral raises on the array path and in
+    estimate_arrays, where it was truncated to another row's or k's value;
+    an integral float row or k is that int."""
+    block = SampleBlock.from_values(np.arange(1.0, 46.0).reshape(3, 15))
+    for rows, ks, name, bad in (([1.7], [10], "row", "1.7"), ([0.9], [10], "row", "0.9"),
+                                ([0, np.nan], [10, 10], "row", "nan"),
+                                ([0], [10.5], "k", "10.5"), ([0, 1], [4, np.inf], "k", "inf")):
+        with pytest.raises(DomainError, match=f"{name} must be integral, got {bad}"):
+            stat_g_rows(block, rows, ks, 0.0, (1.0,))
+        with pytest.raises(DomainError, match=f"{name} must be integral, got {bad}"):
+            estimators.estimate_arrays(block, "hill", rows, ks, 0.0)
+    args = ([1.0, 2.0, 0.0], [10.0, 4.0, 13.0])
+    ints = ([1, 2, 0], [10, 4, 13])
+    assert stat_g_rows(block, *args, 0.3, (0.0, 1.0)).tobytes() == \
+        stat_g_rows(block, *ints, 0.3, (0.0, 1.0)).tobytes()
+    assert estimators.estimate_arrays(block, "g3", *args, 0.3).tobytes() == \
+        estimators.estimate_arrays(block, "g3", *ints, 0.3).tobytes()
 
 
 class TestLogMemo:
-    """A block remembers the log-ratios of the last (row, k) that a
-    one-triple stat_g_rows call read."""
+    """A block remembers the log-ratios, the exp and the statistics of the
+    last (row, k, r) that a one-triple stat_g_rows call read."""
 
     def test_order_statistics_and_memo_are_read_only(self):
         s = Sample.from_values([3.0, 1.0, 2.0, 5.0])
-        assert s.last_logs == (None, None)
-        stat_g(s, 2, 0.5, 1.0)
-        key, logs = s.last_logs
-        assert key == (0, 2) and logs.tolist() == np.log([5.0 / 2.0, 3.0 / 2.0]).tolist()
+        assert s.last_logs == (None,) * 5
+        g = stat_g(s, 2, 0.5, 1.0)
+        key, logs, r, e, stats_ = s.last_logs
+        assert key == (0, 2) and r == 0.5
+        assert logs.tolist() == np.log([5.0 / 2.0, 3.0 / 2.0]).tolist()
+        assert e.tolist() == np.exp(0.5 * logs).tolist() and stats_ == {1.0: g}
+        stat_g(s, 2, 0.0, 2.0)  # the same (row, k) at r = 0 keeps L and skips the exp
+        assert s.last_logs[1] is logs and s.last_logs[2:4] == (0.0, None)
+        assert list(s.last_logs[4]) == [2.0]
         block = SampleBlock.from_values(np.arange(1.0, 7.0).reshape(2, 3))
-        for arr in (s.sorted_desc, s.desc, logs, block.sorted_desc, block.desc):
+        for arr in (s.sorted_desc, s.desc, logs, e, block.sorted_desc, block.desc):
             with pytest.raises(ValueError, match="read-only"):
                 arr[..., 0] = 1.0
         assert s.sorted_desc.tolist() == [5.0, 3.0, 2.0, 1.0]
+
+    def test_a_sweep_over_r_keeps_one_exp_vector(self):
+        """After g1 at 1,000 distinct r at one k, the memo holds one
+        read-only exp vector, that of the last r, and only its statistic."""
+        s = sample(DistSpec("burr", 1.0, -1.0), 2000, 7)
+        rs = np.linspace(-2.0, 2.0, 1000).tolist()
+        for r in rs:
+            estimators.g1(s, 100, r)
+        key, logs, r, e, stats_ = s.last_logs
+        assert key == (0, 100) and r == rs[-1] and list(stats_) == [0.0]
+        assert e.shape == (100,) and not e.flags.writeable
+        assert e.tobytes() == np.exp(rs[-1] * logs).tobytes()
+        assert [type(v) for v in vars(s).values()].count(np.ndarray) == 3  # values, sorted_desc, desc
+
+    def test_an_array_r_is_read_at_each_call(self):
+        """A 0-d array r that the caller changes between calls is never
+        matched to the memo's r."""
+        s = sample(DistSpec("burr", 1.0, -1.0), 500, 3)
+        r = np.array(0.3)
+        stat_g_rows(s, 0, 40, r, (0.0, 1.0))
+        r[...] = -0.4
+        assert stat_g_rows(s, 0, 40, r, (0.0, 1.0)).tobytes() == \
+            stat_g_rows(Sample.from_values(s.values), 0, 40, -0.4, (0.0, 1.0)).tobytes()
+
+    def test_negative_u_on_a_tie_raises_on_a_memo_hit(self):
+        """u < 0 where a top value ties the threshold raises on every call,
+        also after the other statistics of that (k, r) are in the memo."""
+        s = Sample.from_values([1.0, 2.0, 2.0, 2.0, 5.0])
+        for _ in range(2):
+            got = stat_g_rows(s, 0, 3, 0.3, (0.0, 1.0))
+            with pytest.raises(DegenerateSampleError, match="tie with threshold"):
+                stat_g_rows(s, 0, 3, 0.3, (0.0, -0.5))
+            assert stat_g_rows(s, 0, 3, 0.3, (0.0, 1.0)).tobytes() == got.tobytes()
 
     def test_overflowing_log_ratio_keeps_its_nan_at_r_zero(self):
         """The largest ratio overflows to inf: 0 * inf is NaN, so G(k, 0, u)
@@ -401,16 +471,17 @@ class TestLogMemo:
             assert np.isnan(stat_g_rows(s, 0, 2, 0.0, (0.0, 1.0, 2.0, 3.0))).all()
 
     def test_threads_sharing_a_sample_get_the_serial_estimates(self):
-        """Four threads evaluate every kind at alternating k on one sample,
-        which swaps the memo on nearly every call, with a short switch
+        """Four threads evaluate every kind at alternating k and r on one
+        sample, which swaps the memo on nearly every call, with a short switch
         interval; each gets the estimates of a serial run on a fresh sample."""
         s = sample(DistSpec("burr", 1.0, -1.0), 2000, 41)
-        calls = [(kind, k) for i in range(60) for kind in estimators.KINDS
-                 for k in ((50, 400) if i % 2 else (400, 50))]
+        calls = [(kind, k, r) for i in range(60) for kind in estimators.KINDS
+                 for k, r in (((50, 0.3), (400, -0.4), (400, 0.3), (50, -0.4)) if i % 2
+                              else ((400, -0.4), (50, 0.3), (50, -0.4), (400, 0.3)))]
 
         def run(sample_, order):
             return [estimators.evaluate(sample_, estimators.EstimatorSpec(
-                kind, k, r=0.3, beta=0.7)).gamma_hat for kind, k in order]
+                kind, k, r=r, beta=1.0 - r)).gamma_hat for kind, k, r in order]
 
         orders = [calls[t:] + calls[:t] for t in range(4)]
         fresh = Sample.from_values(s.values)
@@ -453,22 +524,25 @@ def _call_bits(fn, *args):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), spread=st.floats(1e-3, 690.0),
        tied=st.booleans(), data=st.data())
 def test_memo_calls_are_fresh_calls(seed, n, spread, tied, data):
-    """On one sample, any sequence of calls at repeated and interleaved k
-    gives, bit for bit, the result of the same call on a fresh sample, or
-    raises the same error with the same message."""
+    """On one sample, any sequence of calls at repeated and interleaved
+    (k, r) gives, bit for bit, the result of the same call on a fresh
+    sample, or raises the same error with the same message. hme takes
+    beta = 1 - p, whose r = 1 - beta can differ from p in the last bit."""
     rng = np.random.default_rng(seed)
     values = rng.integers(1, 4, n) if tied else np.exp(rng.uniform(-spread, spread, n))
     s = Sample.from_values(values)
     pool = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
-    param = st.one_of(st.sampled_from([0.0, 1e-9, -0.5, 0.3, 1.0, -50.0, -1e6]),
+    param = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -0.5, 0.3, 1.0, -50.0, -1e6]),
                       st.floats(-3.0, 3.0))
+    params = data.draw(st.lists(param, min_size=1, max_size=3))
     calls = data.draw(st.lists(st.tuples(st.sampled_from(estimators.KINDS + ("stat_g",)),
-                                         st.sampled_from(pool), param), min_size=1, max_size=12))
+                                         st.sampled_from(pool), st.sampled_from(params)),
+                               min_size=1, max_size=12))
 
     def call(sample_, kind, k, p):
         if kind == "stat_g":
             return stat_g_rows(sample_, 0, k, p, (-0.5, 0.0, 1.0, 2.0, 3.0))
-        return estimators.evaluate(sample_, estimators.EstimatorSpec(kind, k, r=p, beta=p))
+        return estimators.evaluate(sample_, estimators.EstimatorSpec(kind, k, r=p, beta=1.0 - p))
 
     with np.errstate(all="ignore"):
         for kind, k, p in calls:
