@@ -14,6 +14,13 @@ Estimate or an estimator's error is made; the array form,
 :func:`estimate_arrays`, returns only the estimates at many (row, k, tuning)
 triples of a block, NaN where the per-sample call raises.
 
+What a call reads (its canonical spec, the r and us of its statistics,
+its closed form) is looked up in a cache keyed by the call's kind, k and
+tuning, their types and the sign of a zero tuning included. The canonical
+spec, the Estimate's, has r = 0.0 on the r = 0 branches (the classical
+kinds, and g1 and g3 at |r| < SMALL_R, -0.0 included), r = 1 - beta for
+hme, and beta None for every other kind.
+
 Every estimate carries the statistics it consumed as diagnostics so that
 downstream variance formulas can reuse them without recomputation. Every
 estimator raises DegenerateSampleError at a tail size k whose top k values
@@ -24,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
-from .stats import SMALL_R, Sample, SampleBlock, int_array, stat_g_rows
+from .stats import SMALL_R, Sample, SampleBlock, int_array, stat_g_rows, stat_g_triple
 
 
 @dataclass(frozen=True)
@@ -54,16 +62,23 @@ class EstimatorSpec:
             raise DomainError(f"r must be finite, got {self.r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Estimate:
     gamma_hat: float
     spec: EstimatorSpec
     n: int
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not math.isfinite(self.gamma_hat):
-            raise DegenerateSampleError(f"non-finite estimate {self.gamma_hat}")
+    def __init__(self, gamma_hat: float, spec: EstimatorSpec, n: int,
+                 diagnostics: dict | None = None):
+        """The four fields in one store (a frozen dataclass's generated
+        __init__ makes one object.__setattr__ call per field); a gamma_hat
+        that is not finite is a DegenerateSampleError."""
+        if not math.isfinite(gamma_hat):
+            raise DegenerateSampleError(f"non-finite estimate {gamma_hat}")
+        object.__setattr__(self, "__dict__", {
+            "gamma_hat": gamma_hat, "spec": spec, "n": n,
+            "diagnostics": {} if diagnostics is None else diagnostics})
 
 
 #: The error of every estimator at a tail size whose top k values all equal
@@ -128,9 +143,22 @@ _KINDS = {
     "hme": ((1.0,), (0.0,), _g1),
 }
 KINDS = tuple(_KINDS)
-#: The diagnostics names of each tuple of u a kind reads.
-_NAMES = {us: tuple(f"g_r{u:.0f}" for u in us)
-          for kind in _KINDS.values() for us in kind[:2] if us}
+
+
+def _diagnostics(us: tuple):
+    """The function from the statistics at us to an Estimate's diagnostics
+    dict, which names G(k, r, u) g_r<u>; a dict display, as dict(zip())
+    costs twice as much."""
+    names = tuple(f"g_r{u:.0f}" for u in us)
+    if len(names) == 1:
+        (a,) = names
+        return lambda g: {a: g[0]}
+    a, b = names
+    return lambda g: {a: g[0], b: g[1]}
+
+
+#: Each tuple of u a kind reads -> its diagnostics function.
+_DIAGNOSTICS = {us: _diagnostics(us) for kind in _KINDS.values() for us in kind[:2] if us}
 #: The kind of the paper's estimator j.
 KIND_OF_J = {1: "g1", 2: "g2", 3: "g3"}
 #: The paper's estimator j whose closed form each kind shares (moment has
@@ -147,9 +175,14 @@ def _branch(kind: str, param):
     return tuned is None or (at_zero is not None and abs(r) < SMALL_R), r
 
 
-def _one(s: Sample, kind: str, k: int, param) -> Estimate:
-    """kind at (k, param) on a sample: the one place an Estimate, or an
-    estimator's error, is made."""
+@lru_cache(maxsize=4096, typed=True)
+def _plan(kind: str, k: int, param, _sign) -> tuple:
+    """kind at (k, param): (the canonical spec, the r its statistics are
+    read at, the us it reads, its closed form, its diagnostics function).
+    The spec is made here, so a k that is not an int or a tuning that is not
+    finite raises its DomainError before the sample is read. _sign, the sign
+    of param, is only a part of the cache key: 0.0 and -0.0 are equal keys,
+    but g2 and hme keep the sign in their spec."""
     zero, r = _branch(kind, param)
     if zero:
         r = 0.0
@@ -157,10 +190,20 @@ def _one(s: Sample, kind: str, k: int, param) -> Estimate:
     spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
     at_zero, tuned, form = _KINDS[kind]
     us = at_zero if zero else tuned
-    g = stat_g_rows(s, 0, k, r, us).tolist()
-    if s.sorted_desc[0] == s.sorted_desc[k]:
+    return spec, r, us, form, _DIAGNOSTICS[us]
+
+
+def _one(s: Sample, kind: str, k: int, param) -> Estimate:
+    """kind at (k, param) on a sample: the one place an Estimate, or an
+    estimator's error, is made."""
+    try:
+        spec, r, us, form, diagnostics = _plan(kind, k, param, math.copysign(1.0, param))
+    except TypeError:  # an unhashable k, or a param that is not a real number
+        spec, r, us, form, diagnostics = _plan.__wrapped__(kind, k, param, None)
+    g, tie = stat_g_triple(s, 0, k, r, us, check_us=False)
+    if tie:
         raise DegenerateSampleError(TIE_MESSAGE)
-    return Estimate(form(g, r), spec, s.n, dict(zip(_NAMES[us], g)))
+    return Estimate(form(g, r), spec, s.n, diagnostics(g))
 
 
 def _gamma(form, g: list, r: float) -> float:

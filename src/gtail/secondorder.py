@@ -56,7 +56,7 @@ from . import estimators
 from .asymptotics import NO_TAIL_SIZE, r_star, tail_size
 from .errors import DegenerateSampleError, DomainError, PipelineError
 from .estimators import Estimate, EstimatorSpec
-from .stats import Sample, SampleBlock, log_moment_profile, stat_g_rows
+from .stats import Sample, SampleBlock, log_moment_profile, stat_g_triple
 
 #: rho estimates below this are clamped (with a warning): more negative values
 #: make the (i/k)^(-rho) power sums in beta_hat explode.
@@ -116,7 +116,7 @@ def _rho_path(m1, m2, m3, tau: int, out=None, spare=(None, None)):
 
 def rho_hat(s: Sample, k: int, tau: int) -> float:
     """Second-order parameter estimate -|3(T-1)/(T-3)| at a single k."""
-    m1, m2, m3 = stat_g_rows(s, 0, k, 0.0, (1.0, 2.0, 3.0)).tolist()
+    (m1, m2, m3), _ = stat_g_triple(s, 0, k, 0.0, (1.0, 2.0, 3.0))
     m2, m3 = m2 / 2.0, m3 / 6.0
     if m1 <= 0.0 or m2 <= 0.0 or m3 <= 0.0:
         raise DegenerateSampleError(f"non-positive log-moment statistic at k={k}")

@@ -16,11 +16,15 @@ The statistic G_n(k, r, u) is the mean of
 observations ``X_(1) >= ... >= X_(k)``, with ``X_(k+1)`` the threshold.
 Classical tail-index estimators (Hill, moment, moment ratio) and their
 generalizations are all simple functions of these statistics. Its one
-array form is :func:`stat_g_rows`; :func:`stat_g` is its one-triple call.
+array form is :func:`stat_g_rows`. One (row, k, r) triple goes through
+:func:`stat_g_triple`, which reads the memo and returns Python floats, with
+no array around them: it is what the per-sample estimators call, and what
+the one-triple :func:`stat_g_rows` and :func:`stat_g` wrap.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -40,13 +44,14 @@ class SampleBlock:
     run on many replications at once; row i holds the arrays that
     ``Sample.from_values(values[i])`` would. ``desc`` is ``sorted_desc`` as
     (rows, n), a Sample's too, stored at construction so no call reshapes;
-    both are read-only.
+    both are read-only. ``n``, the sample size, is stored too.
 
-    ``last_logs`` is a memo of one entry, ``((row, k), L, r, E, G)``, of
-    the last (row, k, r) that a one-triple :func:`stat_g_rows` call read:
-    the read-only log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; r; the
-    read-only exp(r * L), or None where r = 0 skips it; and a dict from u to
-    the G(k, r, u) already summed there. So all kinds at one (k, r), then
+    ``last_logs`` is a memo of one entry, ``((row, k), L, tie, r, E, G)``,
+    of the last (row, k, r) that a :func:`stat_g_triple` call read: the
+    read-only log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; whether the top
+    k values all tie the threshold; r; the read-only exp(r * L), or None
+    where r = 0 skips it; and a dict from u to the G(k, r, u) already summed
+    there, as Python floats. So all kinds at one (k, r), then
     the next r, then the next k, take the logs once per k, the exp once per
     (k, r) and each statistic once. A call at the same (row, k) and another
     r keeps L and replaces the rest; another (row, k) replaces all of it.
@@ -57,14 +62,12 @@ class SampleBlock:
     values: np.ndarray
     sorted_desc: np.ndarray
     desc: np.ndarray = field(init=False, repr=False)
-    last_logs: tuple = field(default=(None,) * 5, init=False, repr=False)
+    n: int = field(init=False, repr=False)
+    last_logs: tuple = field(default=(None,) * 6, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "desc", np.atleast_2d(self.sorted_desc))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[-1]
+        object.__setattr__(self, "n", self.values.shape[-1])
 
     @property
     def rows(self) -> int:
@@ -176,28 +179,97 @@ def _check_row(rows: int, row: int) -> None:
 
 
 def int_array(values, name: str) -> np.ndarray:
-    """values as an int array; a value that is not integral raises
-    DomainError naming it, and an integral float is that int."""
+    """values as an int array; a value that is not integral, or not in the
+    int64 range, raises DomainError naming it, and an integral float is
+    that int."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "biu":
         whole = np.isfinite(arr) & (np.floor(arr) == arr)
         if not whole.all():
             raise DomainError(f"{name} must be integral, got {arr[~whole].flat[0]}")
+        # -2^63 and 2^63 are floats; every integral float in between casts exactly
+        wide = (arr < -2.0**63) | (arr >= 2.0**63)
+        if wide.any():
+            raise DomainError(f"{name} must be in the int64 range, got {arr[wide].flat[0]}")
+    elif arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise DomainError(f"{name} must be in the int64 range, got {arr.max()}")
     return arr.astype(int)
 
 
 def _check_us(us, logs: np.ndarray) -> None:
+    """DomainError for an empty us or a u that is not a finite number > -1,
+    and DegenerateSampleError for a u < 0 where a log-ratio is 0."""
+    if not len(us):
+        raise DomainError("us is empty: give at least one u")
     u_min = min(us)
     if u_min <= -1:
         raise DomainError(f"u must be > -1, got {u_min}")
+    for u in us:
+        if not u < math.inf:  # NaN too
+            raise DomainError(f"u must be finite, got {u}")
     if u_min < 0 and np.any(logs == 0.0):
         raise DegenerateSampleError("tie with threshold makes ln^u undefined for u < 0")
 
 
 def stat_g(s: Sample, k: int, r: float, u: float) -> float:
     """Mean of the power-log kernel over the top-k ratios: G_n(k, r, u), the
-    one-triple call of :func:`stat_g_rows`."""
-    return float(stat_g_rows(s, 0, k, r, (u,))[0])
+    one-u call of :func:`stat_g_triple` on row 0."""
+    return stat_g_triple(s, 0, k, r, (u,))[0][0]
+
+
+def stat_g_triple(s: SampleBlock, row: int, k: int, r: float, us,
+                  check_us: bool = True) -> tuple[list, bool]:
+    """G_n(k, r, u) at one (row, k, r) triple of a block for each u in us,
+    as a list of Python floats, and whether the top k values of the row all
+    tie the threshold X_(k+1).
+
+    It reads the block's one-entry memo (see :class:`SampleBlock`): a hit
+    returns the floats of a fresh call (r is matched by value, as hme's
+    1 - beta can differ from r in the last bit) and skips the row and k
+    checks, which the stored (row, k) passed. It skips exp(0 * L) at r = 0,
+    which is exactly 1 where the largest log-ratio is finite, and L**1 at
+    u = 1. Its errors are those of :func:`stat_g_rows`, and a row or k that
+    is not an int is a DomainError; ``check_us=False`` skips the checks of
+    us, for a caller whose us are constants >= 0 (the estimators).
+    """
+    entry = s.last_logs
+    ints = ((type(row) is int or isinstance(row, np.integer))
+            and (type(k) is int or isinstance(k, np.integer)))
+    if not ints or entry[0] != (row, k):
+        if not isinstance(k, (int, np.integer)):
+            raise DomainError(f"k must be an int, got {k!r}")
+        _check_k(s.n, k)
+        if not isinstance(row, (int, np.integer)):
+            raise DomainError(f"one k needs one int row, got {row!r}")
+        _check_row(s.rows, row)
+        d = s.desc[row]
+        logs = np.log(d[:k] / d[k])
+        logs.flags.writeable = False
+        entry = ((row, k), logs, bool(d[0] == d[k]), None, None, None)
+    key, logs, tie, last_r, e, g = entry
+    if check_us:
+        _check_us(us, logs)
+    # an array r could change after the call, so only a number is remembered
+    scalar = isinstance(r, (int, float))
+    if g is None or not scalar or last_r != r:
+        # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
+        e = None if r == 0.0 and logs[0] < np.inf else np.exp(r * logs)
+        if e is not None:
+            e.flags.writeable = False
+        g = {}
+        object.__setattr__(s, "last_logs", (key, logs, tie, r if scalar else None, e, g))
+    out = []
+    for u in us:
+        value = g.get(u)
+        if value is None:
+            if u == 0:
+                total = float(k) if e is None else float(np.add.reduce(e))
+            else:
+                t = logs if u == 1 else logs**u  # L**1 is L, bit for bit
+                total = float(np.add.reduce(t if e is None else e * t))
+            value = g[u] = total / float(k)  # as total / k, a Python float for any int k
+        out.append(value)
+    return out, tie
 
 
 def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
@@ -208,54 +280,18 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     triples); rows may repeat, a Sample is the block whose one row is 0, and
     r is a scalar or one value per triple; other shapes, a row or k that is
     not integral (an integral float is that int) and a row outside the
-    block raise DomainError. A tie with the threshold contributes the
-    kernel's limit at 1 for u >= 0 and makes the statistic undefined for
-    u < 0.
+    block raise DomainError, and so do an empty us and a u that is not a
+    finite number > -1. A tie with the threshold contributes the kernel's
+    limit at 1 for u >= 0 and makes the statistic undefined for u < 0.
 
     The kernel reads the log of each ratio X_(i) / X_(k+1), so an exact
     rescaling of the sample leaves it bit-identical. Each triple's terms are
     summed, per u, by the pairwise sum of np.mean (a padded or segmented sum
     rounds differently); many triples go through exp and the powers as one
-    flat array. One triple reads the block's one-entry memo (see
-    :class:`SampleBlock`), so that a k-plot that asks for every kind at one
-    (k, r), then the next r, then the next k, takes the logs once per k, the
-    exp once per (k, r) and sums each G(k, r, u) once; a memo hit returns
-    the same float64 quotient as a fresh call, and r is matched by value,
-    as hme's 1 - beta can differ from r in the last bit. It skips exp(0 * L)
-    at r = 0, which is exactly 1 where the largest log-ratio is finite, and
-    L**1 at u = 1, which is L.
+    flat array. One triple is :func:`stat_g_triple`'s floats as an array.
     """
     if isinstance(ks, (int, np.integer)):
-        entry = s.last_logs
-        # a (row, k) in the memo was checked when it was stored
-        if not (isinstance(rows, (int, np.integer)) and entry[0] == (rows, ks)):
-            _check_k(s.n, ks)
-            if not isinstance(rows, (int, np.integer)):
-                raise DomainError(f"one k needs one int row, got {rows!r}")
-            _check_row(s.rows, rows)
-            d = s.desc[rows]
-            logs = np.log(d[:ks] / d[ks])
-            logs.flags.writeable = False
-            entry = ((rows, ks), logs, None, None, None)
-        key, logs, last_r, e, g = entry
-        _check_us(us, logs)
-        scalar = isinstance(r, (int, float))  # an array r could change after the call
-        if not (scalar and g is not None and last_r == r):
-            # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
-            e = None if r == 0.0 and logs[0] < np.inf else np.exp(r * logs)
-            if e is not None:
-                e.flags.writeable = False
-            g = {}
-            object.__setattr__(s, "last_logs", (key, logs, r if scalar else None, e, g))
-        for u in us:
-            if u not in g:
-                if u == 0:
-                    total = float(ks) if e is None else np.add.reduce(e)
-                else:
-                    t = logs if u == 1 else logs**u  # L**1 is L, bit for bit
-                    total = np.add.reduce(t if e is None else e * t)
-                g[u] = total / ks
-        return np.array([g[u] for u in us])
+        return np.array(stat_g_triple(s, rows, ks, r, us)[0])
     ks = int_array(ks, "k").tolist()
     if np.shape(rows) != (len(ks),) or np.ndim(r) and np.shape(r) != (len(ks),):
         raise DomainError(f"rows, ks and an array r need one entry per triple, got shapes "

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -170,6 +174,113 @@ class TestHme:
                 a = est.hme(s, k, beta).gamma_hat
                 b = hme_oracle(s, k, beta)
                 assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestPlanCache:
+    """What a call reads, its canonical spec included, is cached by the
+    call's kind, k and tuning, their types and the sign of a zero tuning."""
+
+    @staticmethod
+    def _sample():
+        return Sample.from_values(np.random.default_rng(8).pareto(1.0, 60) + 1.0)
+
+    @staticmethod
+    def _param(spec):
+        if spec.kind in ("hill", "moment", "moment_ratio"):
+            return []
+        return [spec.beta if spec.kind == "hme" else spec.r]
+
+    @pytest.mark.parametrize("given, want", [
+        (est.EstimatorSpec("hill", 10, r=0.3), est.EstimatorSpec("hill", 10)),
+        (est.EstimatorSpec("hill", 10, r=0), est.EstimatorSpec("hill", 10)),
+        (est.EstimatorSpec("moment_ratio", 10, beta=0.5), est.EstimatorSpec("moment_ratio", 10)),
+        (est.EstimatorSpec("g1", 10, r=0), est.EstimatorSpec("g1", 10, r=0.0)),
+        (est.EstimatorSpec("g1", 10, r=np.float64(0.0)), est.EstimatorSpec("g1", 10, r=0.0)),
+        (est.EstimatorSpec("g1", 10, r=-0.0), est.EstimatorSpec("g1", 10, r=0.0)),
+        (est.EstimatorSpec("g1", 10, r=SMALL_R / 2), est.EstimatorSpec("g1", 10, r=0.0)),
+        (est.EstimatorSpec("g3", 10, r=-0.0), est.EstimatorSpec("g3", 10, r=0.0)),
+        (est.EstimatorSpec("g3", 10, r=-SMALL_R / 3), est.EstimatorSpec("g3", 10, r=0.0)),
+        (est.EstimatorSpec("g3", 10, r=0.3, beta=0.7), est.EstimatorSpec("g3", 10, r=0.3)),
+        (est.EstimatorSpec("hme", 10, beta=0.6), est.EstimatorSpec("hme", 10, r=1.0 - 0.6, beta=0.6)),
+        (est.EstimatorSpec("hme", 10, r=0.3, beta=1.0 - SMALL_R / 2),
+         est.EstimatorSpec("hme", 10, r=1.0 - (1.0 - SMALL_R / 2), beta=1.0 - SMALL_R / 2)),
+    ])
+    def test_a_spec_that_is_not_canonical_is_replaced(self, given, want):
+        """hill carries r = 0.0 whatever r it is given, g1 and g3 with
+        |r| < SMALL_R carry +0.0 (from 0, np.float64(0.0) and -0.0 too),
+        hme carries r = 1 - beta, and only hme keeps a beta; the Estimate is
+        that of the per-kind call, on every field."""
+        s = self._sample()
+        e = est.evaluate(s, given)
+        assert e.spec == want and type(e.spec.r) is float
+        assert math.copysign(1.0, e.spec.r) == math.copysign(1.0, want.r)
+        alone = getattr(est, given.kind)(Sample.from_values(s.values), given.k, *self._param(given))
+        assert e == alone and np.float64(e.gamma_hat).tobytes() == np.float64(alone.gamma_hat).tobytes()
+        assert est.evaluate(s, given).spec is e.spec  # one plan per (kind, k, tuning)
+
+    @pytest.mark.parametrize("spec", [
+        est.EstimatorSpec("hill", 10), est.EstimatorSpec("moment", np.int64(10)),
+        est.EstimatorSpec("moment_ratio", 10), est.EstimatorSpec("g1", 10, r=0.3),
+        est.EstimatorSpec("g2", 10, r=0.0), est.EstimatorSpec("g2", 10, r=-0.0),
+        est.EstimatorSpec("g2", 10, r=np.float64(0.5)), est.EstimatorSpec("g2", 10, r=1),
+        est.EstimatorSpec("g3", 10, r=-0.4), est.EstimatorSpec("hme", 10, beta=1.0),
+        est.EstimatorSpec("hme", 10, r=1.0, beta=0.0), est.EstimatorSpec("hme", 10, r=1.0, beta=-0.0),
+    ])
+    def test_a_canonical_spec_is_carried_on_every_field(self, spec):
+        """Equal on every field, the types of k, r and beta and the sign of a
+        zero r or beta included, whichever equal tuning came first."""
+        s = self._sample()
+        for first in (0.0, -0.0):  # fill the cache with the other zero first
+            getattr(est, spec.kind)(s, spec.k, *[first for _ in self._param(spec)])
+            got = est.evaluate(s, spec).spec
+            assert got == spec
+            for f in ("k", "r", "beta"):
+                assert type(getattr(got, f)) is type(getattr(spec, f))
+            assert math.copysign(1.0, got.r) == math.copysign(1.0, spec.r)
+            if spec.beta is not None:
+                assert math.copysign(1.0, got.beta) == math.copysign(1.0, spec.beta)
+
+    def test_arguments_the_cache_cannot_key_raise_as_before(self):
+        """An unhashable k or a tuning that is not a real number skips the
+        cache, and its call raises its own error."""
+        s = self._sample()
+        with pytest.raises(DomainError, match=r"k must be an int, got \[10\]"):
+            est.hill(s, [10])
+        with pytest.raises(TypeError):
+            est.hme(s, 10, None)
+        for _ in range(2):  # an error is not cached
+            with pytest.raises(DomainError, match="r must be finite, got nan"):
+                est.g1(s, 10, math.nan)
+
+    def test_an_estimate_pickles_and_copies_to_an_equal_one(self):
+        e = est.evaluate(self._sample(), est.EstimatorSpec("hme", 10, beta=0.6))
+        assert pickle.loads(pickle.dumps(e)) == e and copy.deepcopy(e) == e
+        assert list(vars(pickle.loads(pickle.dumps(e)))) == ["gamma_hat", "spec", "n", "diagnostics"]
+
+    def test_a_k_that_is_not_an_int_raises_before_the_sample_is_read(self):
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"the sample's {name} was read")
+
+        with pytest.raises(DomainError, match="k must be an int, got 10.0"):
+            est.hill(Unread(), 10.0)
+
+    def test_the_direct_constructor_and_its_finiteness_error_stay(self):
+        """An Estimate that evaluate makes equals the one its constructor
+        makes from the same fields, which still checks finiteness."""
+        spec = est.EstimatorSpec("hill", 10)
+        e = est.evaluate(self._sample(), spec)
+        assert type(e) is est.Estimate and e == est.Estimate(e.gamma_hat, e.spec, e.n, dict(e.diagnostics))
+        assert repr(e) == repr(est.Estimate(e.gamma_hat, e.spec, e.n, dict(e.diagnostics)))
+        assert e == est.Estimate(diagnostics=e.diagnostics, n=e.n, spec=e.spec, gamma_hat=e.gamma_hat)
+        assert dataclasses.replace(e, n=61) == est.Estimate(e.gamma_hat, e.spec, 61, e.diagnostics)
+        assert est.Estimate(1.5, spec, 60) == est.Estimate(1.5, spec, 60, {})
+        assert est.Estimate(1.5, spec, 60).diagnostics is not est.Estimate(1.5, spec, 60).diagnostics
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DegenerateSampleError, match=f"non-finite estimate {bad}"):
+                est.Estimate(bad, spec, 60)
+        with pytest.raises(FrozenInstanceError):
+            est.evaluate(self._sample(), spec).gamma_hat = 0.0
 
 
 def test_scale_invariance_all_estimators():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from gtail import estimators, secondorder, stats
 from gtail.distributions import DistSpec, sample
 from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
-from gtail.stats import PROFILE_TILE, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows
+from gtail.stats import (PROFILE_TILE, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows,
+                         stat_g_triple)
 
 E = math.e
 
@@ -408,21 +410,86 @@ def test_rows_and_ks_that_are_not_integral_are_domain_errors():
         estimators.estimate_arrays(block, "g3", *ints, 0.3).tobytes()
 
 
+@pytest.mark.parametrize("name, rows, ks, bad", [
+    ("k", [0], [1e300], "1e[+]300"),
+    ("k", [0, 1], [10, 2.0**63], "9.223372036854776e[+]18"),
+    ("row", [1e300], [10], "1e[+]300"),
+    ("row", [-2.0**64], [10], "-1.8446744073709552e[+]19"),
+    ("row", np.array([2**63], dtype=np.uint64), [10], "9223372036854775808"),
+])
+def test_rows_and_ks_outside_int64_are_domain_errors(name, rows, ks, bad):
+    """An integral float row or k outside the int64 range, or a uint64 one
+    above it, raises a DomainError naming it, before a cast that would wrap
+    it to -2^63 (with a warning for a float); -2^63 itself is an int64 and
+    fails the range check instead."""
+    block = SampleBlock.from_values(np.arange(1.0, 46.0).reshape(3, 15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{name} must be in the int64 range, got {bad}$"):
+            stat_g_rows(block, rows, ks, 0.0, (1.0,))
+        with pytest.raises(DomainError, match=f"{name} must be in the int64 range, got {bad}$"):
+            estimators.estimate_arrays(block, "hill", rows, ks, 0.0)
+        with pytest.raises(DomainError, match="k=-9223372036854775808 outside"):
+            estimators.estimate_arrays(block, "hill", [0], [-2.0**63], 0.0)
+
+
+@pytest.mark.parametrize("us, match", [
+    ((), "us is empty"),
+    ((math.nan,), "u must be finite, got nan"),
+    ((1.0, math.nan), "u must be finite, got nan"),
+    ((0.0, math.inf), "u must be finite, got inf"),
+    ((-math.inf,), "u must be > -1, got -inf"),
+])
+def test_us_outside_the_domain_are_domain_errors(us, match):
+    """An empty us and a u that is not a finite number > -1 are
+    DomainErrors on every path: not min()'s ValueError, NaN, or the silent
+    0.0 of u = inf; a NaN r, which estimate_arrays passes for a failed row,
+    stays a NaN statistic."""
+    block = SampleBlock.from_values(np.arange(1.0, 46.0).reshape(3, 15))
+    s = Sample.from_values(block.values[1])
+    calls = [lambda: stat_g_rows(block, [0, 2], [10, 4], 0.3, us),
+             lambda: stat_g_rows(block, 1, 10, 0.3, us),
+             lambda: stat_g_triple(s, 0, 10, 0.3, us)]
+    if len(us) == 1:
+        calls.append(lambda: stat_g(s, 10, 0.3, us[0]))
+    for call in calls:
+        with pytest.raises(DomainError, match=match):
+            call()
+    got = stat_g_rows(block, [0, 0], [10, 10], [math.nan, 0.3], (0.0, 1.0))
+    assert np.isnan(got[:, 0]).all() and np.isfinite(got[:, 1]).all()
+    assert all(math.isnan(g) for g in stat_g_triple(s, 0, 10, math.nan, (0.0, 1.0))[0])
+
+
+def test_stat_g_triple_returns_floats_and_the_tie():
+    """The one-triple form returns Python floats, the bits that the one-
+    triple stat_g_rows wraps in an array, and whether X_(1) ties X_(k+1)."""
+    s = Sample.from_values([1.0, 2.0, 2.0, 2.0, 5.0, 7.0])
+    for k in (2, 3, 4):
+        got, tie = stat_g_triple(s, 0, k, 0.4, (0.0, 1.0, 2.0))
+        assert tie is False and all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == stat_g_rows(Sample.from_values(s.values), 0, k, 0.4,
+                                                       (0.0, 1.0, 2.0)).tobytes()
+    tied = Sample.from_values([2.0, 2.0, 2.0, 1.0])
+    assert stat_g_triple(tied, 0, 2, 0.0, (1.0,)) == ([0.0], True)
+    with pytest.raises(DomainError, match="k must be an int, got 2.0"):
+        stat_g_triple(tied, 0, 2.0, 0.0, (1.0,))  # also with (0, 2) in the memo
+
+
 class TestLogMemo:
     """A block remembers the log-ratios, the exp and the statistics of the
     last (row, k, r) that a one-triple stat_g_rows call read."""
 
     def test_order_statistics_and_memo_are_read_only(self):
         s = Sample.from_values([3.0, 1.0, 2.0, 5.0])
-        assert s.last_logs == (None,) * 5
+        assert s.last_logs == (None,) * 6
         g = stat_g(s, 2, 0.5, 1.0)
-        key, logs, r, e, stats_ = s.last_logs
-        assert key == (0, 2) and r == 0.5
+        key, logs, tie, r, e, stats_ = s.last_logs
+        assert key == (0, 2) and tie is False and r == 0.5
         assert logs.tolist() == np.log([5.0 / 2.0, 3.0 / 2.0]).tolist()
         assert e.tolist() == np.exp(0.5 * logs).tolist() and stats_ == {1.0: g}
         stat_g(s, 2, 0.0, 2.0)  # the same (row, k) at r = 0 keeps L and skips the exp
-        assert s.last_logs[1] is logs and s.last_logs[2:4] == (0.0, None)
-        assert list(s.last_logs[4]) == [2.0]
+        assert s.last_logs[1] is logs and s.last_logs[3:5] == (0.0, None)
+        assert list(s.last_logs[5]) == [2.0]
         block = SampleBlock.from_values(np.arange(1.0, 7.0).reshape(2, 3))
         for arr in (s.sorted_desc, s.desc, logs, e, block.sorted_desc, block.desc):
             with pytest.raises(ValueError, match="read-only"):
@@ -436,7 +503,7 @@ class TestLogMemo:
         rs = np.linspace(-2.0, 2.0, 1000).tolist()
         for r in rs:
             estimators.g1(s, 100, r)
-        key, logs, r, e, stats_ = s.last_logs
+        key, logs, tie, r, e, stats_ = s.last_logs
         assert key == (0, 100) and r == rs[-1] and list(stats_) == [0.0]
         assert e.shape == (100,) and not e.flags.writeable
         assert e.tobytes() == np.exp(rs[-1] * logs).tobytes()
@@ -515,8 +582,9 @@ def _call_bits(fn, *args):
     except GtailError as exc:
         return type(exc), str(exc)
     if isinstance(result, estimators.Estimate):
-        return result.spec, tuple(result.diagnostics), np.array(
-            [result.gamma_hat, *result.diagnostics.values()]).tobytes()
+        return result.spec, repr(result.spec), np.float64(result.spec.r).tobytes(), result.n, \
+            tuple(result.diagnostics), tuple(map(type, result.diagnostics.values())), \
+            np.array([result.gamma_hat, *result.diagnostics.values()]).tobytes()
     return result.tobytes()
 
 
@@ -526,8 +594,11 @@ def _call_bits(fn, *args):
 def test_memo_calls_are_fresh_calls(seed, n, spread, tied, data):
     """On one sample, any sequence of calls at repeated and interleaved
     (k, r) gives, bit for bit, the result of the same call on a fresh
-    sample, or raises the same error with the same message. hme takes
-    beta = 1 - p, whose r = 1 - beta can differ from p in the last bit."""
+    sample, or raises the same error with the same message: the whole
+    Estimate, its gamma_hat's bits, its spec (the sign of r included), n
+    and diagnostics, whether evaluate or the kind's own function makes it.
+    hme takes beta = 1 - p, whose r = 1 - beta can differ from p in the
+    last bit."""
     rng = np.random.default_rng(seed)
     values = rng.integers(1, 4, n) if tied else np.exp(rng.uniform(-spread, spread, n))
     s = Sample.from_values(values)
@@ -536,15 +607,20 @@ def test_memo_calls_are_fresh_calls(seed, n, spread, tied, data):
                       st.floats(-3.0, 3.0))
     params = data.draw(st.lists(param, min_size=1, max_size=3))
     calls = data.draw(st.lists(st.tuples(st.sampled_from(estimators.KINDS + ("stat_g",)),
-                                         st.sampled_from(pool), st.sampled_from(params)),
+                                         st.sampled_from(pool), st.sampled_from(params),
+                                         st.booleans()),
                                min_size=1, max_size=12))
 
-    def call(sample_, kind, k, p):
+    def call(sample_, kind, k, p, direct):
         if kind == "stat_g":
             return stat_g_rows(sample_, 0, k, p, (-0.5, 0.0, 1.0, 2.0, 3.0))
+        if direct:
+            fn = getattr(estimators, kind)
+            return fn(sample_, k) if kind in ("hill", "moment", "moment_ratio") else \
+                fn(sample_, k, 1.0 - p if kind == "hme" else p)
         return estimators.evaluate(sample_, estimators.EstimatorSpec(kind, k, r=p, beta=1.0 - p))
 
     with np.errstate(all="ignore"):
-        for kind, k, p in calls:
-            assert _call_bits(call, s, kind, k, p) == _call_bits(
-                call, Sample.from_values(s.values), kind, k, p), (kind, k, p)
+        for kind, k, p, direct in calls:
+            assert _call_bits(call, s, kind, k, p, direct) == _call_bits(
+                call, Sample.from_values(s.values), kind, k, p, direct), (kind, k, p, direct)
