@@ -76,14 +76,21 @@ class JointLimitConstants:
 
 
 def xi(gamma: float, r: float, u: float) -> float:
-    """Limit in probability of the statistic G_n(k,r,u): gamma^u Gamma(1+u) / (1-gamma r)^(1+u)."""
+    """Limit in probability of the statistic G_n(k,r,u): gamma^u Gamma(1+u) / (1-gamma r)^(1+u);
+    a DomainError where it is not a finite float."""
     if gamma <= 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if u <= -1:
         raise DomainError(f"u must be > -1, got {u}")
     if gamma * r >= 1:
         raise DomainError(f"need gamma*r < 1, got {gamma * r}")
-    return gamma**u * math.gamma(1.0 + u) / (1.0 - gamma * r) ** (1.0 + u)
+    try:
+        value = gamma**u * math.gamma(1.0 + u) / (1.0 - gamma * r) ** (1.0 + u)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"xi is not a finite float at gamma={gamma}, r={r}, u={u}")
+    return value
 
 
 def _check_half(gamma: float, r: float) -> None:

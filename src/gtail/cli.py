@@ -76,7 +76,11 @@ def cmd_estimate(args) -> int:
         report.update({"gamma_hat": e.gamma_hat, "k": args.k, "r": e.spec.r})
         j = estimators.J_OF_KIND.get(args.kind)
         if j is not None:
-            report["ci95"] = _confidence_interval(e.gamma_hat, e.spec.r, j, args.k)
+            # an estimate stands where its asymptotic interval is undefined
+            try:
+                report["ci95"] = _confidence_interval(e.gamma_hat, e.spec.r, j, args.k)
+            except DomainError as exc:
+                report.update({"ci95": None, "ci95_undefined": str(exc)})
     _emit(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 

@@ -2,7 +2,10 @@
 
 Three families with analytic quantile functions, sampled by inverse
 transform from a counter-based generator (numpy Philox) so that any
-(spec, n, seed) triple reproduces bit-identically on every platform:
+(spec, n, seed) triple reproduces bit-identically on one numpy build with
+one set of CPU kernels. numpy picks the SIMD kernels of the quantile's exp,
+log1p, expm1 and power for the CPU at run time, and another set (with or
+without AVX-512, say) can change the last bits of the draws:
 
 * strict Pareto:  1 - F(x) = x^(-1/gamma), x >= 1 (exact power law, no
   second-order term);

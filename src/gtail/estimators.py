@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
-from .stats import SMALL_R, Sample, SampleBlock, int_array, stat_g_rows, stat_g_triple
+from .stats import SMALL_R, Sample, SampleBlock, int_array, stat_g_rows
 
 
 @dataclass(frozen=True)
@@ -134,31 +134,32 @@ def _g3(g, r):
 #: where the cancellation in x^r - 1 destroys precision. hill and
 #: moment_ratio are g1 and g3 at r = 0; hme is g1 at r = 1 - beta.
 _KINDS = {
-    "hill": ((1.0,), None, _g1),
-    "moment": ((1.0, 2.0), None, _moment),
-    "moment_ratio": ((1.0, 2.0), None, _g3),
-    "g1": ((1.0,), (0.0,), _g1),
-    "g2": (None, (1.0,), _g2),
-    "g3": ((1.0, 2.0), (0.0, 1.0), _g3),
-    "hme": ((1.0,), (0.0,), _g1),
+    "hill": ((1,), None, _g1),
+    "moment": ((1, 2), None, _moment),
+    "moment_ratio": ((1, 2), None, _g3),
+    "g1": ((1,), (0,), _g1),
+    "g2": (None, (1,), _g2),
+    "g3": ((1, 2), (0, 1), _g3),
+    "hme": ((1,), (0,), _g1),
 }
 KINDS = tuple(_KINDS)
 
 
-def _diagnostics(us: tuple):
-    """The function from the statistics at us to an Estimate's diagnostics
-    dict, which names G(k, r, u) g_r<u>; a dict display, as dict(zip())
-    costs twice as much."""
-    names = tuple(f"g_r{u:.0f}" for u in us)
-    if len(names) == 1:
-        (a,) = names
-        return lambda g: {a: g[0]}
-    a, b = names
-    return lambda g: {a: g[0], b: g[1]}
+def _reader(us: tuple):
+    """The function from a record of statistics indexed by u (see
+    SampleBlock.g_record) to those at us, in order, and an Estimate's
+    diagnostics dict, which names G(k, r, u) g_r<u>; a dict display, as
+    dict(zip()) costs twice as much."""
+    names = [f"g_r{u}" for u in us]
+    if len(us) == 1:
+        (u,), (a,) = us, names
+        return lambda g: ((g[u],), {a: g[u]})
+    (u, v), (a, b) = us, names
+    return lambda g: ((g[u], g[v]), {a: g[u], b: g[v]})
 
 
-#: Each tuple of u a kind reads -> its diagnostics function.
-_DIAGNOSTICS = {us: _diagnostics(us) for kind in _KINDS.values() for us in kind[:2] if us}
+#: Each tuple of u a kind reads -> its reader.
+_READERS = {us: _reader(us) for kind in _KINDS.values() for us in kind[:2] if us}
 #: The kind of the paper's estimator j.
 KIND_OF_J = {1: "g1", 2: "g2", 3: "g3"}
 #: The paper's estimator j whose closed form each kind shares (moment has
@@ -178,7 +179,7 @@ def _branch(kind: str, param):
 @lru_cache(maxsize=4096, typed=True)
 def _plan(kind: str, k: int, param, _sign) -> tuple:
     """kind at (k, param): (the canonical spec, the r its statistics are
-    read at, the us it reads, its closed form, its diagnostics function).
+    read at, the reader of the u it reads, its closed form).
     The spec is made here, so a k that is not an int or a tuning that is not
     finite raises its DomainError before the sample is read. _sign, the sign
     of param, is only a part of the cache key: 0.0 and -0.0 are equal keys,
@@ -189,21 +190,21 @@ def _plan(kind: str, k: int, param, _sign) -> tuple:
     hme = kind == "hme"
     spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
     at_zero, tuned, form = _KINDS[kind]
-    us = at_zero if zero else tuned
-    return spec, r, us, form, _DIAGNOSTICS[us]
+    return spec, r, _READERS[at_zero if zero else tuned], form
 
 
 def _one(s: Sample, kind: str, k: int, param) -> Estimate:
     """kind at (k, param) on a sample: the one place an Estimate, or an
     estimator's error, is made."""
     try:
-        spec, r, us, form, diagnostics = _plan(kind, k, param, math.copysign(1.0, param))
+        spec, r, read, form = _plan(kind, k, param, math.copysign(1.0, param))
     except TypeError:  # an unhashable k, or a param that is not a real number
-        spec, r, us, form, diagnostics = _plan.__wrapped__(kind, k, param, None)
-    g, tie = stat_g_triple(s, 0, k, r, us, check_us=False)
+        spec, r, read, form = _plan.__wrapped__(kind, k, param, None)
+    record, tie = s.g_record(k, r)
     if tie:
         raise DegenerateSampleError(TIE_MESSAGE)
-    return Estimate(form(g, r), spec, s.n, diagnostics(g))
+    g, diagnostics = read(record)
+    return Estimate(form(g, r), spec, s.n, diagnostics)
 
 
 def _gamma(form, g: list, r: float) -> float:

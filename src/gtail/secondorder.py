@@ -56,7 +56,7 @@ from . import estimators
 from .asymptotics import NO_TAIL_SIZE, r_star, tail_size
 from .errors import DegenerateSampleError, DomainError, PipelineError
 from .estimators import Estimate, EstimatorSpec
-from .stats import Sample, SampleBlock, log_moment_profile, stat_g_triple
+from .stats import Sample, SampleBlock, log_moment_profile, stat_g_rows
 
 #: rho estimates below this are clamped (with a warning): more negative values
 #: make the (i/k)^(-rho) power sums in beta_hat explode.
@@ -93,7 +93,7 @@ def _t_statistic(m1, m2, m3, tau: int, out=None, spare=(None, None)):
         num = np.subtract(np.log(m1, out=out), half_log_m2, out=out)
         third = np.divide(np.log(m3, out=spare[1]), 3.0, out=spare[1])
         den = np.subtract(half_log_m2, third, out=spare[0])
-    elif tau > 0:
+    elif tau > 0 and tau % 1 == 0:
         m2_power = np.power(m2, tau / 2.0, out=spare[0])
         num = np.subtract(np.power(m1, tau, out=out), m2_power, out=out)
         den = np.subtract(m2_power, np.power(m3, tau / 3.0, out=spare[1]), out=spare[0])
@@ -116,7 +116,7 @@ def _rho_path(m1, m2, m3, tau: int, out=None, spare=(None, None)):
 
 def rho_hat(s: Sample, k: int, tau: int) -> float:
     """Second-order parameter estimate -|3(T-1)/(T-3)| at a single k."""
-    (m1, m2, m3), _ = stat_g_triple(s, 0, k, 0.0, (1.0, 2.0, 3.0))
+    m1, m2, m3 = stat_g_rows(s, 0, k, 0.0, (1, 2, 3)).tolist()
     m2, m3 = m2 / 2.0, m3 / 6.0
     if m1 <= 0.0 or m2 <= 0.0 or m3 <= 0.0:
         raise DegenerateSampleError(f"non-positive log-moment statistic at k={k}")
@@ -245,6 +245,8 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
     block = _one_sample(s)
     if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
+    if rho == -math.inf:
+        raise DomainError(f"rho must be finite, got {rho}")
     if not (2 <= k <= s.n - 1):
         raise DomainError(f"k={k} outside [2, n-1] for n={s.n}")
     (beta,), (zero_den,) = (x.tolist() for x in _beta_arrays(block, k, np.array([rho], dtype=float)))

@@ -5,21 +5,19 @@ observations as rows and caches their descending order statistics (every
 estimator re-reads prefixes of the sorted data for varying tail sizes
 ``k``), which are read-only. A :class:`Sample` is the one-row block, with
 1-D ``values`` and ``sorted_desc``, so every array form also takes one
-sample as its row 0. A block also remembers the log-ratios, and the
-statistics already summed, of the last (row, k, r) that one-triple calls
-read, so that a k-plot that evaluates every kind at one (k, r), then the
-next r, then the next k, takes the logs once per k, the exp once per (k, r)
-and each G(k, r, u) once.
+sample as its row 0.
 
 The statistic G_n(k, r, u) is the mean of
 ``(X_(i) / X_(k+1))^r * ln(X_(i) / X_(k+1))^u`` over the ``k`` largest
 observations ``X_(1) >= ... >= X_(k)``, with ``X_(k+1)`` the threshold.
 Classical tail-index estimators (Hill, moment, moment ratio) and their
 generalizations are all simple functions of these statistics. Its one
-array form is :func:`stat_g_rows`. One (row, k, r) triple goes through
-:func:`stat_g_triple`, which reads the memo and returns Python floats, with
-no array around them: it is what the per-sample estimators call, and what
-the one-triple :func:`stat_g_rows` and :func:`stat_g` wrap.
+array form is :func:`stat_g_rows`, which also serves one triple and
+:func:`stat_g`. The per-sample estimators read :meth:`SampleBlock.g_record`
+instead: the few statistics every kind reads at one (k, r), kept in a memo
+of the last (k, r), so that a k-plot that evaluates every kind at one
+(k, r), then the next r, then the next k, takes the logs once per k and
+the exp and the sums once per (k, r).
 """
 
 from __future__ import annotations
@@ -46,24 +44,20 @@ class SampleBlock:
     (rows, n), a Sample's too, stored at construction so no call reshapes;
     both are read-only. ``n``, the sample size, is stored too.
 
-    ``last_logs`` is a memo of one entry, ``((row, k), L, tie, r, E, G)``,
-    of the last (row, k, r) that a :func:`stat_g_triple` call read: the
-    read-only log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; whether the top
-    k values all tie the threshold; r; the read-only exp(r * L), or None
-    where r = 0 skips it; and a dict from u to the G(k, r, u) already summed
-    there, as Python floats. So all kinds at one (k, r), then
-    the next r, then the next k, take the logs once per k, the exp once per
-    (k, r) and each statistic once. A call at the same (row, k) and another
-    r keeps L and replaces the rest; another (row, k) replaces all of it.
-    The entry is swapped as one tuple, so a thread never reads a key with
-    another entry's arrays, and its dict only receives values that follow
-    from its own key, which any thread computes alike."""
+    ``last_record`` is a memo of one entry, ``(k, L, top, tie, r, g)``, of
+    the last (k, r) that a :meth:`g_record` call read on row 0: the
+    read-only log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; the largest of
+    them as a float; whether the top k values all tie the threshold; r; and
+    the record g of the statistics at (k, r). A call at the same k and
+    another r keeps L and replaces the rest; another k replaces all of it.
+    The entry is swapped as one tuple of values that follow from its key,
+    so a thread never reads a key with another entry's values."""
 
     values: np.ndarray
     sorted_desc: np.ndarray
     desc: np.ndarray = field(init=False, repr=False)
     n: int = field(init=False, repr=False)
-    last_logs: tuple = field(default=(None,) * 6, init=False, repr=False)
+    last_record: tuple = field(default=(None,) * 6, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "desc", np.atleast_2d(self.sorted_desc))
@@ -79,6 +73,58 @@ class SampleBlock:
         if arr.ndim != 2:
             raise DomainError(f"a sample block needs a 2-D array, got {arr.ndim}-D")
         return cls(arr, _order_statistics(arr))
+
+    def g_record(self, k: int, r: float) -> tuple[tuple, bool]:
+        """The statistics the estimators read at (k, r) on row 0, as a tuple
+        g of Python floats indexed by u: G(k, r, 0) and G(k, r, 1), and at
+        r = 0 also G(k, 0, 2), where g[0] is 1.0; and whether the top k
+        values all tie the threshold X_(k+1). Each G is, bit for bit,
+        :func:`stat_g_rows`'s: the two sums are one two-row np.add.reduce,
+        which rounds each row as its own sum, and r = 0 skips exp(0 * L),
+        which is 1 where the largest L is finite. The last (k, r) comes from
+        the memo (r matched by value, as hme's 1 - beta can differ from r in
+        the last bit; an array r could change, so it never matches). A k
+        that is not an int, or outside [2, n-1], is a DomainError. No numpy
+        warning escapes: what overflows is inf, and 0 * inf is NaN."""
+        entry = self.last_record
+        if entry[0] != k or not (type(k) is int or isinstance(k, np.integer)):
+            if not isinstance(k, (int, np.integer)):
+                raise DomainError(f"k must be an int, got {k!r}")
+            _check_k(self.n, k)
+            d = self.desc[0]
+            hi, lo = float(d[0]), float(d[k])
+            if hi / lo < math.inf:
+                logs = np.log(d[:k] / d[k])
+            else:  # the largest ratio overflows
+                with np.errstate(over="ignore"):
+                    logs = np.log(d[:k] / d[k])
+            logs.flags.writeable = False
+            entry = (k, logs, float(logs[0]), hi == lo, None, None)
+        key, logs, top, tie, last_r, g = entry
+        scalar = isinstance(r, (int, float))
+        if g is None or not scalar or last_r != r:
+            # below 600, no exp, product or sum of k terms can overflow
+            if abs(float(r)) * top < 600.0:
+                g = _g_record(logs, top, r)
+            else:  # also 0 * inf, and a NaN r
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g = _g_record(logs, top, r)
+            object.__setattr__(self, "last_record", (key, logs, top, tie, r if scalar else None, g))
+        return g, tie
+
+
+def _g_record(logs: np.ndarray, top: float, r) -> tuple:
+    """SampleBlock.g_record's statistics at r from the log-ratios L, whose
+    largest is top."""
+    terms = np.empty((2, logs.size))
+    if r == 0.0:
+        # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
+        e = 1.0 if top < math.inf else np.exp(r * logs)
+        np.multiply(e, logs, out=terms[0])
+        np.multiply(terms[0], logs, out=terms[1])
+        return (1.0, *(np.add.reduce(terms, axis=1) / logs.size).tolist())
+    np.multiply(np.exp(r * logs, out=terms[0]), logs, out=terms[1])
+    return tuple((np.add.reduce(terms, axis=1) / logs.size).tolist())
 
 
 class Sample(SampleBlock):
@@ -183,6 +229,11 @@ def int_array(values, name: str) -> np.ndarray:
     int64 range, raises DomainError naming it, and an integral float is
     that int."""
     arr = np.asarray(values)
+    if arr.dtype.kind == "O":  # such as a Python int beyond 64 bits
+        for v in arr.flat:
+            if isinstance(v, (int, np.integer)) and not -2**63 <= v < 2**63:
+                raise DomainError(f"{name} must be in the int64 range, got {v}")
+        arr = arr.astype(float)
     if arr.dtype.kind not in "biu":
         whole = np.isfinite(arr) & (np.floor(arr) == arr)
         if not whole.all():
@@ -196,7 +247,7 @@ def int_array(values, name: str) -> np.ndarray:
     return arr.astype(int)
 
 
-def _check_us(us, logs: np.ndarray) -> None:
+def _check_u(us, logs: np.ndarray) -> None:
     """DomainError for an empty us or a u that is not a finite number > -1,
     and DegenerateSampleError for a u < 0 where a log-ratio is 0."""
     if not len(us):
@@ -213,63 +264,11 @@ def _check_us(us, logs: np.ndarray) -> None:
 
 def stat_g(s: Sample, k: int, r: float, u: float) -> float:
     """Mean of the power-log kernel over the top-k ratios: G_n(k, r, u), the
-    one-u call of :func:`stat_g_triple` on row 0."""
-    return stat_g_triple(s, 0, k, r, (u,))[0][0]
-
-
-def stat_g_triple(s: SampleBlock, row: int, k: int, r: float, us,
-                  check_us: bool = True) -> tuple[list, bool]:
-    """G_n(k, r, u) at one (row, k, r) triple of a block for each u in us,
-    as a list of Python floats, and whether the top k values of the row all
-    tie the threshold X_(k+1).
-
-    It reads the block's one-entry memo (see :class:`SampleBlock`): a hit
-    returns the floats of a fresh call (r is matched by value, as hme's
-    1 - beta can differ from r in the last bit) and skips the row and k
-    checks, which the stored (row, k) passed. It skips exp(0 * L) at r = 0,
-    which is exactly 1 where the largest log-ratio is finite, and L**1 at
-    u = 1. Its errors are those of :func:`stat_g_rows`, and a row or k that
-    is not an int is a DomainError; ``check_us=False`` skips the checks of
-    us, for a caller whose us are constants >= 0 (the estimators).
-    """
-    entry = s.last_logs
-    ints = ((type(row) is int or isinstance(row, np.integer))
-            and (type(k) is int or isinstance(k, np.integer)))
-    if not ints or entry[0] != (row, k):
-        if not isinstance(k, (int, np.integer)):
-            raise DomainError(f"k must be an int, got {k!r}")
-        _check_k(s.n, k)
-        if not isinstance(row, (int, np.integer)):
-            raise DomainError(f"one k needs one int row, got {row!r}")
-        _check_row(s.rows, row)
-        d = s.desc[row]
-        logs = np.log(d[:k] / d[k])
-        logs.flags.writeable = False
-        entry = ((row, k), logs, bool(d[0] == d[k]), None, None, None)
-    key, logs, tie, last_r, e, g = entry
-    if check_us:
-        _check_us(us, logs)
-    # an array r could change after the call, so only a number is remembered
-    scalar = isinstance(r, (int, float))
-    if g is None or not scalar or last_r != r:
-        # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
-        e = None if r == 0.0 and logs[0] < np.inf else np.exp(r * logs)
-        if e is not None:
-            e.flags.writeable = False
-        g = {}
-        object.__setattr__(s, "last_logs", (key, logs, tie, r if scalar else None, e, g))
-    out = []
-    for u in us:
-        value = g.get(u)
-        if value is None:
-            if u == 0:
-                total = float(k) if e is None else float(np.add.reduce(e))
-            else:
-                t = logs if u == 1 else logs**u  # L**1 is L, bit for bit
-                total = float(np.add.reduce(t if e is None else e * t))
-            value = g[u] = total / float(k)  # as total / k, a Python float for any int k
-        out.append(value)
-    return out, tie
+    one-u call of :func:`stat_g_rows` on row 0, as a float. An r that is not
+    finite is a DomainError."""
+    if not math.isfinite(r):
+        raise DomainError(f"r must be finite, got {r}")
+    return float(stat_g_rows(s, 0, k, r, (u,))[0])
 
 
 def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
@@ -287,11 +286,13 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     The kernel reads the log of each ratio X_(i) / X_(k+1), so an exact
     rescaling of the sample leaves it bit-identical. Each triple's terms are
     summed, per u, by the pairwise sum of np.mean (a padded or segmented sum
-    rounds differently); many triples go through exp and the powers as one
-    flat array. One triple is :func:`stat_g_triple`'s floats as an array.
+    rounds differently); the triples go through exp and the powers as one
+    flat array.
     """
-    if isinstance(ks, (int, np.integer)):
-        return np.array(stat_g_triple(s, rows, ks, r, us)[0])
+    if np.ndim(ks) == 0:
+        if not isinstance(rows, (int, np.integer)) or not isinstance(ks, (int, np.integer)):
+            raise DomainError(f"one triple needs one int row and one int k, got {rows!r} and {ks!r}")
+        return stat_g_rows(s, [rows], [ks], r, us)[:, 0]
     ks = int_array(ks, "k").tolist()
     if np.shape(rows) != (len(ks),) or np.ndim(r) and np.shape(r) != (len(ks),):
         raise DomainError(f"rows, ks and an array r need one entry per triple, got shapes "
@@ -307,7 +308,7 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     logs = np.log(top / np.repeat(desc[rows, ks], ks))
     if np.ndim(r):
         r = np.repeat(r, ks)
-    _check_us(us, logs)
+    _check_u(us, logs)
     e = np.exp(r * logs)
     terms = np.empty((len(us), logs.size))
     for a, u in enumerate(us):

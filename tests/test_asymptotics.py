@@ -30,6 +30,15 @@ class TestXi:
         with pytest.raises(DomainError):
             asy.xi(1.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("gamma, r, u", [(1e308, 0.0, 2.0), (1.0, 0.0, 300.0),
+                                             (1.0, 1.0 - 2.0**-52, 300.0), (math.nan, 0.0, 1.0)])
+    def test_not_a_finite_float_is_a_domain_error(self, gamma, r, u):
+        """A limit that overflows (gamma^u, Gamma(1 + u), the quotient) or
+        is NaN is a DomainError naming its arguments, not a bare
+        OverflowError or an inf."""
+        with pytest.raises(DomainError, match=re.escape(f"at gamma={gamma}, r={r}, u={u}")):
+            asy.xi(gamma, r, u)
+
 
 class TestJointLimitConstants:
     def test_r_zero_reductions(self):

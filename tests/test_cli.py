@@ -96,6 +96,24 @@ class TestEstimate:
         half = 1.959963984540054 * math.sqrt(asy.estimator_limit_constants(model, report["r"], j)[1] / 100)
         assert report["ci95"] == [gamma - half, gamma + half]
 
+    @pytest.mark.parametrize("r, defined", [(0.6, False), (0.45, True)])
+    def test_estimate_stands_where_its_interval_is_undefined(self, tmp_path, r, defined, capsys):
+        """g1's interval needs gamma_hat * r < 1/2: where that fails (r = 0.6
+        on Pareto(1) data) the estimate is printed with "ci95": null and the
+        reason, and the exit code is 0; at r = 0.45 the interval is there."""
+        p = tmp_path / "pareto.txt"
+        p.write_text("".join(f"{v:.17g}\n" for v in sample(DistSpec("pareto", 1.0), 2000, 1).values))
+        code, out, _ = run(["estimate", p, "--kind", "g1", "--k", "200", "--r", r], capsys)
+        assert code == 0
+        report = json.loads(out)
+        gamma = est.g1(Sample.from_file(p), 200, r).gamma_hat
+        assert report["gamma_hat"] == gamma and (gamma * r < 0.5) == defined
+        if defined:
+            assert len(report["ci95"]) == 2 and "ci95_undefined" not in report
+        else:
+            assert report["ci95"] is None
+            assert report["ci95_undefined"] == f"need gamma*r < 1/2, got {gamma * r}"
+
     def test_missing_k_is_precondition_error(self, data_file, capsys):
         code, _, err = run(["estimate", data_file, "--kind", "hill"], capsys)
         assert code == 3

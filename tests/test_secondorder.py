@@ -115,9 +115,12 @@ class TestRhoHat:
             assert np.isfinite(want) and dst[tau, 0, 1] == want
 
     def test_bad_tau(self):
+        """A tau that is not 0 or a positive integer is a DomainError, where
+        a tau of 0.5 used to give a rho_hat."""
         s = Sample.from_values([1.0, 2.0, 4.0, 8.0])
-        with pytest.raises(DomainError):
-            so.rho_hat(s, 3, -1)
+        for tau in (-1, 0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="tau must be 0 or a positive integer"):
+                so.rho_hat(s, 3, tau)
 
     @pytest.mark.parametrize("m", [-900, -13, 13, 900])
     def test_scale_invariance(self, m):
@@ -243,6 +246,10 @@ class TestBetaHat:
             so.beta_hat(s, 100, 0.5)
         with pytest.raises(DomainError):
             so.beta_hat(s, 1, -1.0)
+        with warnings.catch_warnings():  # no "invalid value" warning first
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="rho must be finite, got -inf"):
+                so.beta_hat(s, 100, -math.inf)
 
     @pytest.mark.parametrize("k, rho", [(2, -200.0), (5, -133.963), (2, -1e300)])
     def test_rho_too_negative_for_a_finite_estimate(self, k, rho):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from gtail import estimators, secondorder, stats
 from gtail.distributions import DistSpec, sample
 from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
-from gtail.stats import (PROFILE_TILE, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows,
-                         stat_g_triple)
+from gtail.stats import PROFILE_TILE, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows
 
 E = math.e
 
@@ -416,12 +415,15 @@ def test_rows_and_ks_that_are_not_integral_are_domain_errors():
     ("row", [1e300], [10], "1e[+]300"),
     ("row", [-2.0**64], [10], "-1.8446744073709552e[+]19"),
     ("row", np.array([2**63], dtype=np.uint64), [10], "9223372036854775808"),
+    ("k", [0], [2**70], "1180591620717411303424"),
+    ("row", [0, 2**70], [10, 10], "1180591620717411303424"),
 ])
 def test_rows_and_ks_outside_int64_are_domain_errors(name, rows, ks, bad):
-    """An integral float row or k outside the int64 range, or a uint64 one
-    above it, raises a DomainError naming it, before a cast that would wrap
-    it to -2^63 (with a warning for a float); -2^63 itself is an int64 and
-    fails the range check instead."""
+    """An integral float row or k outside the int64 range, a uint64 one
+    above it, or a Python int beyond 64 bits (an object array, which
+    np.isfinite rejects with a TypeError), raises a DomainError naming it,
+    before a cast that would wrap it to -2^63 (with a warning for a float);
+    -2^63 itself is an int64 and fails the range check instead."""
     block = SampleBlock.from_values(np.arange(1.0, 46.0).reshape(3, 15))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -448,8 +450,7 @@ def test_us_outside_the_domain_are_domain_errors(us, match):
     block = SampleBlock.from_values(np.arange(1.0, 46.0).reshape(3, 15))
     s = Sample.from_values(block.values[1])
     calls = [lambda: stat_g_rows(block, [0, 2], [10, 4], 0.3, us),
-             lambda: stat_g_rows(block, 1, 10, 0.3, us),
-             lambda: stat_g_triple(s, 0, 10, 0.3, us)]
+             lambda: stat_g_rows(block, 1, 10, 0.3, us)]
     if len(us) == 1:
         calls.append(lambda: stat_g(s, 10, 0.3, us[0]))
     for call in calls:
@@ -457,71 +458,74 @@ def test_us_outside_the_domain_are_domain_errors(us, match):
             call()
     got = stat_g_rows(block, [0, 0], [10, 10], [math.nan, 0.3], (0.0, 1.0))
     assert np.isnan(got[:, 0]).all() and np.isfinite(got[:, 1]).all()
-    assert all(math.isnan(g) for g in stat_g_triple(s, 0, 10, math.nan, (0.0, 1.0))[0])
+    assert np.isnan(stat_g_rows(s, 0, 10, math.nan, (0.0, 1.0))).all()
 
 
-def test_stat_g_triple_returns_floats_and_the_tie():
-    """The one-triple form returns Python floats, the bits that the one-
-    triple stat_g_rows wraps in an array, and whether X_(1) ties X_(k+1)."""
+def test_g_record_returns_floats_and_the_tie():
+    """The record at (k, r) holds, as Python floats indexed by u, the bits
+    of the one-triple stat_g_rows at u = 0 and 1, and 2 at r = 0 (or -0.0),
+    and whether X_(1) ties X_(k+1); a k that is not an int is a
+    DomainError, also with that k in the memo."""
     s = Sample.from_values([1.0, 2.0, 2.0, 2.0, 5.0, 7.0])
     for k in (2, 3, 4):
-        got, tie = stat_g_triple(s, 0, k, 0.4, (0.0, 1.0, 2.0))
-        assert tie is False and all(type(g) is float for g in got)
-        assert np.array(got).tobytes() == stat_g_rows(Sample.from_values(s.values), 0, k, 0.4,
-                                                       (0.0, 1.0, 2.0)).tobytes()
+        for r, us in ((0.4, (0, 1)), (-0.0, (0, 1, 2)), (0.0, (0, 1, 2)), (-3.0, (0, 1))):
+            g, tie = s.g_record(k, r)
+            assert tie is False and len(g) == len(us) and all(type(x) is float for x in g)
+            assert np.array(g).tobytes() == stat_g_rows(s, 0, k, r, us).tobytes()
     tied = Sample.from_values([2.0, 2.0, 2.0, 1.0])
-    assert stat_g_triple(tied, 0, 2, 0.0, (1.0,)) == ([0.0], True)
+    assert tied.g_record(2, 0.0) == ((1.0, 0.0, 0.0), True)
+    assert tied.g_record(2, 0.5) == ((1.0, 0.0), True)
     with pytest.raises(DomainError, match="k must be an int, got 2.0"):
-        stat_g_triple(tied, 0, 2.0, 0.0, (1.0,))  # also with (0, 2) in the memo
+        tied.g_record(2.0, 0.0)  # also with k = 2 in the memo
 
 
 class TestLogMemo:
-    """A block remembers the log-ratios, the exp and the statistics of the
-    last (row, k, r) that a one-triple stat_g_rows call read."""
+    """A sample remembers the log-ratios and the record of statistics of
+    the last (k, r) that a g_record call read."""
 
     def test_order_statistics_and_memo_are_read_only(self):
         s = Sample.from_values([3.0, 1.0, 2.0, 5.0])
-        assert s.last_logs == (None,) * 6
-        g = stat_g(s, 2, 0.5, 1.0)
-        key, logs, tie, r, e, stats_ = s.last_logs
-        assert key == (0, 2) and tie is False and r == 0.5
-        assert logs.tolist() == np.log([5.0 / 2.0, 3.0 / 2.0]).tolist()
-        assert e.tolist() == np.exp(0.5 * logs).tolist() and stats_ == {1.0: g}
-        stat_g(s, 2, 0.0, 2.0)  # the same (row, k) at r = 0 keeps L and skips the exp
-        assert s.last_logs[1] is logs and s.last_logs[3:5] == (0.0, None)
-        assert list(s.last_logs[5]) == [2.0]
+        assert s.last_record == (None,) * 6
+        g, _ = s.g_record(2, 0.5)
+        key, logs, top, tie, r, record = s.last_record
+        assert key == 2 and tie is False and r == 0.5 and record is g and len(g) == 2
+        assert logs.tolist() == np.log([5.0 / 2.0, 3.0 / 2.0]).tolist() and top == logs[0]
+        s.g_record(2, 0.0)  # the same k at r = 0 keeps L
+        assert s.last_record[1] is logs and s.last_record[4] == 0.0 and len(s.last_record[5]) == 3
         block = SampleBlock.from_values(np.arange(1.0, 7.0).reshape(2, 3))
-        for arr in (s.sorted_desc, s.desc, logs, e, block.sorted_desc, block.desc):
+        for arr in (s.sorted_desc, s.desc, logs, block.sorted_desc, block.desc):
             with pytest.raises(ValueError, match="read-only"):
                 arr[..., 0] = 1.0
         assert s.sorted_desc.tolist() == [5.0, 3.0, 2.0, 1.0]
 
-    def test_a_sweep_over_r_keeps_one_exp_vector(self):
-        """After g1 at 1,000 distinct r at one k, the memo holds one
-        read-only exp vector, that of the last r, and only its statistic."""
+    def test_a_sweep_over_r_keeps_one_record(self):
+        """After g1 at 1,000 distinct r at one k, the memo holds the record
+        of the last r, and no array but L."""
         s = sample(DistSpec("burr", 1.0, -1.0), 2000, 7)
         rs = np.linspace(-2.0, 2.0, 1000).tolist()
         for r in rs:
             estimators.g1(s, 100, r)
-        key, logs, tie, r, e, stats_ = s.last_logs
-        assert key == (0, 100) and r == rs[-1] and list(stats_) == [0.0]
-        assert e.shape == (100,) and not e.flags.writeable
-        assert e.tobytes() == np.exp(rs[-1] * logs).tobytes()
+        key, logs, top, tie, r, record = s.last_record
+        assert key == 100 and r == rs[-1]
+        assert record == Sample.from_values(s.values).g_record(100, rs[-1])[0]
+        assert [type(v) for v in s.last_record].count(np.ndarray) == 1
         assert [type(v) for v in vars(s).values()].count(np.ndarray) == 3  # values, sorted_desc, desc
 
     def test_an_array_r_is_read_at_each_call(self):
         """A 0-d array r that the caller changes between calls is never
-        matched to the memo's r."""
+        matched to the memo's r, in the record or in an estimator."""
         s = sample(DistSpec("burr", 1.0, -1.0), 500, 3)
+        fresh = Sample.from_values(s.values)
         r = np.array(0.3)
-        stat_g_rows(s, 0, 40, r, (0.0, 1.0))
+        s.g_record(40, r)
+        estimators.g1(s, 40, r)
         r[...] = -0.4
-        assert stat_g_rows(s, 0, 40, r, (0.0, 1.0)).tobytes() == \
-            stat_g_rows(Sample.from_values(s.values), 0, 40, -0.4, (0.0, 1.0)).tobytes()
+        assert s.g_record(40, r) == fresh.g_record(40, -0.4)
+        assert estimators.g1(s, 40, r).gamma_hat == estimators.g1(fresh, 40, -0.4).gamma_hat
 
     def test_negative_u_on_a_tie_raises_on_a_memo_hit(self):
         """u < 0 where a top value ties the threshold raises on every call,
-        also after the other statistics of that (k, r) are in the memo."""
+        also after the other statistics of that (k, r) were summed."""
         s = Sample.from_values([1.0, 2.0, 2.0, 2.0, 5.0])
         for _ in range(2):
             got = stat_g_rows(s, 0, 3, 0.3, (0.0, 1.0))
@@ -531,11 +535,24 @@ class TestLogMemo:
 
     def test_overflowing_log_ratio_keeps_its_nan_at_r_zero(self):
         """The largest ratio overflows to inf: 0 * inf is NaN, so G(k, 0, u)
-        stays NaN for every u, on the first call and on memo hits."""
+        stays NaN for every u, on the array path and in the record at r = 0
+        (whose u = 0 is 1.0), on its first call and on memo hits; each kind
+        at r = 0 raises the error of a non-finite estimate, with no numpy
+        warning, where estimate_arrays gives NaN."""
         s = Sample.from_values([1e-300, 1e-299, 1e300])
         with np.errstate(all="ignore"):
             assert np.isnan([stat_g(s, 2, 0.0, u) for u in (0.0, 1.0, 2.0, 3.0)]).all()
             assert np.isnan(stat_g_rows(s, 0, 2, 0.0, (0.0, 1.0, 2.0, 3.0))).all()
+            assert np.isnan([estimators.estimate_arrays(s, kind, 0, 2, 1.0 if kind == "hme" else 0.0)
+                             for kind in estimators.KINDS]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                g, tie = s.g_record(2, 0.0)
+                assert g[0] == 1.0 and np.isnan(g[1:]).all() and tie is False
+                for kind in estimators.KINDS:
+                    with pytest.raises(DegenerateSampleError, match="non-finite estimate nan"):
+                        estimators.evaluate(s, estimators.EstimatorSpec(kind, 2, beta=1.0))
 
     def test_threads_sharing_a_sample_get_the_serial_estimates(self):
         """Four threads evaluate every kind at alternating k and r on one
@@ -624,3 +641,62 @@ def test_memo_calls_are_fresh_calls(seed, n, spread, tied, data):
         for kind, k, p, direct in calls:
             assert _call_bits(call, s, kind, k, p, direct) == _call_bits(
                 call, Sample.from_values(s.values), kind, k, p, direct), (kind, k, p, direct)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_kinds_at_r_zero_share_one_record(zero):
+    """hill and moment read G(k, 0, 1) and G(k, 0, 2) through their r = 0
+    branch, and g2 reads G(k, 0, 1) through its tuned branch, all from the
+    one record at (k, 0): in either order, and interleaved with g1 at
+    another r, each estimate is estimate_arrays', bit for bit."""
+    s = sample(DistSpec("burr", 1.0, -1.0), 500, 11)
+    at_zero = [("hill", zero), ("moment", zero), ("g2", zero)]
+    orders = [at_zero, at_zero[::-1],
+              [at_zero[2], ("g1", 0.3), at_zero[0], ("g1", 0.3), at_zero[1], ("g2", zero)]]
+    for order in orders:
+        for kind, r in order:
+            got = estimators.evaluate(s, estimators.EstimatorSpec(kind, 40, r=r)).gamma_hat
+            assert np.float64(got).tobytes() == \
+                estimators.estimate_arrays(s, kind, 0, 40, r).tobytes(), (order, kind)
+
+
+def test_a_kind_major_sweep_is_the_k_major_sweep():
+    """The memo serves any order: every kind at every (k, r) swept kind by
+    kind gives each result of the k-major sweep (every kind at one (k, r),
+    then the next r, then the next k), ties and -0.0 included."""
+    values = sample(DistSpec("burr", 1.0, -1.0), 300, 5).values
+    values[np.argsort(values)[-3:]] = values.max()  # the top 3 tie: k = 2 is a tie
+    ks, params = (2, 3, 10, 150, 299), (0.0, -0.0, 1e-9, 0.3, -0.4, 5.0)
+
+    def sweep(order):
+        s = Sample.from_values(values)
+        return {(kind, k, i): _call_bits(estimators.evaluate, s, estimators.EstimatorSpec(
+            kind, k, r=params[i], beta=1.0 - params[i])) for kind, k, i in order}
+
+    k_major = [(kind, k, i) for k in ks for i in range(len(params)) for kind in estimators.KINDS]
+    kind_major = [(kind, k, i) for kind in estimators.KINDS for k in ks for i in range(len(params))]
+    with np.errstate(all="ignore"):
+        assert sweep(kind_major) == sweep(k_major)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda s: stat_g(s, 10, math.inf, 1.0), DomainError, "r must be finite, got inf"),
+    (lambda s: stat_g(s, 10, math.nan, 1.0), DomainError, "r must be finite, got nan"),
+    (lambda s: estimators.g1(s, 10, 1e308), DegenerateSampleError, "non-finite estimate nan"),
+    (lambda s: estimators.g2(s, 10, -1e308), DegenerateSampleError, "underflows to 0"),
+    (lambda s: estimators.g1(s, 1000, 800.0), DegenerateSampleError, "non-finite estimate nan"),
+    (lambda s: s.g_record(10, math.nan), None, None),
+], ids=["stat_g-inf", "stat_g-nan", "g1-1e308", "g2--1e308", "g1-800-k1000", "g_record-nan"])
+def test_tunings_out_of_range_raise_with_no_warning(call, error, match):
+    """A tuning whose exp, product or sum overflows ends in a typed error
+    with no numpy RuntimeWarning first, on a memo miss and on a hit; stat_g
+    takes only a finite r, and a NaN r gives NaN statistics."""
+    s = sample(DistSpec("burr", 1.0, -1.0), 2000, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            if error is None:
+                assert np.isnan(call(s)[0]).all()
+                continue
+            with pytest.raises(error, match=match):
+                call(s)
