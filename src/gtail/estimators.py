@@ -71,14 +71,17 @@ class Estimate:
 
     def __init__(self, gamma_hat: float, spec: EstimatorSpec, n: int,
                  diagnostics: dict | None = None):
-        """The four fields in one store (a frozen dataclass's generated
-        __init__ makes one object.__setattr__ call per field); a gamma_hat
-        that is not finite is a DegenerateSampleError."""
+        """The four fields stored straight into the instance dict, in field
+        order (a frozen dataclass's generated __init__ makes one
+        object.__setattr__ call per field); a gamma_hat that is not finite
+        is a DegenerateSampleError."""
         if not math.isfinite(gamma_hat):
             raise DegenerateSampleError(f"non-finite estimate {gamma_hat}")
-        object.__setattr__(self, "__dict__", {
-            "gamma_hat": gamma_hat, "spec": spec, "n": n,
-            "diagnostics": {} if diagnostics is None else diagnostics})
+        fields = self.__dict__
+        fields["gamma_hat"] = gamma_hat
+        fields["spec"] = spec
+        fields["n"] = n
+        fields["diagnostics"] = {} if diagnostics is None else diagnostics
 
 
 #: The error of every estimator at a tail size whose top k values all equal

@@ -15,13 +15,15 @@ generalizations are all simple functions of these statistics. Its one
 array form is :func:`stat_g_rows`, which also serves one triple and
 :func:`stat_g`. The per-sample estimators read :meth:`SampleBlock.g_record`
 instead: the few statistics every kind reads at one (k, r), kept in a memo
-of the last (k, r), so that a k-plot that evaluates every kind at one
-(k, r), then the next r, then the next k, takes the logs once per k and
-the exp and the sums once per (k, r).
+of the last k with a table of its records by r. A k-plot reads every kind
+at a few r at one k, then the same r at the next k; so it takes the logs
+once per k, and from its second k on, the exp and the sums of every r in
+one pass per k.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +37,15 @@ from .errors import DegenerateSampleError, DomainError, ParseError
 # (x^r - 1)/r destroys precision long before underflow.
 SMALL_R = 1e-8
 
+#: The context of a computation that cannot overflow: numpy's error state
+#: as it is.
+_NO_ERRSTATE = contextlib.nullcontext()
+
+
+#: The most tunings r whose records :meth:`SampleBlock.g_record` keeps for
+#: one k; a k-plot reads 4 to 7 (r = 0, and each r and hme's 1 - beta).
+RECORD_RS = 8
+
 
 @dataclass(frozen=True, eq=False)
 class SampleBlock:
@@ -44,20 +55,22 @@ class SampleBlock:
     (rows, n), a Sample's too, stored at construction so no call reshapes;
     both are read-only. ``n``, the sample size, is stored too.
 
-    ``last_record`` is a memo of one entry, ``(k, L, top, tie, r, g)``, of
-    the last (k, r) that a :meth:`g_record` call read on row 0: the
-    read-only log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; the largest of
-    them as a float; whether the top k values all tie the threshold; r; and
-    the record g of the statistics at (k, r). A call at the same k and
-    another r keeps L and replaces the rest; another k replaces all of it.
-    The entry is swapped as one tuple of values that follow from its key,
-    so a thread never reads a key with another entry's values."""
+    ``last_k`` is a memo of one entry, ``(k, L, top, tie, records)``, of the
+    last k that a :meth:`g_record` call read on row 0: the read-only
+    log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; the largest of them as a
+    float; whether the top k values all tie the threshold; and a dict from
+    each scalar r read at this k (at most :data:`RECORD_RS` of them) to its
+    record. A call at another k makes a new entry, whose records are those
+    of every r the last k read, summed in one pass, as a k-plot reads the
+    same r at each k. The entry is swapped as one tuple, and its dict only
+    gains records of its own L, so a thread never reads a record of another
+    k."""
 
     values: np.ndarray
     sorted_desc: np.ndarray
     desc: np.ndarray = field(init=False, repr=False)
     n: int = field(init=False, repr=False)
-    last_record: tuple = field(default=(None,) * 6, init=False, repr=False)
+    last_k: tuple = field(default=(None, None, None, None, {}), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "desc", np.atleast_2d(self.sorted_desc))
@@ -79,14 +92,16 @@ class SampleBlock:
         g of Python floats indexed by u: G(k, r, 0) and G(k, r, 1), and at
         r = 0 also G(k, 0, 2), where g[0] is 1.0; and whether the top k
         values all tie the threshold X_(k+1). Each G is, bit for bit,
-        :func:`stat_g_rows`'s: the two sums are one two-row np.add.reduce,
-        which rounds each row as its own sum, and r = 0 skips exp(0 * L),
-        which is 1 where the largest L is finite. The last (k, r) comes from
-        the memo (r matched by value, as hme's 1 - beta can differ from r in
-        the last bit; an array r could change, so it never matches). A k
-        that is not an int, or outside [2, n-1], is a DomainError. No numpy
-        warning escapes: what overflows is inf, and 0 * inf is NaN."""
-        entry = self.last_record
+        :func:`stat_g_rows`'s (see :func:`_g_records`). A record in the
+        memo's entry for k is reused (r matched by value, as hme's 1 - beta
+        can differ from r in the last bit; an array r could change, so it
+        is read at each call and never kept). The first call at a k sums
+        the records of this r and of every r the last k read in one pass;
+        a later r at that k is summed alone. A k that is not an int, or
+        outside [2, n-1], is a DomainError. No numpy warning escapes: what
+        overflows is inf, and 0 * inf is NaN."""
+        entry = self.last_k
+        scalar = isinstance(r, (int, float))
         if entry[0] != k or not (type(k) is int or isinstance(k, np.integer)):
             if not isinstance(k, (int, np.integer)):
                 raise DomainError(f"k must be an int, got {k!r}")
@@ -99,32 +114,54 @@ class SampleBlock:
                 with np.errstate(over="ignore"):
                     logs = np.log(d[:k] / d[k])
             logs.flags.writeable = False
-            entry = (k, logs, float(logs[0]), hi == lo, None, None)
-        key, logs, top, tie, last_r, g = entry
-        scalar = isinstance(r, (int, float))
-        if g is None or not scalar or last_r != r:
-            # below 600, no exp, product or sum of k terms can overflow
-            if abs(float(r)) * top < 600.0:
-                g = _g_record(logs, top, r)
-            else:  # also 0 * inf, and a NaN r
-                with np.errstate(over="ignore", invalid="ignore"):
-                    g = _g_record(logs, top, r)
-            object.__setattr__(self, "last_record", (key, logs, top, tie, r if scalar else None, g))
-        return g, tie
+            rs = [*entry[4]]
+            if scalar and r not in entry[4] and len(rs) < RECORD_RS:
+                rs.append(r)
+            top = float(logs[0])
+            entry = (k, logs, top, hi == lo, dict(zip(rs, _g_records(logs, top, rs))))
+            object.__setattr__(self, "last_k", entry)
+        if not scalar:
+            return _g_records(entry[1], entry[2], [r])[0], entry[3]
+        records = entry[4]
+        g = records.get(r)
+        if g is None:
+            (g,) = _g_records(entry[1], entry[2], [r])
+            if len(records) < RECORD_RS:
+                records[r] = g
+        return g, entry[3]
 
 
-def _g_record(logs: np.ndarray, top: float, r) -> tuple:
-    """SampleBlock.g_record's statistics at r from the log-ratios L, whose
-    largest is top."""
-    terms = np.empty((2, logs.size))
-    if r == 0.0:
-        # exp(0 * L) is 1, unless the largest L is inf and 0 * inf gives NaN
-        e = 1.0 if top < math.inf else np.exp(r * logs)
-        np.multiply(e, logs, out=terms[0])
-        np.multiply(terms[0], logs, out=terms[1])
-        return (1.0, *(np.add.reduce(terms, axis=1) / logs.size).tolist())
-    np.multiply(np.exp(r * logs, out=terms[0]), logs, out=terms[1])
-    return tuple((np.add.reduce(terms, axis=1) / logs.size).tolist())
+def _g_records(logs: np.ndarray, top: float, rs: list) -> list:
+    """SampleBlock.g_record's record at each r of rs, in order, from the
+    log-ratios L, whose largest is top, in one pass. One (rows, k) buffer
+    holds exp(r L) for each r but 0, then exp(r L) L, then L and L L for
+    r = 0; exp(0 L) is skipped, as it is 1 unless the largest L is inf,
+    where 0 * inf is NaN. One np.add.reduce sums each row as its own sum,
+    and each sum is divided by k as a float, the bits of numpy's division."""
+    k = logs.size
+    tuned = [float(r) for r in rs if r != 0.0]
+    m = len(tuned)
+    zero = m < len(rs)
+    buf = np.empty((2 * (m + zero), k))
+    # below 600, no exp, product or sum of k terms can overflow
+    safe = all(abs(r) * top < 600.0 for r in rs)
+    with _NO_ERRSTATE if safe else np.errstate(over="ignore", invalid="ignore"):
+        if m:
+            e = np.multiply.outer(tuned, logs, out=buf[:m])
+            np.exp(e, out=e)
+            np.multiply(e, logs, out=buf[m: 2 * m])
+        if zero:
+            np.multiply(1.0 if top < math.inf else np.exp(0.0 * logs), logs, out=buf[-2])
+            np.multiply(buf[-2], logs, out=buf[-1])
+        sums = np.add.reduce(buf, axis=1).tolist()
+    records, i = [], 0
+    for r in rs:
+        if r != 0.0:
+            records.append((sums[i] / k, sums[m + i] / k))
+            i += 1
+        else:
+            records.append((1.0, sums[-2] / k, sums[-1] / k))
+    return records
 
 
 class Sample(SampleBlock):
@@ -265,10 +302,14 @@ def _check_u(us, logs: np.ndarray) -> None:
 def stat_g(s: Sample, k: int, r: float, u: float) -> float:
     """Mean of the power-log kernel over the top-k ratios: G_n(k, r, u), the
     one-u call of :func:`stat_g_rows` on row 0, as a float. An r that is not
-    finite is a DomainError."""
+    finite is a DomainError, and a G that is not finite (it overflows, or
+    the largest ratio does) a DegenerateSampleError."""
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
-    return float(stat_g_rows(s, 0, k, r, (u,))[0])
+    g = float(stat_g_rows(s, 0, k, r, (u,))[0])
+    if not math.isfinite(g):
+        raise DegenerateSampleError(f"G(k={k}, r={r}, u={u}) is not finite: {g}")
+    return g
 
 
 def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
@@ -287,7 +328,8 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     rescaling of the sample leaves it bit-identical. Each triple's terms are
     summed, per u, by the pairwise sum of np.mean (a padded or segmented sum
     rounds differently); the triples go through exp and the powers as one
-    flat array.
+    flat array. As in :meth:`SampleBlock.g_record`, no numpy warning
+    escapes: what overflows is inf, and 0 * inf is NaN.
     """
     if np.ndim(ks) == 0:
         if not isinstance(rows, (int, np.integer)) or not isinstance(ks, (int, np.integer)):
@@ -305,16 +347,17 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
     if rows.min() < 0 or rows.max() >= s.rows:
         _check_row(s.rows, rows.min() if rows.min() < 0 else rows.max())
     top = np.concatenate([desc[i, :k] for i, k in zip(rows.tolist(), ks)])
-    logs = np.log(top / np.repeat(desc[rows, ks], ks))
     if np.ndim(r):
         r = np.repeat(r, ks)
-    _check_u(us, logs)
-    e = np.exp(r * logs)
-    terms = np.empty((len(us), logs.size))
-    for a, u in enumerate(us):
-        terms[a] = e if u == 0 else e * logs**u
-    ends = list(accumulate(ks))
-    sums = [np.add.reduce(terms[:, lo:hi], axis=1) for lo, hi in zip([0] + ends[:-1], ends)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = np.log(top / np.repeat(desc[rows, ks], ks))
+        _check_u(us, logs)
+        e = np.exp(r * logs)
+        terms = np.empty((len(us), logs.size))
+        for a, u in enumerate(us):
+            terms[a] = e if u == 0 else e * logs**u
+        ends = list(accumulate(ks))
+        sums = [np.add.reduce(terms[:, lo:hi], axis=1) for lo, hi in zip([0] + ends[:-1], ends)]
     return np.array(sums).T / ks
 
 

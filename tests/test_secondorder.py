@@ -406,8 +406,25 @@ class TestBlockTailSteps:
     tail sizes and tuning, bit for bit, whatever the other rows hold."""
 
     CELLS = [("burr", 1.0, -1.0, 1000), ("kumaraswamy", 0.5, -2.0, 500),
-             # near-tied values: rows fail at rho and classical (tied tails)
+             # near-tied values, as Kumaraswamy draws at this gamma are (see
+             # cell_block): rows fail at rho and classical (tied tails)
              ("kumaraswamy", 1.5e-17, -0.5, 100)]
+
+    @staticmethod
+    def cell_block(family, gamma, rho, n, stream):
+        """Eight rows of a cell, on stream keys (stream, i). The near-tied
+        cell's rows are built from explicit doubles, 1 + m 2^-52 for m from a
+        seeded integer RNG, capped per row so that more or fewer top values
+        tie: the quantile's draws at this gamma differ between numpy's SIMD
+        kernel sets in the last bit, and so does which of those rows fail.
+        These rows give, on either kernel set, rows that fail at rho (the
+        whole rho window ties), rows that fail at classical (the top k_c + 1
+        values tie) and rows that pass, for stream 0 and 1."""
+        if gamma > 1e-10:
+            return sample_block(DistSpec(family, gamma, rho), n, 7, [(stream, i) for i in range(8)])
+        caps = np.array([1, 5, 10, 20, 50, 99, 1, 99])[:, None]
+        m = np.minimum(np.random.default_rng(stream).integers(0, 100, (8, n)), caps)
+        return SampleBlock.from_values(1.0 + m * 2.0**-52)
 
     @staticmethod
     def outcome(results):
@@ -416,11 +433,12 @@ class TestBlockTailSteps:
 
     @pytest.mark.parametrize("family, gamma, rho, n", CELLS)
     def test_rows_are_the_estimators_at_their_k_and_r(self, family, gamma, rho, n):
-        block = sample_block(DistSpec(family, gamma, rho), n, 7, [(0, i) for i in range(8)])
-        checked = 0
+        block = self.cell_block(family, gamma, rho, n, 0)
+        checked, steps = 0, set()
         for s, row in zip(row_samples(block), block_results(block)):
             for j, classical, tuned in ((1, est.hill, est.g1), (3, est.moment_ratio, est.g3)):
                 res = row[j]
+                steps.add(res.step if isinstance(res, PipelineError) else None)
                 if isinstance(res, PipelineError) and res.step == "rho":
                     continue
                 rho_hat = so.estimate_rho(s).rho_hat
@@ -441,10 +459,12 @@ class TestBlockTailSteps:
                 assert res.r_generalized == r_star(rho_hat, j) / res.classical.gamma_hat
                 assert res.generalized == tuned(s, k_g, res.r_generalized)
         assert checked > 0
+        if gamma < 1e-10:  # the near-tied cell: rows fail at rho, at classical, and pass
+            assert {"rho", "classical", None} <= steps
 
     @pytest.mark.parametrize("family, gamma, rho, n", CELLS)
     def test_block_size_does_not_change_a_row(self, family, gamma, rho, n):
-        values = sample_block(DistSpec(family, gamma, rho), n, 7, [(1, i) for i in range(8)]).values
+        values = self.cell_block(family, gamma, rho, n, 1).values
         eight = block_results(SampleBlock.from_values(values))
         threes = [row for lo in range(0, 8, 3)
                   for row in block_results(SampleBlock.from_values(values[lo:lo + 3]))]

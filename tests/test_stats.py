@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gtail import estimators, secondorder, stats
 from gtail.distributions import DistSpec, sample
 from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
-from gtail.stats import PROFILE_TILE, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows
+from gtail.stats import PROFILE_TILE, RECORD_RS, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows
 
 E = math.e
 
@@ -226,8 +226,12 @@ def test_stat_g_rows_is_stat_g_of_each_row(seed, rows, n, spread, triples, data)
     with np.errstate(all="ignore"):
         got = stat_g_rows(block, idx, ks, np.array(r), us)
         for t, (i, k, r_t) in enumerate(zip(idx, ks, r)):
-            want = [stat_g(samples[i], k, r_t, u) for u in us]
-            assert np.array_equal(got[:, t], want, equal_nan=True)
+            for u, g in zip(us, got[:, t].tolist()):
+                if math.isfinite(g):
+                    assert stat_g(samples[i], k, r_t, u) == g
+                else:  # stat_g raises where G is not finite
+                    with pytest.raises(DegenerateSampleError, match="is not finite"):
+                        stat_g(samples[i], k, r_t, u)
             assert np.array_equal(stat_g_rows(block, i, k, r_t, us), got[:, t], equal_nan=True)
         if len(set(r)) == 1:
             assert np.array_equal(stat_g_rows(block, idx, ks, r[0], us), got, equal_nan=True)
@@ -479,19 +483,67 @@ def test_g_record_returns_floats_and_the_tie():
         tied.g_record(2.0, 0.0)  # also with k = 2 in the memo
 
 
+_HME_R = 1.0 - (1.0 - 0.3)  # hme's r at beta = 0.7: 0.30000000000000004
+
+
+@pytest.mark.parametrize("values, script", [
+    ("burr", [(40, [0.3])]),
+    ("burr", [(40, [0.0, 0.3, -0.25]), (41, [0.0, 0.3, -0.25]), (1500, [-0.25, 0.0, 0.3])]),
+    ("burr", [(40, [0.0, 0.3]), (60, [-0.25, 0.3, 1.5]), (80, [0.0, 2.0]), (81, [0.7])]),
+    ("burr", [(40, np.linspace(-1.0, 1.0, RECORD_RS + 4).tolist())] * 2
+     + [(41, np.linspace(-1.0, 1.0, RECORD_RS + 4).tolist()[::-1])]),
+    ("burr", [(40, [0.3, _HME_R]), (41, [_HME_R, 0.3])]),
+    ("burr", [(40, [-0.0, 0.3]), (41, [0.0, -0.0]), (42, [0.0])]),
+    ("inf-top", [(40, [0.0, 0.3, -0.25]), (41, [-0.25, 0.3, 0.0]), (3, [0.0])]),
+], ids=["first-k", "next-k-inherits", "r-set-changes", f"over-{RECORD_RS}-r", "hme-1-beta",
+        "signed-zero", "inf-top-log-ratio"])
+def test_records_summed_together_are_the_one_r_records(values, script):
+    """Whichever r's a k's first call sums in one pass (none before, the
+    last k's, a set that changes, more than RECORD_RS, hme's 1 - beta
+    beside r, -0.0 and 0.0, r = 0 where the top log-ratio is inf), each
+    record equals, bit for bit, a fresh sample's (a one-r pass) and
+    stat_g_rows' (at r = 0, where slot 0 holds 1.0, at u = 1 and 2), every
+    record the memo keeps too, with no numpy warning."""
+    if values == "burr":
+        values = sample(DistSpec("burr", 1.0, -1.0), 2000, 13).values
+    else:  # X_(1) / X_(k+1) overflows for k >= 3
+        values = np.r_[1e300, 1e290, 1e-10, np.arange(1.0, 51.0) * 1e-300]
+    s = Sample.from_values(values)
+
+    def same(k, r, got):
+        want = Sample.from_values(values).g_record(k, r)
+        assert got[1] == want[1] and np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+        if r == 0.0:
+            assert len(got[0]) == 3 and got[0][0] == 1.0
+            g, us = got[0][1:], (1, 2)
+        else:
+            assert len(got[0]) == 2
+            g, us = got[0], (0, 1)
+        assert np.array(g).tobytes() == stat_g_rows(s, 0, k, r, us).tobytes(), (k, r)
+
+    for k, rs in script:
+        for r in rs:
+            same(k, r, s.g_record(k, r))
+        key, _, _, tie, records = s.last_k
+        assert key == k and len(records) <= RECORD_RS
+        for r, g in records.items():
+            same(k, r, (g, tie))
+
+
 class TestLogMemo:
-    """A sample remembers the log-ratios and the record of statistics of
-    the last (k, r) that a g_record call read."""
+    """A sample remembers the log-ratios of the last k that a g_record call
+    read, with the records of statistics of the r read at that k."""
 
     def test_order_statistics_and_memo_are_read_only(self):
         s = Sample.from_values([3.0, 1.0, 2.0, 5.0])
-        assert s.last_record == (None,) * 6
+        assert s.last_k == (None, None, None, None, {})
         g, _ = s.g_record(2, 0.5)
-        key, logs, top, tie, r, record = s.last_record
-        assert key == 2 and tie is False and r == 0.5 and record is g and len(g) == 2
+        key, logs, top, tie, records = s.last_k
+        assert key == 2 and tie is False and records == {0.5: g} and records[0.5] is g and len(g) == 2
         assert logs.tolist() == np.log([5.0 / 2.0, 3.0 / 2.0]).tolist() and top == logs[0]
-        s.g_record(2, 0.0)  # the same k at r = 0 keeps L
-        assert s.last_record[1] is logs and s.last_record[4] == 0.0 and len(s.last_record[5]) == 3
+        s.g_record(2, 0.0)  # the same k at r = 0 keeps L and adds a record
+        assert s.last_k[1] is logs and s.last_k[4] is records
+        assert list(records) == [0.5, 0.0] and records[0.5] is g and len(records[0.0]) == 3
         block = SampleBlock.from_values(np.arange(1.0, 7.0).reshape(2, 3))
         for arr in (s.sorted_desc, s.desc, logs, block.sorted_desc, block.desc):
             with pytest.raises(ValueError, match="read-only"):
@@ -499,17 +551,23 @@ class TestLogMemo:
         assert s.sorted_desc.tolist() == [5.0, 3.0, 2.0, 1.0]
 
     def test_a_sweep_over_r_keeps_one_record(self):
-        """After g1 at 1,000 distinct r at one k, the memo holds the record
-        of the last r, and no array but L."""
+        """After g1 at 1,000 distinct r at one k, the memo holds L and the
+        records of the first RECORD_RS r, each a fresh sample's, and no
+        array but L; the next k sums those r's records, and the estimate
+        at any r is a fresh sample's."""
         s = sample(DistSpec("burr", 1.0, -1.0), 2000, 7)
         rs = np.linspace(-2.0, 2.0, 1000).tolist()
         for r in rs:
             estimators.g1(s, 100, r)
-        key, logs, top, tie, r, record = s.last_record
-        assert key == 100 and r == rs[-1]
-        assert record == Sample.from_values(s.values).g_record(100, rs[-1])[0]
-        assert [type(v) for v in s.last_record].count(np.ndarray) == 1
-        assert [type(v) for v in vars(s).values()].count(np.ndarray) == 3  # values, sorted_desc, desc
+        for k in (100, 101):
+            key, logs, top, tie, records = s.last_k
+            assert key == k and list(records) == rs[:RECORD_RS]
+            for r, g in records.items():
+                assert g == Sample.from_values(s.values).g_record(k, r)[0]
+            assert [type(v) for v in s.last_k].count(np.ndarray) == 1
+            assert [type(v) for v in vars(s).values()].count(np.ndarray) == 3  # values, sorted_desc, desc
+            for r in rs[-3:]:
+                assert estimators.g1(s, k + 1, r) == estimators.g1(Sample.from_values(s.values), k + 1, r)
 
     def test_an_array_r_is_read_at_each_call(self):
         """A 0-d array r that the caller changes between calls is never
@@ -537,17 +595,20 @@ class TestLogMemo:
         """The largest ratio overflows to inf: 0 * inf is NaN, so G(k, 0, u)
         stays NaN for every u, on the array path and in the record at r = 0
         (whose u = 0 is 1.0), on its first call and on memo hits; each kind
-        at r = 0 raises the error of a non-finite estimate, with no numpy
-        warning, where estimate_arrays gives NaN."""
+        at r = 0 raises the error of a non-finite estimate, and stat_g the
+        error of a G that is not finite, with no numpy warning, where
+        estimate_arrays gives NaN."""
         s = Sample.from_values([1e-300, 1e-299, 1e300])
-        with np.errstate(all="ignore"):
-            assert np.isnan([stat_g(s, 2, 0.0, u) for u in (0.0, 1.0, 2.0, 3.0)]).all()
-            assert np.isnan(stat_g_rows(s, 0, 2, 0.0, (0.0, 1.0, 2.0, 3.0))).all()
-            assert np.isnan([estimators.estimate_arrays(s, kind, 0, 2, 1.0 if kind == "hme" else 0.0)
-                             for kind in estimators.KINDS]).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):
+                for u in (0.0, 1.0, 2.0, 3.0):
+                    with pytest.raises(DegenerateSampleError,
+                                       match=f"G\\(k=2, r=0.0, u={u}\\) is not finite: nan"):
+                        stat_g(s, 2, 0.0, u)
+                assert np.isnan(stat_g_rows(s, 0, 2, 0.0, (0.0, 1.0, 2.0, 3.0))).all()
+                assert np.isnan([estimators.estimate_arrays(s, kind, 0, 2, 1.0 if kind == "hme" else 0.0)
+                                 for kind in estimators.KINDS]).all()
                 g, tie = s.g_record(2, 0.0)
                 assert g[0] == 1.0 and np.isnan(g[1:]).all() and tie is False
                 for kind in estimators.KINDS:
@@ -686,11 +747,17 @@ def test_a_kind_major_sweep_is_the_k_major_sweep():
     (lambda s: estimators.g2(s, 10, -1e308), DegenerateSampleError, "underflows to 0"),
     (lambda s: estimators.g1(s, 1000, 800.0), DegenerateSampleError, "non-finite estimate nan"),
     (lambda s: s.g_record(10, math.nan), None, None),
-], ids=["stat_g-inf", "stat_g-nan", "g1-1e308", "g2--1e308", "g1-800-k1000", "g_record-nan"])
+    (lambda s: estimators.estimate_arrays(s, "g1", [0], [1000], 800.0), None, None),
+    (lambda s: estimators.estimate_arrays(s, "g2", [0], [10], -1e308), None, None),
+    (lambda s: stat_g(s, 10, 800.0, 0.0), DegenerateSampleError, r"G\(k=10, r=800.0, u=0.0\) is not finite: inf"),
+], ids=["stat_g-inf", "stat_g-nan", "g1-1e308", "g2--1e308", "g1-800-k1000", "g_record-nan",
+        "estimate_arrays-g1-800-k1000", "estimate_arrays-g2--1e308", "stat_g-800"])
 def test_tunings_out_of_range_raise_with_no_warning(call, error, match):
     """A tuning whose exp, product or sum overflows ends in a typed error
     with no numpy RuntimeWarning first, on a memo miss and on a hit; stat_g
-    takes only a finite r, and a NaN r gives NaN statistics."""
+    takes only a finite r and raises where G is not finite, a NaN r gives
+    NaN statistics, and estimate_arrays gives NaN where the per-sample call
+    raises."""
     s = sample(DistSpec("burr", 1.0, -1.0), 2000, 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
