@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +222,10 @@ def cmd_robustness(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared by
+    every call: parsing reads it, and no caller changes it."""
     p = argparse.ArgumentParser(prog="gtail",
                                 description="Tail index estimation toolkit")
     sub = p.add_subparsers(dest="command", required=True)

@@ -21,16 +21,18 @@ spec, the Estimate's, has r = 0.0 on the r = 0 branches (the classical
 kinds, and g1 and g3 at |r| < SMALL_R, -0.0 included), r = 1 - beta for
 hme, and beta None for every other kind.
 
-Every estimate carries the statistics it consumed as diagnostics so that
-downstream variance formulas can reuse them without recomputation. Every
-estimator raises DegenerateSampleError at a tail size k whose top k values
-all tie the threshold X_(k+1), where no estimate is defined.
+An Estimate holds gamma_hat, the canonical spec and the sample size n; the
+statistics it was computed from are, bit for bit, those that
+:func:`gtail.stats.stat_g` and :meth:`SampleBlock.g_record` give at the
+kind's u. Every estimator raises DegenerateSampleError at a tail size k
+whose top k values all tie the threshold X_(k+1), where no estimate is
+defined.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -67,11 +69,9 @@ class Estimate:
     gamma_hat: float
     spec: EstimatorSpec
     n: int
-    diagnostics: dict = field(default_factory=dict)
 
-    def __init__(self, gamma_hat: float, spec: EstimatorSpec, n: int,
-                 diagnostics: dict | None = None):
-        """The four fields stored straight into the instance dict, in field
+    def __init__(self, gamma_hat: float, spec: EstimatorSpec, n: int):
+        """The three fields stored straight into the instance dict, in field
         order (a frozen dataclass's generated __init__ makes one
         object.__setattr__ call per field); a gamma_hat that is not finite
         is a DegenerateSampleError."""
@@ -81,7 +81,6 @@ class Estimate:
         fields["gamma_hat"] = gamma_hat
         fields["spec"] = spec
         fields["n"] = n
-        fields["diagnostics"] = {} if diagnostics is None else diagnostics
 
 
 #: The error of every estimator at a tail size whose top k values all equal
@@ -135,7 +134,9 @@ def _g3(g, r):
 #: reads at a tuning r, its closed form); None where the kind has no such
 #: branch. A kind with both takes the r = 0 branch for |r| below SMALL_R,
 #: where the cancellation in x^r - 1 destroys precision. hill and
-#: moment_ratio are g1 and g3 at r = 0; hme is g1 at r = 1 - beta.
+#: moment_ratio are g1 and g3 at r = 0; hme is g1 at r = 1 - beta. Each
+#: tuple of u is a run of consecutive u, so one slice of a record (see
+#: SampleBlock.g_record) holds the statistics it names.
 _KINDS = {
     "hill": ((1,), None, _g1),
     "moment": ((1, 2), None, _moment),
@@ -146,23 +147,6 @@ _KINDS = {
     "hme": ((1,), (0,), _g1),
 }
 KINDS = tuple(_KINDS)
-
-
-def _reader(us: tuple):
-    """The function from a record of statistics indexed by u (see
-    SampleBlock.g_record) to those at us, in order, and an Estimate's
-    diagnostics dict, which names G(k, r, u) g_r<u>; a dict display, as
-    dict(zip()) costs twice as much."""
-    names = [f"g_r{u}" for u in us]
-    if len(us) == 1:
-        (u,), (a,) = us, names
-        return lambda g: ((g[u],), {a: g[u]})
-    (u, v), (a, b) = us, names
-    return lambda g: ((g[u], g[v]), {a: g[u], b: g[v]})
-
-
-#: Each tuple of u a kind reads -> its reader.
-_READERS = {us: _reader(us) for kind in _KINDS.values() for us in kind[:2] if us}
 #: The kind of the paper's estimator j.
 KIND_OF_J = {1: "g1", 2: "g2", 3: "g3"}
 #: The paper's estimator j whose closed form each kind shares (moment has
@@ -182,7 +166,8 @@ def _branch(kind: str, param):
 @lru_cache(maxsize=4096, typed=True)
 def _plan(kind: str, k: int, param, _sign) -> tuple:
     """kind at (k, param): (the canonical spec, the r its statistics are
-    read at, the reader of the u it reads, its closed form).
+    read at, the slice of the record at that r that holds the u it reads,
+    its closed form).
     The spec is made here, so a k that is not an int or a tuning that is not
     finite raises its DomainError before the sample is read. _sign, the sign
     of param, is only a part of the cache key: 0.0 and -0.0 are equal keys,
@@ -193,21 +178,21 @@ def _plan(kind: str, k: int, param, _sign) -> tuple:
     hme = kind == "hme"
     spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
     at_zero, tuned, form = _KINDS[kind]
-    return spec, r, _READERS[at_zero if zero else tuned], form
+    us = at_zero if zero else tuned
+    return spec, r, slice(us[0], us[-1] + 1), form
 
 
 def _one(s: Sample, kind: str, k: int, param) -> Estimate:
     """kind at (k, param) on a sample: the one place an Estimate, or an
     estimator's error, is made."""
     try:
-        spec, r, read, form = _plan(kind, k, param, math.copysign(1.0, param))
+        spec, r, us, form = _plan(kind, k, param, math.copysign(1.0, param))
     except TypeError:  # an unhashable k, or a param that is not a real number
-        spec, r, read, form = _plan.__wrapped__(kind, k, param, None)
+        spec, r, us, form = _plan.__wrapped__(kind, k, param, None)
     record, tie = s.g_record(k, r)
     if tie:
         raise DegenerateSampleError(TIE_MESSAGE)
-    g, diagnostics = read(record)
-    return Estimate(form(g, r), spec, s.n, diagnostics)
+    return Estimate(form(record[us], r), spec, s.n)
 
 
 def _gamma(form, g: list, r: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gtail import asymptotics as asy
+from gtail import cli
 from gtail import estimators as est
 from gtail import montecarlo
 from gtail.cli import main
@@ -487,3 +488,34 @@ def test_negative_bounds_in_exponent_form_through_sys_argv(monkeypatch, capsys):
     code, joined, _ = run(["amse", "--curve", "psiH", "--rho-min=-1e1", "--rho-max=-1e-1",
                            "--step", "5e-2"], capsys)
     assert (code, joined) == (0, out)
+
+
+def test_the_parser_built_once_parses_as_a_fresh_one(data_file, tmp_path, monkeypatch, capsys):
+    """main builds its parser once per process; in a run of commands with a
+    bad option among them, each call gives the exit code, stdout and stderr
+    of a parser built for that call alone."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG)
+    calls = [["estimate", data_file, "--kind", "g1", "--k", "100", "--r", "0.3"],
+             ["optimal", "--j", "1", "--rho", "-1", "--gamma", "1", "--beta", "1", "--n", "1000"],
+             ["simulate", cfg, "--output-dir", tmp_path / "out"],
+             ["estimate", data_file, "--kind", "hill", "--k", "100", "--bogus", "1"],
+             ["optimal", "--j", "2", "--rho", "-1"]]
+
+    def outcomes():
+        got = []
+        for args in calls:
+            try:
+                code = main([str(a) for a in args])
+            except SystemExit as exc:  # argparse's exit on a bad option
+                code = exc.code
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    assert cli.build_parser() is cli.build_parser()
+    once = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes() == once
+    assert [code for code, _, _ in once] == [0, 0, 0, 2, 0]
+    assert "unrecognized arguments: --bogus 1" in once[3][2]

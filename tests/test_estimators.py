@@ -94,12 +94,12 @@ class TestG1:
 
 class TestG2:
     def test_closed_form_value(self):
-        # pick a sample, read G(k,r,1) from diagnostics, check the formula
+        # pick a sample, read G(k,r,1) through stat_g, check the formula
         rng = np.random.default_rng(2)
         s = Sample.from_values(rng.pareto(1.0, size=100) + 1.0)
         r = 0.3
         e = est.g2(s, 30, r)
-        g = e.diagnostics["g_r1"]
+        g = stat_g(s, 30, r, 1.0)
         expected = 2 * g / (2 * r * g + 1 + math.sqrt(4 * r * g + 1))
         assert e.gamma_hat == pytest.approx(expected, rel=1e-14)
 
@@ -129,13 +129,13 @@ class TestG3:
         g1_, g0 = 2.0, 3.0
         assert (1.0 * g1_ - g0 + 1.0) / (1.0**2 * g1_) == 0.0
 
-    def test_formula_against_diagnostics(self):
+    def test_formula_against_stat_g(self):
         rng = np.random.default_rng(6)
         s = Sample.from_values(rng.pareto(1.0, size=200) + 1.0)
         r = -0.4
         e = est.g3(s, 60, r)
-        expected = (r * e.diagnostics["g_r1"] - e.diagnostics["g_r0"] + 1.0) / (
-            r * r * e.diagnostics["g_r1"])
+        g_r0, g_r1 = stat_g(s, 60, r, 0.0), stat_g(s, 60, r, 1.0)
+        expected = (r * g_r1 - g_r0 + 1.0) / (r * r * g_r1)
         assert e.gamma_hat == pytest.approx(expected, rel=1e-14)
 
 
@@ -154,9 +154,11 @@ class TestHme:
         assert est.hme(s, 2, 1.0).gamma_hat == est.hill(s, 2).gamma_hat
 
     def test_spec_keeps_beta(self):
-        e = est.hme(sample_1_e_e2(), 2, 0.6)
+        s = sample_1_e_e2()
+        e = est.hme(s, 2, 0.6)
         assert e.spec == est.EstimatorSpec("hme", 2, r=1.0 - 0.6, beta=0.6)
-        assert e.diagnostics == est.g1(sample_1_e_e2(), 2, 1.0 - 0.6).diagnostics
+        g_r0 = stat_g(s, 2, e.spec.r, 0.0)
+        assert e.gamma_hat == est.g1(s, 2, 1.0 - 0.6).gamma_hat == (g_r0 - 1.0) / (e.spec.r * g_r0)
 
     def test_identity_with_g1(self):
         for s in random_samples(30, seed=55):
@@ -174,6 +176,30 @@ class TestHme:
                 a = est.hme(s, k, beta).gamma_hat
                 b = hme_oracle(s, k, beta)
                 assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, param, branch", [
+    ("hill", 0.0, "zero"), ("moment", 0.0, "zero"), ("moment_ratio", 0.0, "zero"),
+    ("g1", 0.0, "zero"), ("g1", -SMALL_R / 2, "zero"), ("g1", 0.3, "tuned"), ("g1", -0.7, "tuned"),
+    ("g2", 0.0, "tuned"), ("g2", -0.0, "tuned"), ("g2", 0.3, "tuned"), ("g2", -0.4, "tuned"),
+    ("g3", 0.0, "zero"), ("g3", SMALL_R / 3, "zero"), ("g3", -0.4, "tuned"), ("g3", 0.5, "tuned"),
+    ("hme", 1.0, "zero"), ("hme", 1.0 + SMALL_R / 2, "zero"), ("hme", 0.6, "tuned"), ("hme", 1.7, "tuned"),
+])
+def test_each_branch_is_its_closed_form_of_stat_g(kind, param, branch):
+    """Each kind, on each of its branches, gives bit for bit its closed form
+    applied to stat_g's G(k, r, u) at the u that branch reads: at r = 0.0 on
+    the r = 0 branch, and at the r of the estimate's spec (1 - beta for hme)
+    on the tuned one."""
+    s = Sample.from_values(np.random.default_rng(12).pareto(1.0, 500) + 1.0)
+    at_zero, tuned, form = est._KINDS[kind]
+    us = at_zero if branch == "zero" else tuned
+    fn = getattr(est, kind)
+    for k in (2, 40, 40, 300, 499):
+        e = fn(s, k) if kind in ("hill", "moment", "moment_ratio") else fn(s, k, param)
+        r = 0.0 if branch == "zero" else e.spec.r
+        assert kind == "hme" or e.spec.r == r
+        g = tuple(stat_g(s, k, r, float(u)) for u in us)
+        assert np.float64(e.gamma_hat).tobytes() == np.float64(form(g, r)).tobytes()
 
 
 class TestPlanCache:
@@ -255,7 +281,7 @@ class TestPlanCache:
     def test_an_estimate_pickles_and_copies_to_an_equal_one(self):
         e = est.evaluate(self._sample(), est.EstimatorSpec("hme", 10, beta=0.6))
         assert pickle.loads(pickle.dumps(e)) == e and copy.deepcopy(e) == e
-        assert list(vars(pickle.loads(pickle.dumps(e)))) == ["gamma_hat", "spec", "n", "diagnostics"]
+        assert list(vars(pickle.loads(pickle.dumps(e)))) == ["gamma_hat", "spec", "n"]
 
     def test_a_k_that_is_not_an_int_raises_before_the_sample_is_read(self):
         class Unread:
@@ -270,12 +296,13 @@ class TestPlanCache:
         makes from the same fields, which still checks finiteness."""
         spec = est.EstimatorSpec("hill", 10)
         e = est.evaluate(self._sample(), spec)
-        assert type(e) is est.Estimate and e == est.Estimate(e.gamma_hat, e.spec, e.n, dict(e.diagnostics))
-        assert repr(e) == repr(est.Estimate(e.gamma_hat, e.spec, e.n, dict(e.diagnostics)))
-        assert e == est.Estimate(diagnostics=e.diagnostics, n=e.n, spec=e.spec, gamma_hat=e.gamma_hat)
-        assert dataclasses.replace(e, n=61) == est.Estimate(e.gamma_hat, e.spec, 61, e.diagnostics)
-        assert est.Estimate(1.5, spec, 60) == est.Estimate(1.5, spec, 60, {})
-        assert est.Estimate(1.5, spec, 60).diagnostics is not est.Estimate(1.5, spec, 60).diagnostics
+        assert type(e) is est.Estimate and e == est.Estimate(e.gamma_hat, e.spec, e.n)
+        assert repr(e) == repr(est.Estimate(e.gamma_hat, e.spec, e.n))
+        assert e == est.Estimate(n=e.n, spec=e.spec, gamma_hat=e.gamma_hat)
+        assert dataclasses.replace(e, n=61) == est.Estimate(e.gamma_hat, e.spec, 61)
+        assert [f.name for f in dataclasses.fields(e)] == ["gamma_hat", "spec", "n"]
+        with pytest.raises(TypeError):
+            est.Estimate(1.5, spec, 60, {})
         for bad in (math.nan, math.inf):
             with pytest.raises(DegenerateSampleError, match=f"non-finite estimate {bad}"):
                 est.Estimate(bad, spec, 60)
@@ -343,10 +370,12 @@ class TestGeneralizedRows:
         rng = np.random.default_rng(9)
         block = SampleBlock.from_values(rng.lognormal(0.0, 1.0, size=(5, 200)))
         ks = [3, 50, 120, 199, 17]
+        forms = {1: lambda g_r1, g_r2: g_r1, 3: lambda g_r1, g_r2: g_r2 / (2.0 * g_r1)}
         for j, classical in ((1, est.hill), (3, est.moment_ratio)):
             for e, s, k in zip(self.rows(block, j, ks, 0.0), row_samples(block), ks):
                 assert e.gamma_hat == classical(s, k).gamma_hat
-                assert e.diagnostics == classical(s, k).diagnostics
+                assert e.spec.r == 0.0
+                assert e.gamma_hat == forms[j](stat_g(s, k, 0.0, 1.0), stat_g(s, k, 0.0, 2.0))
 
     def test_tied_row_fails_alone(self):
         good = np.linspace(1.0, 9.0, 12)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gtail import estimators, secondorder, stats
 from gtail.distributions import DistSpec, sample
 from gtail.errors import DegenerateSampleError, DomainError, GtailError, ParseError
-from gtail.stats import PROFILE_TILE, RECORD_RS, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows
+from gtail.stats import PROFILE_TILE, RECORD_RS, SMALL_R, Sample, SampleBlock, log_moment_profile, stat_g, stat_g_rows
 
 E = math.e
 
@@ -653,16 +653,22 @@ class TestLogMemo:
         assert got == want
 
 
-def _call_bits(fn, *args):
-    """A call's result as bytes, or the class and message of its error."""
+def _call_bits(fn, s, *args):
+    """A call on sample s as bytes, or the class and message of its error;
+    an Estimate with the record of statistics s holds at its (k, r), which
+    the call has just read."""
     try:
-        result = fn(*args)
+        result = fn(s, *args)
     except GtailError as exc:
         return type(exc), str(exc)
     if isinstance(result, estimators.Estimate):
-        return result.spec, repr(result.spec), np.float64(result.spec.r).tobytes(), result.n, \
-            tuple(result.diagnostics), tuple(map(type, result.diagnostics.values())), \
-            np.array([result.gamma_hat, *result.diagnostics.values()]).tobytes()
+        spec = result.spec
+        # the record is read at the spec's r, but at 0.0 on hme's r = 0 branch,
+        # where its spec keeps r = 1 - beta
+        r = 0.0 if spec.kind == "hme" and abs(spec.r) < SMALL_R else spec.r
+        record, _ = s.g_record(spec.k, r)
+        return spec, repr(spec), np.float64(spec.r).tobytes(), result.n, \
+            tuple(map(type, record)), np.array([result.gamma_hat, *record]).tobytes()
     return result.tobytes()
 
 
@@ -673,8 +679,9 @@ def test_memo_calls_are_fresh_calls(seed, n, spread, tied, data):
     """On one sample, any sequence of calls at repeated and interleaved
     (k, r) gives, bit for bit, the result of the same call on a fresh
     sample, or raises the same error with the same message: the whole
-    Estimate, its gamma_hat's bits, its spec (the sign of r included), n
-    and diagnostics, whether evaluate or the kind's own function makes it.
+    Estimate, its gamma_hat's bits, its spec (the sign of r included) and
+    n, and the record of statistics it read, whether evaluate or the kind's
+    own function makes it.
     hme takes beta = 1 - p, whose r = 1 - beta can differ from p in the
     last bit."""
     rng = np.random.default_rng(seed)
