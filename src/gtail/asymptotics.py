@@ -54,7 +54,7 @@ class SecondOrderModel:
     beta_hall: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # NaN too
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
         if not self.rho < 0:
             raise DomainError(f"rho must be < 0, got {self.rho}")
@@ -94,7 +94,7 @@ def xi(gamma: float, r: float, u: float) -> float:
 
 
 def _check_half(gamma: float, r: float) -> None:
-    if gamma * r >= 0.5:
+    if not gamma * r < 0.5:  # NaN too
         raise DomainError(f"need gamma*r < 1/2, got {gamma * r}")
 
 
@@ -192,8 +192,10 @@ def tail_size(R, rho, beta, j: int, n: int):
 
 def k_star(m: SecondOrderModel, r: float, j: int, n: int) -> int:
     """AMSE-optimal tail size, rounded half to even and clamped to [2, n-1]
-    with a warning. Raises DegenerateSampleError for a bias-free model or
-    tuning and DomainError where the optimum is not finite."""
+    with a warning. Raises DomainError for n < 3 and where the optimum is
+    not finite, and DegenerateSampleError for a bias-free model or tuning."""
+    if n < 3:  # no k in [2, n - 1]
+        raise DomainError(f"n must be >= 3, got {n}")
     if m.bias_free:
         raise DegenerateSampleError(
             "bias-free model (beta = 0): AMSE has no interior optimum; use the largest admissible k")
@@ -216,14 +218,14 @@ def eta(rho: float, R, j: int):
     depends on rho only. Minimizing eta over R < 1/2 minimizes the AMSE at
     the optimal k.
     """
-    if not rho < 0:
-        raise DomainError(f"rho must be < 0, got {rho}")
+    if not -math.inf < rho < 0:
+        raise DomainError(f"rho must be finite and < 0, got {rho}")
     R_arr = np.asarray(R, dtype=float)
-    if np.any(R_arr >= 0.5):
-        raise DomainError("eta requires R < 1/2")
+    if not np.all((-np.inf < R_arr) & (R_arr < 0.5)):  # NaN too
+        raise DomainError("eta requires a finite R < 1/2")
     nu, sigma2 = _nu_sigma_unit(R_arr, rho, j)
     out = nu**2 * sigma2 ** (-2.0 * rho)
-    return float(out) if np.isscalar(R) or R_arr.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def r2_polynomial_coeffs(rho: float) -> np.ndarray:
@@ -346,9 +348,9 @@ def robustness_limit(gamma: float, r: float, j: int = 1) -> float:
     """
     if j not in (1, 2, 3):
         raise DomainError(f"estimator index must be 1, 2 or 3, got {j}")
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
-    if gamma * r >= 1:
+    if not gamma * r < 1:
         raise DomainError(f"need gamma*r < 1, got {gamma * r}")
     if r < 0:
         return 0.0

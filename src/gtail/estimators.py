@@ -19,7 +19,9 @@ its closed form) is looked up in a cache keyed by the call's kind, k and
 tuning, their types and the sign of a zero tuning included. The canonical
 spec, the Estimate's, has r = 0.0 on the r = 0 branches (the classical
 kinds, and g1 and g3 at |r| < SMALL_R, -0.0 included), r = 1 - beta for
-hme, and beta None for every other kind.
+hme, and beta None for every other kind. A tuning may be any real number
+and is read as a float, so a per-sample estimate is estimate_arrays', bit
+for bit; any other tuning, or one beyond a double, is a DomainError.
 
 An Estimate holds gamma_hat, the canonical spec and the sample size n; the
 statistics it was computed from are, bit for bit, those that
@@ -43,8 +45,8 @@ from .stats import SMALL_R, Sample, SampleBlock, int_array, stat_g_rows
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """An estimator kind at an int tail size k and finite tunings (r, and
-    beta for hme); anything else is a DomainError."""
+    """An estimator kind at an int tail size k and finite real tunings (r,
+    and beta for hme); anything else is a DomainError."""
 
     kind: str
     k: int
@@ -58,10 +60,20 @@ class EstimatorSpec:
             raise DomainError(f"k must be an int, got {self.k!r}")
         if self.kind == "hme" and self.beta is None:
             raise DomainError("hme requires beta")
-        if self.beta is not None and not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta}")
-        if not math.isfinite(self.r):
-            raise DomainError(f"r must be finite, got {self.r}")
+        if self.beta is not None:
+            _real("beta", self.beta)
+        _real("r", self.r)
+
+
+def _real(name: str, value) -> float:
+    """A tuning as a float; a DomainError where it is not a real number (a
+    str, None, a list) or not a finite double."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        raise DomainError(f"{name} must be a real number that fits a double, got {value!r}") from None
+    raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True, init=False)
@@ -88,10 +100,10 @@ class Estimate:
 TIE_MESSAGE = "all top ratios tie the threshold"
 
 
-def _quotient(num, den):
-    """num / den, with the IEEE result (inf or NaN) also for a float den of
-    0, where Python raises ZeroDivisionError."""
-    if isinstance(den, float) and den == 0.0:
+def _quotient(num: float, den: float) -> float:
+    """num / den, with the IEEE result (inf or NaN) also for a den of 0,
+    where Python raises ZeroDivisionError."""
+    if den == 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(np.float64(num) / den)
     return num / den
@@ -165,21 +177,19 @@ def _branch(kind: str, param):
 
 @lru_cache(maxsize=4096, typed=True)
 def _plan(kind: str, k: int, param, _sign) -> tuple:
-    """kind at (k, param): (the canonical spec, the r its statistics are
-    read at, the slice of the record at that r that holds the u it reads,
-    its closed form).
-    The spec is made here, so a k that is not an int or a tuning that is not
-    finite raises its DomainError before the sample is read. _sign, the sign
-    of param, is only a part of the cache key: 0.0 and -0.0 are equal keys,
-    but g2 and hme keep the sign in their spec."""
-    zero, r = _branch(kind, param)
-    if zero:
-        r = 0.0
+    """kind at (k, param): (the canonical spec, the float r its statistics
+    and closed form read, 0.0 on the r = 0 branch, the slice of the record
+    at that r that holds the u it reads, its closed form). The spec, with
+    param as given, is made here, so a k that is not an int or a tuning that
+    is not a finite real number raises its DomainError before the sample is
+    read. _sign, the sign of param, is only a part of the cache key: 0.0 and
+    -0.0 are equal keys, but g2 and hme keep the sign in their spec."""
     hme = kind == "hme"
-    spec = EstimatorSpec(kind, k, r=1.0 - param if hme else r, beta=param if hme else None)
+    zero, r = _branch(kind, _real("beta" if hme else "r", param))
+    spec = EstimatorSpec(kind, k, r if hme else 0.0 if zero else param, param if hme else None)
     at_zero, tuned, form = _KINDS[kind]
     us = at_zero if zero else tuned
-    return spec, r, slice(us[0], us[-1] + 1), form
+    return spec, 0.0 if zero else r, slice(us[0], us[-1] + 1), form
 
 
 def _one(s: Sample, kind: str, k: int, param) -> Estimate:
@@ -187,7 +197,7 @@ def _one(s: Sample, kind: str, k: int, param) -> Estimate:
     estimator's error, is made."""
     try:
         spec, r, us, form = _plan(kind, k, param, math.copysign(1.0, param))
-    except TypeError:  # an unhashable k, or a param that is not a real number
+    except (TypeError, OverflowError):  # an unhashable k or param, or a param beyond a double or not real
         spec, r, us, form = _plan.__wrapped__(kind, k, param, None)
     record, tie = s.g_record(k, r)
     if tie:

@@ -72,10 +72,11 @@ class ExperimentConfig:
         for label in self.estimators:
             if label not in LABELS:
                 raise DomainError(f"unknown estimator label {label!r}")
-        if self.grid:
-            for g, r in self.grid:
-                if g <= 0 or not r < 0:
-                    raise DomainError(f"grid cell ({g}, {r}) must satisfy gamma > 0, rho < 0")
+        cells = self.grid or ([] if self.gamma is None or self.rho is None else [(self.gamma, self.rho)])
+        for g, r in cells:  # a rho labels a cell of every family, pareto's too
+            if not -math.inf < r < 0:
+                raise DomainError(f"cell ({g}, {r}) needs a finite rho < 0")
+            _dist(self, g, r)  # the DomainError of a gamma or scale no distribution takes
 
     def canonical(self) -> dict:
         d = asdict(self)

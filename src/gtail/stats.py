@@ -59,7 +59,7 @@ class SampleBlock:
     last k that a :meth:`g_record` call read on row 0: the read-only
     log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; the largest of them as a
     float; whether the top k values all tie the threshold; and a dict from
-    each scalar r read at this k (at most :data:`RECORD_RS` of them) to its
+    each r read at this k (at most :data:`RECORD_RS` of them) to its
     record. A call at another k makes a new entry, whose records are those
     of every r the last k read, summed in one pass, as a k-plot reads the
     same r at each k. The entry is swapped as one tuple, and its dict only
@@ -93,35 +93,30 @@ class SampleBlock:
         r = 0 also G(k, 0, 2), where g[0] is 1.0; and whether the top k
         values all tie the threshold X_(k+1). Each G is, bit for bit,
         :func:`stat_g_rows`'s (see :func:`_g_records`). A record in the
-        memo's entry for k is reused (r matched by value, as hme's 1 - beta
-        can differ from r in the last bit; an array r could change, so it
-        is read at each call and never kept). The first call at a k sums
-        the records of this r and of every r the last k read in one pass;
-        a later r at that k is summed alone. A k that is not an int, or
-        outside [2, n-1], is a DomainError. No numpy warning escapes: what
-        overflows is inf, and 0 * inf is NaN."""
+        memo's entry for k is reused (r is read as a float, and matched by
+        value, as hme's 1 - beta can differ from r in the last bit). The
+        first call at a k sums the records of this r and of every r the last
+        k read in one pass; a later r at that k is summed alone. A k that is
+        not an int, or outside [2, n-1], is a DomainError. No numpy warning
+        escapes: what overflows is inf, and 0 * inf is NaN."""
+        r = float(r)
         entry = self.last_k
-        scalar = isinstance(r, (int, float))
         if entry[0] != k or not (type(k) is int or isinstance(k, np.integer)):
             if not isinstance(k, (int, np.integer)):
                 raise DomainError(f"k must be an int, got {k!r}")
             _check_k(self.n, k)
             d = self.desc[0]
             hi, lo = float(d[0]), float(d[k])
-            if hi / lo < math.inf:
+            # the largest ratio can overflow
+            with _NO_ERRSTATE if hi / lo < math.inf else np.errstate(over="ignore"):
                 logs = np.log(d[:k] / d[k])
-            else:  # the largest ratio overflows
-                with np.errstate(over="ignore"):
-                    logs = np.log(d[:k] / d[k])
             logs.flags.writeable = False
             rs = [*entry[4]]
-            if scalar and r not in entry[4] and len(rs) < RECORD_RS:
+            if r not in entry[4] and len(rs) < RECORD_RS:
                 rs.append(r)
             top = float(logs[0])
             entry = (k, logs, top, hi == lo, dict(zip(rs, _g_records(logs, top, rs))))
             object.__setattr__(self, "last_k", entry)
-        if not scalar:
-            return _g_records(entry[1], entry[2], [r])[0], entry[3]
         records = entry[4]
         g = records.get(r)
         if g is None:
@@ -132,14 +127,14 @@ class SampleBlock:
 
 
 def _g_records(logs: np.ndarray, top: float, rs: list) -> list:
-    """SampleBlock.g_record's record at each r of rs, in order, from the
+    """SampleBlock.g_record's record at each float r of rs, in order, from the
     log-ratios L, whose largest is top, in one pass. One (rows, k) buffer
     holds exp(r L) for each r but 0, then exp(r L) L, then L and L L for
     r = 0; exp(0 L) is skipped, as it is 1 unless the largest L is inf,
     where 0 * inf is NaN. One np.add.reduce sums each row as its own sum,
     and each sum is divided by k as a float, the bits of numpy's division."""
     k = logs.size
-    tuned = [float(r) for r in rs if r != 0.0]
+    tuned = [r for r in rs if r != 0.0]
     m = len(tuned)
     zero = m < len(rs)
     buf = np.empty((2 * (m + zero), k))

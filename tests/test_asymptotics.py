@@ -164,6 +164,15 @@ class TestKStar:
             k = asy.k_star(m, 0.0, 1, 10)
         assert 2 <= k <= 9
 
+    @pytest.mark.parametrize("n", [2, 1, 0, -5])
+    def test_n_below_3_is_a_domain_error(self, n):
+        """No k lies in [2, n - 1]: a DomainError, not a k clamped out of
+        that range with a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"n must be >= 3, got {n}"):
+                asy.k_star(model(1.0, -1.0, 1.0), 0.0, 1, n)
+
 
 class TestRStar:
     def test_closed_forms_at_minus_one(self):
@@ -339,3 +348,26 @@ def test_gamma_free_quantities_across_gamma():
                 ref = val
             assert val == pytest.approx(ref, rel=1e-10)
             assert val == pytest.approx(asy.psi_H(rho), rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, match", [
+    (lambda: asy.SecondOrderModel(math.nan, -1.0, 1.0), "gamma must be > 0, got nan"),
+    (lambda: asy.amse(model(), math.nan, 1, 10, 1000), "need gamma\\*r < 1/2, got nan"),
+    (lambda: asy.estimator_limit_constants(model(), math.nan, 1), "need gamma\\*r < 1/2, got nan"),
+    (lambda: asy.joint_limit_constants(model(), math.nan), "need gamma\\*r < 1/2, got nan"),
+    (lambda: asy.eta(-1.0, math.nan, 1), "eta requires a finite R < 1/2"),
+    (lambda: asy.eta(-1.0, [0.1, -math.inf], 1), "eta requires a finite R < 1/2"),
+    (lambda: asy.eta(-math.inf, 0.1, 1), "rho must be finite and < 0, got -inf"),
+    (lambda: asy.eta(math.nan, 0.1, 1), "rho must be finite and < 0, got nan"),
+    (lambda: asy.robustness_limit(1.0, math.nan), "need gamma\\*r < 1, got nan"),
+    (lambda: asy.robustness_limit(math.nan, 0.1), "gamma must be > 0, got nan"),
+], ids=["model-gamma", "amse-r", "estimator_limit_constants-r", "joint_limit_constants-r", "eta-R",
+        "eta-R-inf", "eta-rho-inf", "eta-rho-nan", "robustness_limit-r", "robustness_limit-gamma"])
+def test_nan_fails_the_domain_checks(call, match):
+    """A NaN argument fails each domain check, and eta a rho or an R that is
+    not finite: a DomainError, not a NaN result or a numpy warning. rho =
+    -inf stays a model's, the bias-free Pareto one."""
+    with pytest.raises(DomainError, match=match):
+        call()
+    assert asy.SecondOrderModel(1.0, -math.inf, 0.0).bias_free

@@ -406,6 +406,23 @@ class TestSimulate:
         assert "seed must be >= 0, got -1" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("gamma = 1.0", "gamma = nan", "gamma must be finite and > 0, got nan"),
+        ("gamma = 1.0", "gamma = inf", "gamma must be finite and > 0, got inf"),
+        ("rho = -1.0", "rho = -inf", "cell (1.0, -inf) needs a finite rho < 0"),
+        ("family = burr", "family = burr\nscale = nan", "scale must be finite and > 0, got nan"),
+        ("family = burr", "family = burr\nscale = inf", "scale must be finite and > 0, got inf"),
+    ], ids=["gamma-nan", "gamma-inf", "rho--inf", "scale-nan", "scale-inf"])
+    def test_non_finite_distribution_parameter_rejected(self, tmp_path, old, new, match, capsys):
+        """A cell no distribution takes is an error of the config, before
+        any cell runs, not a degenerate cell with an all-NaN report."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.replace(old, new))
+        code, _, err = run(["simulate", cfg, "--output-dir", tmp_path / "out"], capsys)
+        assert code == 3
+        assert match in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRobustness:
     def test_bounded_shift_positive_r(self, capsys):

@@ -3,6 +3,8 @@ import dataclasses
 import math
 import pickle
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,7 +274,7 @@ class TestPlanCache:
         s = self._sample()
         with pytest.raises(DomainError, match=r"k must be an int, got \[10\]"):
             est.hill(s, [10])
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError, match="beta must be a real number that fits a double, got None"):
             est.hme(s, 10, None)
         for _ in range(2):  # an error is not cached
             with pytest.raises(DomainError, match="r must be finite, got nan"):
@@ -498,11 +500,15 @@ def test_evaluate_dispatch():
     ("g3", 10, {"r": -math.inf}, "r must be finite"),
     ("hme", 10, {"beta": math.nan}, "beta must be finite, got nan"),
     ("hme", 10, {"beta": math.inf}, "beta must be finite"),
+    *[(kind, 10, {name: bad}, f"{name} must be a real number that fits a double")
+      for kind, name in (("g1", "r"), ("g2", "r"), ("g3", "r"), ("hme", "beta"))
+      for bad in ("0.3", None, [0.3], 2**1100) if not (name == "beta" and bad is None)],
 ])
 def test_spec_that_cannot_be_estimated_is_a_domain_error(kind, k, kwargs, match):
-    """A spec with a k that is not an int, or a tuning that is not finite,
-    is rejected when it is made, and so is the matching estimator call: not
-    a TypeError, nor a DegenerateSampleError for a NaN estimate."""
+    """A spec with a k that is not an int, or a tuning that is not a finite
+    real number (a str, None, a list, an int beyond a double), is rejected
+    when it is made, and so is the matching estimator call: not a TypeError
+    or an OverflowError, nor a DegenerateSampleError for a NaN estimate."""
     s = Sample.from_values(np.arange(1.0, 30.0))
     with pytest.raises(DomainError, match=match):
         est.EstimatorSpec(kind, k, **kwargs)
@@ -510,6 +516,26 @@ def test_spec_that_cannot_be_estimated_is_a_domain_error(kind, k, kwargs, match)
     with pytest.raises(DomainError, match=match):
         getattr(est, kind)(s, k, *([param] if kind not in ("hill", "moment", "moment_ratio") else []))
     assert est.evaluate(s, est.EstimatorSpec("hill", np.int64(10))) == est.hill(s, 10)
+
+
+@pytest.mark.parametrize("kind, tunings", [
+    ("g1", (0.3, -1, 0)), ("g2", (0.3, 1, 0)), ("g3", (-0.4, -1, 0)), ("hme", (0.7, 2, 1))])
+@pytest.mark.parametrize("as_type", [int, bool, float, np.int64, np.float16, np.float32,
+                                     np.float64, np.array, Fraction, Decimal],
+                         ids=lambda t: t.__name__)
+def test_a_tuning_of_any_real_type_is_read_as_a_float(kind, tunings, as_type):
+    """A tuning of any type of real number (a 0-d array too) is read as a
+    float: the per-sample gamma_hat is a Python float, bit for bit
+    estimate_arrays' at the same (k, tuning), on the tuned branch and on the
+    r = 0 one (hme's beta = 1)."""
+    s = sample(DistSpec("burr", 1.0, -1.0), 1000, 1)
+    for x in tunings:
+        tuning = as_type(x)
+        if tuning != x and as_type in (int, bool, np.int64):
+            continue  # x is not a value of the type
+        got = getattr(est, kind)(s, 100, tuning).gamma_hat
+        assert type(got) is float
+        assert np.float64(got).tobytes() == est.estimate_arrays(s, kind, 0, 100, tuning).tobytes()
 
 
 def test_estimate_arrays_reads_integral_k_and_keeps_nan_tunings():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gtail import estimators as est
 from gtail import secondorder as so
-from gtail.asymptotics import SecondOrderModel, k_star, r_star
+from gtail.asymptotics import SecondOrderModel, k_star, r_star, tail_size
 from gtail.distributions import DistSpec, draw_block, sample
 from gtail.errors import DegenerateSampleError, DomainError, PipelineError
 from gtail.stats import SMALL_R, Sample, SampleBlock, log_moment_profile
@@ -392,8 +392,11 @@ class TestAdaptiveK:
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_n_below_1_is_a_domain_error(self, n):
-        with pytest.raises(DomainError, match="n must be >= 1"):
+        """k_star needs a k in [2, n - 1], and the real tail size n >= 1."""
+        with pytest.raises(DomainError, match="n must be >= 3"):
             plug_in_k(n, -1.0, 1.0, 1, False)
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            tail_size(0.0, -1.0, 1.0, 1, n)
 
     def test_monotone_in_n(self):
         ks = [plug_in_k(n, -1.0, 1.0, 3, True) for n in (200, 2000, 20000, 200000)]

@@ -570,8 +570,9 @@ class TestLogMemo:
                 assert estimators.g1(s, k + 1, r) == estimators.g1(Sample.from_values(s.values), k + 1, r)
 
     def test_an_array_r_is_read_at_each_call(self):
-        """A 0-d array r that the caller changes between calls is never
-        matched to the memo's r, in the record or in an estimator."""
+        """A 0-d array r is read as a float at each call, so one that the
+        caller changes between calls gets the record and the estimate of its
+        new value."""
         s = sample(DistSpec("burr", 1.0, -1.0), 500, 3)
         fresh = Sample.from_values(s.values)
         r = np.array(0.3)
