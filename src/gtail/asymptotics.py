@@ -45,8 +45,8 @@ PHI3_CROSSING = -4.57018
 class SecondOrderModel:
     """Hall-class tail parameters (gamma, rho, beta) with A(t) = gamma*beta*t^rho.
 
-    ``beta_hall = 0`` marks a bias-free tail (exact power law): the AMSE has
-    no interior optimum in k and :func:`k_star` rejects such a model.
+    A finite ``beta_hall`` of 0 marks a bias-free tail (exact power law): the
+    AMSE has no interior optimum in k and :func:`k_star` rejects such a model.
     """
 
     gamma: float
@@ -58,6 +58,8 @@ class SecondOrderModel:
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
         if not self.rho < 0:
             raise DomainError(f"rho must be < 0, got {self.rho}")
+        if not math.isfinite(self.beta_hall):
+            raise DomainError(f"beta_hall must be finite, got {self.beta_hall}")
 
     @property
     def bias_free(self) -> bool:

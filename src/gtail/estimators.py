@@ -67,7 +67,9 @@ class EstimatorSpec:
 
 def _real(name: str, value) -> float:
     """A tuning as a float; a DomainError where it is not a real number (a
-    str, None, a list) or not a finite double."""
+    str, None, a list, a complex number of any type) or not a finite double."""
+    if not isinstance(value, (float, int)) and np.iscomplexobj(value):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         if math.isfinite(value):
             return float(value)
@@ -195,8 +197,11 @@ def _plan(kind: str, k: int, param, _sign) -> tuple:
 def _one(s: Sample, kind: str, k: int, param) -> Estimate:
     """kind at (k, param) on a sample: the one place an Estimate, or an
     estimator's error, is made."""
+    # the sign of any other type is read from _real's float, so that a
+    # complex param is its DomainError, with no ComplexWarning
+    x = param if isinstance(param, (float, int)) else _real("beta" if kind == "hme" else "r", param)
     try:
-        spec, r, us, form = _plan(kind, k, param, math.copysign(1.0, param))
+        spec, r, us, form = _plan(kind, k, param, math.copysign(1.0, x))
     except (TypeError, OverflowError):  # an unhashable k or param, or a param beyond a double or not real
         spec, r, us, form = _plan.__wrapped__(kind, k, param, None)
     record, tie = s.g_record(k, r)
@@ -219,11 +224,15 @@ def estimate_arrays(s: SampleBlock, kind: str, rows, ks, params) -> np.ndarray:
     shape, and rows may repeat. param is the r of g1, g2 and g3 and the beta
     of hme; the classical kinds ignore it. Each estimate is, bit for bit, the
     per-sample call's, NaN where that call raises or param is not finite; a
-    row or k that is not integral, a k outside [2, n-1] or a row outside the
-    block in any triple raises its DomainError for the whole call.
+    row or k that is not integral, a k outside [2, n-1], a row outside the
+    block or a complex param in any triple raises its DomainError for the
+    whole call.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown estimator kind {kind!r}")
+    params = np.asarray(params)
+    if params.dtype.kind == "c" or params.dtype.kind == "O" and any(map(np.iscomplexobj, params.flat)):
+        raise DomainError(f"params must be real numbers, got a complex {params.dtype} array")
     rows, ks, params = (np.atleast_1d(a) for a in np.broadcast_arrays(
         int_array(rows, "row"), int_array(ks, "k"), np.asarray(params, dtype=float)))
     zero, r = _branch(kind, params)

@@ -38,9 +38,10 @@ column in one table of per-step tests. The functions that return result
 objects (:func:`estimate_rho`, :func:`beta_hat`, :func:`adaptive_estimate`)
 take one Sample, run it as the one-row block it is and build the result from
 row 0, raising where that row fails; its two Estimates, or an estimator's
-error, come from :func:`~gtail.estimators.evaluate` on that Sample. Both
-pipelines of one sample, sharing its rho/beta step, are
-``adaptive_arrays(s)``.
+error, come from :func:`~gtail.estimators.evaluate` on that Sample. They
+and :func:`rho_hat` take one Sample only: a block, even of one row, is a
+DomainError (:func:`~gtail.stats.one_sample`). Both pipelines of one
+sample, sharing its rho/beta step, are ``adaptive_arrays(s)``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from . import estimators
 from .asymptotics import NO_TAIL_SIZE, r_star, tail_size
 from .errors import DegenerateSampleError, DomainError, PipelineError
 from .estimators import Estimate, EstimatorSpec
-from .stats import Sample, SampleBlock, log_moment_profile, stat_g_rows
+from .stats import Sample, SampleBlock, log_moment_profile, one_sample, stat_g_rows
 
 #: rho estimates below this are clamped (with a warning): more negative values
 #: make the (i/k)^(-rho) power sums in beta_hat explode.
@@ -116,7 +116,7 @@ def _rho_path(m1, m2, m3, tau: int, out=None, spare=(None, None)):
 
 def rho_hat(s: Sample, k: int, tau: int) -> float:
     """Second-order parameter estimate -|3(T-1)/(T-3)| at a single k."""
-    m1, m2, m3 = stat_g_rows(s, 0, k, 0.0, (1, 2, 3)).tolist()
+    m1, m2, m3 = stat_g_rows(one_sample(s), 0, k, 0.0, (1, 2, 3)).tolist()
     m2, m3 = m2 / 2.0, m3 / 6.0
     if m1 <= 0.0 or m2 <= 0.0 or m3 <= 0.0:
         raise DegenerateSampleError(f"non-positive log-moment statistic at k={k}")
@@ -171,13 +171,6 @@ _RHO_DEGENERATE = "rho estimation degenerate over the whole k window"
 _BETA_DEGENERATE = "beta estimation degenerate (zero denominator)"
 
 
-def _one_sample(s: Sample) -> Sample:
-    """s, checked to be one Sample, not a block of several."""
-    if not isinstance(s, Sample):
-        raise DomainError(f"expected one Sample, got {type(s).__name__}")
-    return s
-
-
 def _rho_arrays(block: SampleBlock):
     """Step 1 on every row: the k beta uses (the top of the k window), and
     per row the clamped rho_hat (NaN where the path is invalid over the
@@ -203,7 +196,7 @@ def estimate_rho(s: Sample) -> RhoEstimate:
     interquartile range, and report the path median (clamped to stay in
     [RHO_FLOOR, RHO_CEILING]). One tiled sweep serves both tau.
     """
-    k_used, rho, tau = _rho_arrays(_one_sample(s))
+    k_used, rho, tau = _rho_arrays(one_sample(s))
     if tau[0] < 0:
         raise DegenerateSampleError(_RHO_DEGENERATE)
     return RhoEstimate(float(rho[0]), int(tau[0]), k_used)
@@ -242,14 +235,14 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
     Power weights (i/k)^(-rho) and the prefactor (k/n)^rho go through
     exp/log; a DomainError where the prefactor or the estimate overflows.
     """
-    block = _one_sample(s)
+    one_sample(s)
     if not rho < 0:
         raise DomainError(f"rho must be < 0, got {rho}")
     if rho == -math.inf:
         raise DomainError(f"rho must be finite, got {rho}")
     if not (2 <= k <= s.n - 1):
         raise DomainError(f"k={k} outside [2, n-1] for n={s.n}")
-    (beta,), (zero_den,) = (x.tolist() for x in _beta_arrays(block, k, np.array([rho], dtype=float)))
+    (beta,), (zero_den,) = (x.tolist() for x in _beta_arrays(s, k, np.array([rho], dtype=float)))
     if zero_den:
         raise DegenerateSampleError(_BETA_DEGENERATE)
     if math.isnan(beta):
@@ -301,16 +294,6 @@ def _valid_or_2(k: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(k), 2, k).astype(int)
 
 
-class _SecondOrder(NamedTuple):
-    """Steps 1 and 2 on every row of a block: the first four fields of
-    PipelineArrays."""
-
-    k_used: int
-    rho: np.ndarray
-    tau: np.ndarray
-    beta: np.ndarray
-
-
 def adaptive_arrays(block: SampleBlock, js: tuple = (1, 3)) -> dict:
     """The five-step adaptive pipeline for each j in js on every row of a
     block, one shared rho/beta step: {j: PipelineArrays}. Each row's values
@@ -322,20 +305,16 @@ def adaptive_arrays(block: SampleBlock, js: tuple = (1, 3)) -> dict:
             raise DomainError(f"adaptive pipeline defined for j in {{1, 3}}, got {j}")
     if block.n < 100:
         raise DomainError(f"adaptive pipeline needs n >= 100, got {block.n}")
-    second = _second_order(block)
-    return {j: _tail_arrays(block, j, second) for j in js}
-
-
-def _second_order(block: SampleBlock) -> _SecondOrder:
-    """Steps 1 and 2; a row's NaN rho (no valid path) gives it a NaN beta."""
     k_used, rho, tau = _rho_arrays(block)
-    return _SecondOrder(k_used, rho, tau, _beta_arrays(block, k_used, rho)[0])
+    beta = _beta_arrays(block, k_used, rho)[0]  # NaN where rho is
+    return {j: _tail_arrays(block, j, k_used, rho, tau, beta) for j in js}
 
 
-def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineArrays:
-    """Steps 3-5 of pipeline j on every row, which a failed row's NaN flows
-    through; its failed step is the first True in a (STEPS, rows) table."""
-    rho, beta = second.rho, second.beta
+def _tail_arrays(block: SampleBlock, j: int, k_used: int, rho: np.ndarray, tau: np.ndarray,
+                 beta: np.ndarray) -> PipelineArrays:
+    """Steps 3-5 of pipeline j on every row, from steps 1 and 2 (the first
+    four fields of PipelineArrays); a failed row's NaN flows through, and
+    its failed step is the first True in a (STEPS, rows) table."""
     kind, rows = estimators.KIND_OF_J[j], np.arange(block.rows)
     R = np.array([r_star(x, j) if x < 0 else math.nan for x in rho.tolist()])
     k_c = _tail_sizes(block.n, rho, beta, j, 0.0)
@@ -347,7 +326,7 @@ def _tail_arrays(block: SampleBlock, j: int, second: _SecondOrder) -> PipelineAr
     fails = np.array([np.isnan(rho), np.isnan(beta) | (beta == 0.0), np.isnan(k_c),
                       np.isnan(gamma_c), ~(gamma_c > 0.0), np.isnan(k_g), np.isnan(gamma_g)])
     failed_step = np.where(fails.any(0), fails.argmax(0), -1)
-    return PipelineArrays(j, *second, k_c, gamma_c, r, k_g, gamma_g, failed_step)
+    return PipelineArrays(j, k_used, rho, tau, beta, k_c, gamma_c, r, k_g, gamma_g, failed_step)
 
 
 @dataclass(frozen=True)
@@ -364,7 +343,7 @@ def adaptive_estimate(s: Sample, j: int) -> AdaptiveResult:
 
     Any failing step aborts with a PipelineError naming the step.
     """
-    return _result(adaptive_arrays(_one_sample(s), (j,))[j], 0, s)
+    return _result(adaptive_arrays(one_sample(s), (j,))[j], 0, s)
 
 
 def _result(a: PipelineArrays, i: int, s: Sample) -> AdaptiveResult:

@@ -5,7 +5,8 @@ observations as rows and caches their descending order statistics (every
 estimator re-reads prefixes of the sorted data for varying tail sizes
 ``k``), which are read-only. A :class:`Sample` is the one-row block, with
 1-D ``values`` and ``sorted_desc``, so every array form also takes one
-sample as its row 0.
+sample as its row 0. A per-sample read takes one Sample, and
+:func:`one_sample` makes a block, even of one row, a DomainError there.
 
 The statistic G_n(k, r, u) is the mean of
 ``(X_(i) / X_(k+1))^r * ln(X_(i) / X_(k+1))^u`` over the ``k`` largest
@@ -56,7 +57,7 @@ class SampleBlock:
     both are read-only. ``n``, the sample size, is stored too.
 
     ``last_k`` is a memo of one entry, ``(k, L, top, tie, records)``, of the
-    last k that a :meth:`g_record` call read on row 0: the read-only
+    last k that a :meth:`g_record` call read on a Sample: the read-only
     log-ratios L = ln(X_(i) / X_(k+1)), i = 1..k; the largest of them as a
     float; whether the top k values all tie the threshold; and a dict from
     each r read at this k (at most :data:`RECORD_RS` of them) to its
@@ -88,7 +89,7 @@ class SampleBlock:
         return cls(arr, _order_statistics(arr))
 
     def g_record(self, k: int, r: float) -> tuple[tuple, bool]:
-        """The statistics the estimators read at (k, r) on row 0, as a tuple
+        """The statistics the estimators read at (k, r) on a Sample, as a tuple
         g of Python floats indexed by u: G(k, r, 0) and G(k, r, 1), and at
         r = 0 also G(k, 0, 2), where g[0] is 1.0; and whether the top k
         values all tie the threshold X_(k+1). Each G is, bit for bit,
@@ -96,12 +97,14 @@ class SampleBlock:
         memo's entry for k is reused (r is read as a float, and matched by
         value, as hme's 1 - beta can differ from r in the last bit). The
         first call at a k sums the records of this r and of every r the last
-        k read in one pass; a later r at that k is summed alone. A k that is
-        not an int, or outside [2, n-1], is a DomainError. No numpy warning
-        escapes: what overflows is inf, and 0 * inf is NaN."""
+        k read in one pass; a later r at that k is summed alone. A block, or
+        a k that is not an int or is outside [2, n-1], is a DomainError where
+        a k is read. No numpy warning escapes: what overflows is inf, and
+        0 * inf is NaN."""
         r = float(r)
         entry = self.last_k
         if entry[0] != k or not (type(k) is int or isinstance(k, np.integer)):
+            one_sample(self)
             if not isinstance(k, (int, np.integer)):
                 raise DomainError(f"k must be an int, got {k!r}")
             _check_k(self.n, k)
@@ -203,6 +206,14 @@ class Sample(SampleBlock):
         return cls.from_values(arr[:, 0])
 
 
+def one_sample(s: SampleBlock) -> Sample:
+    """s, checked to be one Sample: every per-sample read starts here, and
+    a SampleBlock, even of one row, is a DomainError."""
+    if not isinstance(s, Sample):
+        raise DomainError(f"expected one Sample, got {type(s).__name__}")
+    return s
+
+
 def _is_header(line: str) -> bool:
     line = line.strip()
     try:
@@ -251,11 +262,6 @@ def _check_k(n: int, k: int) -> None:
         raise DomainError(f"k={k} outside [2, n-1] for n={n}")
 
 
-def _check_row(rows: int, row: int) -> None:
-    if not (0 <= row < rows):
-        raise DomainError(f"row {row} outside [0, {rows}) for a block of {rows} rows")
-
-
 def int_array(values, name: str) -> np.ndarray:
     """values as an int array; a value that is not integral, or not in the
     int64 range, raises DomainError naming it, and an integral float is
@@ -296,9 +302,10 @@ def _check_u(us, logs: np.ndarray) -> None:
 
 def stat_g(s: Sample, k: int, r: float, u: float) -> float:
     """Mean of the power-log kernel over the top-k ratios: G_n(k, r, u), the
-    one-u call of :func:`stat_g_rows` on row 0, as a float. An r that is not
-    finite is a DomainError, and a G that is not finite (it overflows, or
-    the largest ratio does) a DegenerateSampleError."""
+    one-u call of :func:`stat_g_rows` on one Sample, as a float. A block or
+    an r that is not finite is a DomainError, and a G that is not finite (it
+    overflows, or the largest ratio does) a DegenerateSampleError."""
+    one_sample(s)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
     g = float(stat_g_rows(s, 0, k, r, (u,))[0])
@@ -340,7 +347,8 @@ def stat_g_rows(s: SampleBlock, rows, ks, r, us) -> np.ndarray:
         _check_k(s.n, min(ks) if min(ks) < 2 else max(ks))
     desc, rows = s.desc, int_array(rows, "row")
     if rows.min() < 0 or rows.max() >= s.rows:
-        _check_row(s.rows, rows.min() if rows.min() < 0 else rows.max())
+        row = rows.min() if rows.min() < 0 else rows.max()
+        raise DomainError(f"row {row} outside [0, {s.rows}) for a block of {s.rows} rows")
     top = np.concatenate([desc[i, :k] for i, k in zip(rows.tolist(), ks)])
     if np.ndim(r):
         r = np.repeat(r, ks)

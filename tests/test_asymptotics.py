@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gtail import asymptotics as asy
+from gtail.distributions import DistSpec, hall_model
 from gtail.errors import DegenerateSampleError, DomainError
 
 
@@ -353,6 +354,9 @@ def test_gamma_free_quantities_across_gamma():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call, match", [
     (lambda: asy.SecondOrderModel(math.nan, -1.0, 1.0), "gamma must be > 0, got nan"),
+    (lambda: asy.SecondOrderModel(1.0, -1.0, math.nan), "beta_hall must be finite, got nan"),
+    (lambda: asy.SecondOrderModel(1.0, -1.0, math.inf), "beta_hall must be finite, got inf"),
+    (lambda: asy.SecondOrderModel(1.0, -1.0, -math.inf), "beta_hall must be finite, got -inf"),
     (lambda: asy.amse(model(), math.nan, 1, 10, 1000), "need gamma\\*r < 1/2, got nan"),
     (lambda: asy.estimator_limit_constants(model(), math.nan, 1), "need gamma\\*r < 1/2, got nan"),
     (lambda: asy.joint_limit_constants(model(), math.nan), "need gamma\\*r < 1/2, got nan"),
@@ -362,12 +366,14 @@ def test_gamma_free_quantities_across_gamma():
     (lambda: asy.eta(math.nan, 0.1, 1), "rho must be finite and < 0, got nan"),
     (lambda: asy.robustness_limit(1.0, math.nan), "need gamma\\*r < 1, got nan"),
     (lambda: asy.robustness_limit(math.nan, 0.1), "gamma must be > 0, got nan"),
-], ids=["model-gamma", "amse-r", "estimator_limit_constants-r", "joint_limit_constants-r", "eta-R",
+], ids=["model-gamma", "model-beta-nan", "model-beta-inf", "model-beta--inf", "amse-r", "estimator_limit_constants-r", "joint_limit_constants-r", "eta-R",
         "eta-R-inf", "eta-rho-inf", "eta-rho-nan", "robustness_limit-r", "robustness_limit-gamma"])
 def test_nan_fails_the_domain_checks(call, match):
     """A NaN argument fails each domain check, and eta a rho or an R that is
-    not finite: a DomainError, not a NaN result or a numpy warning. rho =
-    -inf stays a model's, the bias-free Pareto one."""
+    not finite, and a model a beta_hall that is not finite: a DomainError,
+    not a NaN result or a numpy warning. rho = -inf stays a model's, the
+    bias-free Pareto one that hall_model gives."""
     with pytest.raises(DomainError, match=match):
         call()
     assert asy.SecondOrderModel(1.0, -math.inf, 0.0).bias_free
+    assert hall_model(DistSpec("pareto", 1.0)).bias_free

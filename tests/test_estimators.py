@@ -492,6 +492,7 @@ def test_evaluate_dispatch():
         est.EstimatorSpec("hme", 2)  # beta required
 
 
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 @pytest.mark.parametrize("kind, k, kwargs, match", [
     ("hill", 10.0, {}, "k must be an int, got 10.0"),
     ("g1", np.float64(10), {"r": 0.5}, "k must be an int"),
@@ -503,12 +504,16 @@ def test_evaluate_dispatch():
     *[(kind, 10, {name: bad}, f"{name} must be a real number that fits a double")
       for kind, name in (("g1", "r"), ("g2", "r"), ("g3", "r"), ("hme", "beta"))
       for bad in ("0.3", None, [0.3], 2**1100) if not (name == "beta" and bad is None)],
+    *[(kind, 10, {name: bad}, f"^{name} must be a real number, got ")
+      for kind, name in (("g1", "r"), ("g2", "r"), ("g3", "r"), ("hme", "beta"))
+      for bad in (0.3 + 1j, np.complex128(0.3 + 1j), np.complex64(0.3), np.array(0.3 + 1j))],
 ])
 def test_spec_that_cannot_be_estimated_is_a_domain_error(kind, k, kwargs, match):
     """A spec with a k that is not an int, or a tuning that is not a finite
-    real number (a str, None, a list, an int beyond a double), is rejected
-    when it is made, and so is the matching estimator call: not a TypeError
-    or an OverflowError, nor a DegenerateSampleError for a NaN estimate."""
+    real number (a str, None, a list, an int beyond a double, a complex
+    number of any type), is rejected when it is made, and so is the matching
+    estimator call: not a TypeError, an OverflowError or a ComplexWarning,
+    nor a DegenerateSampleError for a NaN estimate."""
     s = Sample.from_values(np.arange(1.0, 30.0))
     with pytest.raises(DomainError, match=match):
         est.EstimatorSpec(kind, k, **kwargs)
@@ -516,6 +521,23 @@ def test_spec_that_cannot_be_estimated_is_a_domain_error(kind, k, kwargs, match)
     with pytest.raises(DomainError, match=match):
         getattr(est, kind)(s, k, *([param] if kind not in ("hill", "moment", "moment_ratio") else []))
     assert est.evaluate(s, est.EstimatorSpec("hill", np.int64(10))) == est.hill(s, 10)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_per_sample_estimators_take_one_sample(rows):
+    """Each kind's estimator and evaluate take one Sample: a block, even of
+    one row, is a DomainError, not row 0's estimate. estimate_arrays takes
+    the block, and gives each row its own Sample's estimate."""
+    block = SampleBlock.from_values(sample(DistSpec("burr", 1.0, -1.0), 100 * rows, 3).values.reshape(rows, 100))
+    for kind in est.KINDS:
+        param = 0.7 if kind == "hme" else 0.3
+        spec = est.EstimatorSpec(kind, 20, r=param, beta=param if kind == "hme" else None)
+        args = [] if kind in ("hill", "moment", "moment_ratio") else [param]
+        for call in (lambda: est.evaluate(block, spec), lambda: getattr(est, kind)(block, 20, *args)):
+            with pytest.raises(DomainError, match="^expected one Sample, got SampleBlock$"):
+                call()
+        got = est.estimate_arrays(block, kind, range(rows), 20, param)
+        assert got.tolist() == [est.evaluate(s, spec).gamma_hat for s in row_samples(block)]
 
 
 @pytest.mark.parametrize("kind, tunings", [
@@ -538,10 +560,13 @@ def test_a_tuning_of_any_real_type_is_read_as_a_float(kind, tunings, as_type):
         assert np.float64(got).tobytes() == est.estimate_arrays(s, kind, 0, 100, tuning).tobytes()
 
 
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_estimate_arrays_reads_integral_k_and_keeps_nan_tunings():
     """A k that is not integral raises instead of being truncated; an
     integral float k is that int; a NaN tuning gives NaN, as the pipeline
-    passes for a failed row."""
+    passes for a failed row; a complex tuning of any type, or an array that
+    holds one, is a DomainError, and a Fraction or a Decimal is read as a
+    float."""
     s = Sample.from_values(np.random.default_rng(3).pareto(1.0, 50) + 1.0)
     for ks in (10.7, [10, 10.5], math.nan, math.inf):
         with pytest.raises(DomainError, match="k must be integral"):
@@ -551,6 +576,12 @@ def test_estimate_arrays_reads_integral_k_and_keeps_nan_tunings():
     for kind in ("g1", "g2", "g3", "hme"):
         got = est.estimate_arrays(s, kind, 0, [10, 10], [math.nan, 0.3])
         assert math.isnan(got[0]) and got[1] == getattr(est, kind)(s, 10, 0.3).gamma_hat
+        for bad in (0.3 + 1j, np.complex128(0.3 + 1j), np.complex64(0.3), np.array(0.3 + 1j),
+                    [0.3, 0.3 + 1j], np.array([Fraction(3, 10), np.complex64(0.3)], dtype=object)):
+            with pytest.raises(DomainError, match="^params must be real numbers, got a complex"):
+                est.estimate_arrays(s, kind, 0, [10, 10], bad)
+        assert est.estimate_arrays(s, kind, 0, [10, 10], [Fraction(3, 10), Decimal("0.3")]).tolist() == [
+            getattr(est, kind)(s, 10, 0.3).gamma_hat] * 2
 
 
 @pytest.mark.slow

@@ -483,8 +483,8 @@ class TestBlockTailSteps:
         # the moment ratio
         s = Sample.from_values(sample(DistSpec("pareto", 1.0), 400, 3).values ** 60)
         k = int(s.n**0.995)
-        second = so._SecondOrder(k, np.array([so.RHO_CEILING]), np.array([0]), np.array([1.0]))
-        res = so._result(so._tail_arrays(s, 3, second), 0, s)
+        a = so._tail_arrays(s, 3, k, np.array([so.RHO_CEILING]), np.array([0]), np.array([1.0]))
+        res = so._result(a, 0, s)
         assert 0.0 < abs(res.r_generalized) < SMALL_R
         assert res.generalized.spec.r == 0.0
         assert res.generalized == est.g3(s, res.generalized.spec.k, res.r_generalized)
@@ -495,8 +495,7 @@ class TestBlockTailSteps:
         # beta^2 overflows or falls below the smallest normal float, so
         # _tail_sizes gives NaN for this row, where k_star raises
         s = burr_sample(1.0, -1.0, 1000, 5)
-        second = so._SecondOrder(int(s.n**0.995), np.array([-1.0]), np.array([0]), np.array([beta]))
-        a = so._tail_arrays(s, 1, second)
+        a = so._tail_arrays(s, 1, int(s.n**0.995), np.array([-1.0]), np.array([0]), np.array([beta]))
         assert np.isnan(a.k_c[0])
         with pytest.raises(PipelineError) as info:
             so._result(a, 0, s)
@@ -514,10 +513,9 @@ class TestBlockTailSteps:
         # NaN is the only stand-in: it flows through steps 3-5, and the
         # row's failed step is the first failing test in order
         s = burr_sample(1.0, -1.0, 1000, 5)
-        second = so._SecondOrder(int(s.n**0.995), np.array([rho]), np.array([tau]), np.array([beta]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a = so._tail_arrays(s, 1, second)
+            a = so._tail_arrays(s, 1, int(s.n**0.995), np.array([rho]), np.array([tau]), np.array([beta]))
         assert so.STEPS[a.failed_step[0]] == step
         assert np.isnan(a.k_c[0]) and np.isnan(a.k_g[0])
         with pytest.raises(PipelineError) as info:
@@ -611,6 +609,29 @@ class TestPipelineArrays:
                     got = np.concatenate([getattr(p[j], name) for p in parts])
                     assert np.array_equal(got, getattr(whole[j], name), equal_nan=True), name
 
+    @pytest.mark.parametrize("family, gamma, rho, n", [
+        ("burr", 1.25, -3.5, 1000), ("kumaraswamy", 0.5, -2.0, 500), TestBlockTailSteps.CELLS[-1]])
+    def test_permuting_rows_permutes_every_field(self, family, gamma, rho, n):
+        """A block's rows in another order give each field of both pipelines
+        in that order, bit for bit: no row's value depends on where it sits,
+        also for the near-tied rows that fail at rho or at classical."""
+        if gamma > 1e-10:
+            block = sample_block(DistSpec(family, gamma, rho), n, 7, [(3, i) for i in range(32)])
+        else:
+            block = TestBlockTailSteps.cell_block(family, gamma, rho, n, 0)
+        order = np.random.default_rng(11).permutation(block.rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rho clamps, of the same rows in both
+            whole = so.adaptive_arrays(block)
+            permuted = so.adaptive_arrays(SampleBlock.from_values(block.values[order]))
+        for j in (1, 3):
+            assert permuted[j].k_used == whole[j].k_used
+            for name in self.FIELDS:
+                assert getattr(permuted[j], name).tobytes() == getattr(whole[j], name)[order].tobytes(), (j, name)
+        if gamma < 1e-10:
+            failed = {so.STEPS[i] for a in whole.values() for i in a.failed_step.tolist() if i >= 0}
+            assert {"rho", "classical"} <= failed
+
     def test_below_the_minimum_and_one_pipeline(self):
         block = sample_block(DistSpec("burr", 1.0, -1.0), 99, 1, [(0,), (1,)])
         with pytest.raises(DomainError):
@@ -629,11 +650,21 @@ class TestPipelineArrays:
 
 class TestAdaptivePipeline:
     def test_result_functions_take_one_sample(self):
-        block = sample_block(DistSpec("burr", 1.0, -1.0), 200, 1, [(0,), (1,), (2,)])
-        for call in (so.estimate_rho, lambda b: so.beta_hat(b, 150, -1.0),
-                     lambda b: so.adaptive_estimate(b, 1), lambda b: so.adaptive_estimate(b, 3)):
-            with pytest.raises(DomainError, match="^expected one Sample, got SampleBlock$"):
-                call(block)
+        """rho_hat and the functions that return result objects take one
+        Sample: a block of 3, 2 or 1 rows is a DomainError. adaptive_arrays
+        takes the block, and gives each row its own Sample's arrays."""
+        values = sample_block(DistSpec("burr", 1.0, -1.0), 200, 1, [(0,), (1,), (2,)]).values
+        for rows in (3, 2, 1):
+            block = SampleBlock.from_values(values[:rows])
+            for call in (so.estimate_rho, lambda b: so.rho_hat(b, 150, 0), lambda b: so.beta_hat(b, 150, -1.0),
+                         lambda b: so.adaptive_estimate(b, 1), lambda b: so.adaptive_estimate(b, 3)):
+                with pytest.raises(DomainError, match="^expected one Sample, got SampleBlock$"):
+                    call(block)
+            arrays = so.adaptive_arrays(block)
+            for i, s in enumerate(row_samples(block)):
+                for j, a in so.adaptive_arrays(s).items():
+                    for name in TestPipelineArrays.FIELDS:
+                        assert getattr(arrays[j], name)[i:i + 1].tobytes() == getattr(a, name).tobytes()
 
     def test_minimum_sample_size(self):
         s = burr_sample(1.0, -1.0, 99, 5)

@@ -483,6 +483,24 @@ def test_g_record_returns_floats_and_the_tie():
         tied.g_record(2.0, 0.0)  # also with k = 2 in the memo
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_per_sample_reads_take_one_sample(rows):
+    """stat_g and SampleBlock.g_record read one Sample: a block, even of one
+    row, is a DomainError, not row 0's value, also on a second call. The
+    array forms take the block, and give each row its own Sample's bits."""
+    block = SampleBlock.from_values(sample(DistSpec("burr", 1.0, -1.0), 60 * rows, 3).values.reshape(rows, 60))
+    for call in (lambda: stat_g(block, 10, 0.3, 1.0), lambda: block.g_record(10, 0.3),
+                 lambda: block.g_record(10, 0.3)):
+        with pytest.raises(DomainError, match="^expected one Sample, got SampleBlock$"):
+            call()
+    got = stat_g_rows(block, list(range(rows)), [10] * rows, 0.3, (0.0, 1.0))
+    prof = profile(block, 2, 59)
+    for i, s in enumerate(row_samples(block)):
+        assert got[:, i].tobytes() == stat_g_rows(s, 0, 10, 0.3, (0.0, 1.0)).tobytes()
+        assert np.array(s.g_record(10, 0.3)[0]).tobytes() == got[:, i].tobytes()
+        assert prof[:, i].tobytes() == profile(s, 2, 59)[:, 0].tobytes()
+
+
 _HME_R = 1.0 - (1.0 - 0.3)  # hme's r at beta = 0.7: 0.30000000000000004
 
 
