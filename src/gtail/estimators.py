@@ -65,13 +65,14 @@ class EstimatorSpec:
         _real("r", self.r)
 
 
-def _real(name: str, value) -> float:
+def _real(name: str, value, finite: bool = True) -> float:
     """A tuning as a float; a DomainError where it is not a real number (a
-    str, None, a list, a complex number of any type) or not a finite double."""
+    str, None, a list, a complex number of any type), is beyond a double
+    or, with finite, is not finite."""
     if not isinstance(value, (float, int)) and np.iscomplexobj(value):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
-        if math.isfinite(value):
+        if math.isfinite(value) or not finite:
             return float(value)
     except (TypeError, OverflowError):
         raise DomainError(f"{name} must be a real number that fits a double, got {value!r}") from None
@@ -222,17 +223,21 @@ def estimate_arrays(s: SampleBlock, kind: str, rows, ks, params) -> np.ndarray:
     """kind's gamma_hat at every (row, k, param) triple of a block (a Sample
     is the block whose one row is 0); rows, ks and params broadcast to one 1-D
     shape, and rows may repeat. param is the r of g1, g2 and g3 and the beta
-    of hme; the classical kinds ignore it. Each estimate is, bit for bit, the
-    per-sample call's, NaN where that call raises or param is not finite; a
-    row or k that is not integral, a k outside [2, n-1], a row outside the
-    block or a complex param in any triple raises its DomainError for the
-    whole call.
+    of hme; the classical kinds ignore its value. Each estimate is, bit for
+    bit, the per-sample call's, NaN where that call raises or param is not
+    finite; a row or k that is not integral, a k outside [2, n-1], a row
+    outside the block or a param that is not a real number (complex, a str,
+    None) in any triple raises its DomainError for the whole call, the
+    per-sample call's for that param where it is not complex.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown estimator kind {kind!r}")
     params = np.asarray(params)
     if params.dtype.kind == "c" or params.dtype.kind == "O" and any(map(np.iscomplexobj, params.flat)):
         raise DomainError(f"params must be real numbers, got a complex {params.dtype} array")
+    if params.dtype.kind not in "biuf":  # each param as the per-sample call reads it
+        for param in params.ravel().tolist():
+            _real("beta" if kind == "hme" else "r", param, finite=False)
     rows, ks, params = (np.atleast_1d(a) for a in np.broadcast_arrays(
         int_array(rows, "row"), int_array(ks, "k"), np.asarray(params, dtype=float)))
     zero, r = _branch(kind, params)

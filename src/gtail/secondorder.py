@@ -12,23 +12,24 @@ The adaptive route to a tail index estimate runs five steps:
 5. recompute the optimal tail size for the tuned estimator and evaluate it.
 
 The published description of the sweep leaves the choice of k and of the
-tuning exponent tau to an external algorithm; here rho_hat(k, tau) is
-evaluated for k in the window [n^0.90, n^0.995] for tau in {0, 1}, the tau
-whose path has the smaller interquartile range wins, and the path median is
-reported.
+tuning exponent tau to an external algorithm; here rho_hat(k, tau), the
+Fraga Alves-Gomes-de Haan (2003) contrast at tau in {0, 1}, is evaluated for
+k in the window [n^0.90, n^0.995], the tau whose path has the smaller
+interquartile range wins, and the path median is reported.
 
 All five steps run on a :class:`~gtail.stats.SampleBlock` of equal-size
 samples, one replication per row (a Sample is the one-row block). The rho
-sweep is one pass of
-:func:`~gtail.stats.log_moment_profile` over the block in L2-sized tiles of
-one scratch buffer: each tile's log-moment statistics become both taus' rho
-paths in place, written straight into one (2, rows, k) array, the only array
-the sweep holds over the whole window; after one sort, step 1 keeps only each
-row's rho_hat and tau (one k's value is :func:`rho_hat`). The tau choice, the
-median, the clamps, beta, both tail sizes and both estimates are array
-operations over all rows. Only :func:`~gtail.asymptotics.r_star` is looped,
-once per row and pipeline, because a numpy R* would differ in the last bit;
-the same R feeds the tuned tail size and the tuning. Both tail sizes are
+sweep is one pass of :func:`~gtail.stats.log_moment_profile` over the block in
+L2-sized tiles of one scratch buffer, whose fill turns each tile's log-moment
+statistics into both taus' paths in place, written straight into one
+(2, rows, k) array; :func:`rho_hat` is that fill at one k. One sort of the
+path in place leaves each row's rho_hat and tau. beta_hat fills two (rows, k)
+arrays in column tiles of a fixed width: the second-order step holds one path
+and two beta arrays. The tau choice, the median, the clamps, beta, both tail
+sizes and both estimates are array operations over all rows. Only
+:func:`~gtail.asymptotics.r_star` is looped, once per row and pipeline,
+because a numpy R* would differ in the last bit; the same R feeds the tuned
+tail size and the tuning. Both tail sizes are
 :func:`~gtail.asymptotics.tail_size` over the rows, rounded and clipped as
 :func:`~gtail.asymptotics.k_star` rounds one model's. Each row's value is bit
 for bit the one a single sample gets. :func:`adaptive_arrays` returns these
@@ -38,10 +39,10 @@ column in one table of per-step tests. The functions that return result
 objects (:func:`estimate_rho`, :func:`beta_hat`, :func:`adaptive_estimate`)
 take one Sample, run it as the one-row block it is and build the result from
 row 0, raising where that row fails; its two Estimates, or an estimator's
-error, come from :func:`~gtail.estimators.evaluate` on that Sample. They
-and :func:`rho_hat` take one Sample only: a block, even of one row, is a
-DomainError (:func:`~gtail.stats.one_sample`). Both pipelines of one
-sample, sharing its rho/beta step, are ``adaptive_arrays(s)``.
+error, come from :func:`~gtail.estimators.evaluate` on that Sample. They and
+:func:`rho_hat` take one Sample only: a block, even of one row, is a
+DomainError (:func:`~gtail.stats.one_sample`). Both pipelines of one sample,
+sharing its rho/beta step, are ``adaptive_arrays(s)``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 _K_WINDOW_LOW = 0.90
 _K_WINDOW_HIGH = 0.995
+#: Columns of one tile of beta's (rows, k) arrays.
+_BETA_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -84,72 +87,60 @@ class BetaEstimate:
     k_used: int
 
 
-def _t_statistic(m1, m2, m3, tau: int, out=None, spare=(None, None)):
-    """The three-moment contrast T whose distance from 3 encodes rho, on
-    floats or arrays. With out and spare, arrays shaped like the moments, T
-    is written to out and spare is overwritten."""
-    if tau == 0:
-        half_log_m2 = np.multiply(np.log(m2, out=spare[0]), 0.5, out=spare[0])
-        num = np.subtract(np.log(m1, out=out), half_log_m2, out=out)
-        third = np.divide(np.log(m3, out=spare[1]), 3.0, out=spare[1])
-        den = np.subtract(half_log_m2, third, out=spare[0])
-    elif tau > 0 and tau % 1 == 0:
-        m2_power = np.power(m2, tau / 2.0, out=spare[0])
-        num = np.subtract(np.power(m1, tau, out=out), m2_power, out=out)
-        den = np.subtract(m2_power, np.power(m3, tau / 3.0, out=spare[1]), out=spare[0])
-    else:
-        raise DomainError(f"tau must be 0 or a positive integer, got {tau}")
-    return np.divide(num, den, out=out)
-
-
-def _rho_path(m1, m2, m3, tau: int, out=None, spare=(None, None)):
-    """rho_hat = -|3(T-1)/(T-3)| from the three moments, on floats or
-    arrays (see _t_statistic for out and spare); not finite where the
-    contrast is degenerate."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = _t_statistic(m1, m2, m3, tau, out, spare)
-        t_minus_3 = np.subtract(t, 3.0, out=spare[0])
-        x = np.multiply(np.subtract(t, 1.0, out=out), 3.0, out=out)
-        x = np.divide(x, t_minus_3, out=out)
-        return np.negative(np.abs(x, out=out), out=out)
-
-
-def rho_hat(s: Sample, k: int, tau: int) -> float:
-    """Second-order parameter estimate -|3(T-1)/(T-3)| at a single k."""
-    m1, m2, m3 = stat_g_rows(one_sample(s), 0, k, 0.0, (1, 2, 3)).tolist()
-    m2, m3 = m2 / 2.0, m3 / 6.0
-    if m1 <= 0.0 or m2 <= 0.0 or m3 <= 0.0:
-        raise DegenerateSampleError(f"non-positive log-moment statistic at k={k}")
-    rho = float(_rho_path(m1, m2, m3, tau))
-    if not math.isfinite(rho):
-        raise DegenerateSampleError(f"degenerate moment contrast at k={k}")
-    return rho
-
-
 def _rho_tile(g, spare, dst) -> None:
-    """The fill of the rho sweep: rho_hat(k, tau) for tau = 0 and 1 into
-    dst[tau] from one tile of log-moment statistics g, NaN at k where a
-    moment is not positive or rho_hat is not finite."""
+    """The fill of the rho sweep, and rho_hat at one k: from one tile of
+    log-moment statistics g (three arrays, G(k, 0, u) for u = 1, 2, 3),
+    rho_hat = -|3(T-1)/(T-3)| for tau = 0 and 1 into dst[tau], NaN at k
+    where a moment is not positive or rho_hat is not finite. The contrast T
+    of the moments m1, m2 = g[1]/2 and m3 = g[2]/6 is
+    (log m1 - log m2 / 2) / (log m2 / 2 - log m3 / 3) at tau = 0 and
+    (m1 - sqrt(m2)) / (sqrt(m2) - m3^(1/3)) at tau = 1. g and spare (three
+    arrays shaped like g's) are overwritten; dst may hold fewer k than g."""
     m1, m2, m3 = g
     np.divide(m2, 2.0, out=m2)
     np.divide(m3, 6.0, out=m3)
     ok = (m1 > 0) & (m2 > 0) & (m3 > 0)
-    *tmp, path = spare
-    for tau in (0, 1):
-        _rho_path(m1, m2, m3, tau, path, tmp)
-        path[~(ok & np.isfinite(path))] = np.nan
-        np.copyto(dst[tau], path[:, : dst.shape[-1]])
+    a, b, path = spare
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for tau in (0, 1):
+            if tau == 0:
+                half_log_m2 = np.multiply(np.log(m2, out=a), 0.5, out=a)
+                num = np.subtract(np.log(m1, out=path), half_log_m2, out=path)
+                den = np.subtract(half_log_m2, np.divide(np.log(m3, out=b), 3.0, out=b), out=a)
+            else:
+                root_m2 = np.sqrt(m2, out=a)
+                num = np.subtract(m1, root_m2, out=path)
+                den = np.subtract(root_m2, np.power(m3, 1 / 3, out=b), out=a)
+            t = np.divide(num, den, out=path)
+            t_minus_3 = np.subtract(t, 3.0, out=a)
+            x = np.multiply(np.subtract(t, 1.0, out=path), 3.0, out=path)
+            np.negative(np.abs(np.divide(x, t_minus_3, out=path), out=path), out=path)
+            path[~(ok & np.isfinite(path))] = np.nan
+            np.copyto(dst[tau], path[:, : dst.shape[-1]])
+
+
+def rho_hat(s: Sample, k: int, tau: int) -> float:
+    """Second-order parameter estimate -|3(T-1)/(T-3)| at a single k and
+    tau in {0, 1}: the rho sweep's fill (_rho_tile) at that one k."""
+    if tau not in (0, 1):
+        raise DomainError(f"tau must be 0 or 1, got {tau}")
+    g, dst = stat_g_rows(one_sample(s), 0, k, 0.0, (1, 2, 3))[:, None, None], np.empty((2, 1, 1))
+    _rho_tile(g, np.empty((3, 1, 1)), dst)
+    if math.isnan(dst[int(tau), 0, 0]):
+        raise DegenerateSampleError(f"no rho_hat at k={k}: a moment is not positive or T is degenerate")
+    return float(dst[int(tau), 0, 0])
 
 
 def _path_stats(path: np.ndarray):
     """Per row: the number of valid entries, and the interquartile range and
-    median of the valid entries, from one sort of the block.
+    median of the valid entries, from one sort of the block in place (path
+    is left sorted along its rows).
 
     The quartiles interpolate linearly at virtual index (count - 1) * q and
     an even count takes the midpoint of the two middle values: numpy's
     default percentile and its median, to the last bit.
     """
-    srt = np.sort(path, axis=1)  # NaN sorts last
+    path.sort(axis=1)  # NaN sorts last
     count = path.shape[1] - np.isnan(path).sum(axis=1)
     last = np.maximum(count - 1, 0)
     rows = np.arange(path.shape[0])
@@ -157,13 +148,13 @@ def _path_stats(path: np.ndarray):
     def quantile(q: float) -> np.ndarray:
         at = last * q
         lo = np.floor(at).astype(int)
-        a, b = srt[rows, lo], srt[rows, np.minimum(lo + 1, last)]
+        a, b = path[rows, lo], path[rows, np.minimum(lo + 1, last)]
         t = at - lo
         return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
     half = count // 2
-    odd = srt[rows, half]
-    even = (srt[rows, np.maximum(half - 1, 0)] + odd) / 2
+    odd = path[rows, half]
+    even = (path[rows, np.maximum(half - 1, 0)] + odd) / 2
     return count, quantile(0.75) - quantile(0.25), np.where(count % 2 == 1, odd, even)
 
 
@@ -206,21 +197,27 @@ def _beta_arrays(block: SampleBlock, k: int, rho: np.ndarray):
     """Per row, beta_hat at k in [2, n-1] and the row's rho < 0, NaN where it
     is not an estimate (rho is NaN, or (k/n)^rho or beta_hat is not a finite
     float), and whether the row's denominator vanishes (beta is NaN there)."""
-    i = np.arange(1, k + 1, dtype=float)
-    desc = block.desc
+    desc, rows = block.desc, block.rows
     # i-th scaled log-spacing of consecutive descending order statistics;
-    # log of the ratio keeps the estimate exactly scale-free. Three (rows, k)
-    # arrays, each step written in place in the order of
-    # w = i * log(d_i / d_i+1), x = exp(-rho * log(i / k)), x * w, (x * x) * w
-    w = np.divide(desc[:, :k], desc[:, 1: k + 1])
-    np.multiply(i, np.log(w, out=w), out=w)
-    x = np.multiply(-rho[:, None], np.log(i / k))
-    np.exp(x, out=x)
-    a1 = np.mean(x, axis=1)
-    a2 = np.mean(w, axis=1)
-    xx = np.multiply(x, x)
-    a3 = np.mean(np.multiply(x, w, out=x), axis=1)
-    a4 = np.mean(np.multiply(xx, w, out=xx), axis=1)
+    # log of the ratio keeps the estimate exactly scale-free. Two (rows, k)
+    # arrays, filled in column tiles of a width that does not depend on the
+    # row count, each step in place in the order w = i * log(d_i / d_i+1),
+    # x = exp(-rho * log(i / k)), x * w into x, (x * x) * w into w; each mean
+    # is over whole rows
+    w, x = np.empty((rows, k)), np.empty((rows, k))
+    tiles = [slice(c0, min(k, c0 + _BETA_TILE)) for c0 in range(0, k, _BETA_TILE)]
+    for c in tiles:
+        i = np.arange(c.start + 1, c.stop + 1, dtype=float)
+        np.divide(desc[:, c], desc[:, c.start + 1: c.stop + 1], out=w[:, c])
+        np.multiply(i, np.log(w[:, c], out=w[:, c]), out=w[:, c])
+        np.exp(np.multiply(-rho[:, None], np.log(i / k), out=x[:, c]), out=x[:, c])
+    a1, a2 = np.mean(x, axis=1), np.mean(w, axis=1)
+    xx = np.empty((rows, min(k, _BETA_TILE)))
+    for c in tiles:
+        xx_c = np.multiply(x[:, c], x[:, c], out=xx[:, : c.stop - c.start])
+        np.multiply(x[:, c], w[:, c], out=x[:, c])
+        np.multiply(xx_c, w[:, c], out=w[:, c])
+    a3, a4 = np.mean(x, axis=1), np.mean(w, axis=1)
     den = a1 * a3 - a4
     ln_prefactor = (rho * math.log(k / block.n)).tolist()
     prefactor = np.array([math.exp(y) if y <= _LOG_MAX else math.inf for y in ln_prefactor])

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
@@ -582,6 +583,26 @@ def test_estimate_arrays_reads_integral_k_and_keeps_nan_tunings():
                 est.estimate_arrays(s, kind, 0, [10, 10], bad)
         assert est.estimate_arrays(s, kind, 0, [10, 10], [Fraction(3, 10), Decimal("0.3")]).tolist() == [
             getattr(est, kind)(s, 10, 0.3).gamma_hat] * 2
+
+
+def test_estimate_arrays_tuning_that_is_not_a_real_number_is_the_per_sample_error():
+    """A param that is not a real number (None, a str, a list that holds
+    one) is the per-sample call's DomainError for the whole call, where it
+    used to be read as NaN (None) or parsed ('0.3'), or to escape as a bare
+    ValueError ('abc'); the classical kinds, which ignore the value, reject
+    it too. A NaN or infinite param is still a NaN row."""
+    s = Sample.from_values(np.random.default_rng(3).pareto(1.0, 1000) + 1.0)
+    for kind in ("g1", "g2", "g3", "hme"):
+        for bad, alone in ((None, None), ("0.3", "0.3"), ("abc", "abc"), ([None, 0.3], None)):
+            with pytest.raises(DomainError) as per_sample:
+                getattr(est, kind)(s, 50, alone)
+            with pytest.raises(DomainError, match=f"^{re.escape(str(per_sample.value))}$"):
+                est.estimate_arrays(s, kind, 0, [50, 50], bad)
+        got = est.estimate_arrays(s, kind, 0, [50, 50, 50], [math.nan, math.inf, -math.inf])
+        assert np.isnan(got).all()
+    for kind in ("hill", "moment", "moment_ratio"):
+        with pytest.raises(DomainError, match="^r must be a real number that fits a double, got 'abc'$"):
+            est.estimate_arrays(s, kind, 0, 50, "abc")
 
 
 @pytest.mark.slow

@@ -13,7 +13,7 @@ from gtail import secondorder as so
 from gtail.asymptotics import SecondOrderModel, k_star, r_star, tail_size
 from gtail.distributions import DistSpec, draw_block, sample
 from gtail.errors import DegenerateSampleError, DomainError, PipelineError
-from gtail.stats import SMALL_R, Sample, SampleBlock, log_moment_profile
+from gtail.stats import SMALL_R, Sample, SampleBlock, log_moment_profile, stat_g_rows
 
 
 def burr_sample(gamma, rho, n, seed):
@@ -62,6 +62,21 @@ def block_results(block):
     return rows
 
 
+def contrast_rho(m1, m2, m3, tau):
+    """rho_hat = -|3(T-1)/(T-3)| from the moments m1, m2 = G(k, 0, 2)/2 and
+    m3 = G(k, 0, 3)/6 on floats or arrays, as it was written before the
+    sweep's fill became rho_hat: numpy's log and power, tau = 1 through
+    np.power(m1, 1), np.power(m2, 0.5) and np.power(m3, 1 / 3.0)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if tau == 0:
+            half_log_m2 = np.log(m2) * 0.5
+            t = (np.log(m1) - half_log_m2) / (half_log_m2 - np.log(m3) / 3.0)
+        else:
+            m2_power = np.power(m2, 0.5)
+            t = (np.power(m1, 1) - m2_power) / (m2_power - np.power(m3, 1 / 3.0))
+        return -np.abs((t - 1.0) * 3.0 / (t - 3.0))
+
+
 class TestRhoHat:
     def test_hand_value_tau_zero(self):
         # engineer a sample whose top-3 log ratios are known, compute T by hand
@@ -88,39 +103,84 @@ class TestRhoHat:
             so.rho_hat(s, 3, 1)
 
     def test_path_forms_agree(self):
-        """_rho_path on floats (rho_hat's call), on arrays and in place into
-        out and spare gives the same bits."""
+        """_rho_tile on a tile of moments, into a dst of fewer k, gives the
+        former contrast on arrays, on each k's floats and one k at a time,
+        bit for bit, NaN where it is not finite."""
         rng = np.random.default_rng(8)
-        m = np.exp(rng.uniform(-30.0, 30.0, (3, 4, 50)))
-        m[:, 0, :3] = m[0, 0, :3]  # T = 1 up to rounding
-        for tau in (0, 1, 2):
-            fresh = so._rho_path(*m, tau)
-            out, spare = np.empty((3, 4, 60))[0, :, 5:55], np.empty((2, 4, 50))
-            assert so._rho_path(*m, tau, out, spare) is out
-            assert np.array_equal(out, fresh, equal_nan=True)
-            floats = [so._rho_path(*m[:, i, j].tolist(), tau) for i in range(4) for j in range(50)]
-            assert np.array_equal(np.array(floats).reshape(4, 50), fresh, equal_nan=True)
+        g = np.exp(rng.uniform(-30.0, 30.0, (3, 4, 51)))
+        g[:, 0, :3] = g[0, 0, :3] * np.array([1.0, 2.0, 6.0])[:, None]  # equal moments: T = 3 up to rounding
+        g[1, 1, 5] = -1.0  # NaN in both paths
+        m = g[0], g[1] / 2.0, g[2] / 6.0
+        dst = np.empty((2, 4, 50))
+        so._rho_tile(g.copy(), np.empty((3, 4, 51)), dst)
+        assert np.isnan(dst[:, 1, 5]).all() and np.isfinite(dst).sum() > 150
+        for tau in (0, 1):
+            want = contrast_rho(*m, tau)[:, :50]
+            want[~np.isfinite(want)] = np.nan
+            assert np.array_equal(dst[tau], want, equal_nan=True)
+            floats = [contrast_rho(*(x[i, j].tolist() for x in m), tau) for i in range(4) for j in range(50)]
+            assert np.array_equal(np.array(floats).reshape(4, 50), want, equal_nan=True)
+        for j in range(50):
+            one = np.empty((2, 4, 1))
+            so._rho_tile(g[:, :, j: j + 1].copy(), np.empty((3, 4, 1)), one)
+            assert np.array_equal(one[..., 0], dst[..., j], equal_nan=True)
 
     def test_tile_masks_non_positive_moments(self):
         """A moment at or below 0, which the prefix sums can leave by
-        cancellation, makes its k NaN in both paths even where rho_hat would
-        be finite."""
+        cancellation, makes its k NaN in both paths even where the contrast
+        would be finite."""
         g = np.array([[[-1e-17, 0.5, 0.5]], [[1.0, 0.7, 0.7]], [[3.0, 1.1, 1.1]]])
         dst = np.empty((2, 1, 2))
         so._rho_tile(g.copy(), np.empty((3, 1, 3)), dst)
-        assert np.isfinite(so._rho_path(*g[:, 0, 0] / [1.0, 2.0, 6.0], 1))
+        assert np.isfinite(contrast_rho(-1e-17, 1.0 / 2.0, 3.0 / 6.0, 1))
         assert np.isnan(dst[:, 0, 0]).all()
         for tau in (0, 1):
-            want = so._rho_path(0.5, 0.7 / 2.0, 1.1 / 6.0, tau)
+            want = contrast_rho(0.5, 0.7 / 2.0, 1.1 / 6.0, tau)
             assert np.isfinite(want) and dst[tau, 0, 1] == want
 
     def test_bad_tau(self):
-        """A tau that is not 0 or a positive integer is a DomainError, where
-        a tau of 0.5 used to give a rho_hat."""
+        """A tau other than 0 and 1, the two taus the sweep fills, is a
+        DomainError."""
         s = Sample.from_values([1.0, 2.0, 4.0, 8.0])
-        for tau in (-1, 0.5, math.nan, math.inf):
-            with pytest.raises(DomainError, match="tau must be 0 or a positive integer"):
+        for tau in (-1, 0.5, 2, 3, math.nan, math.inf, "0"):
+            with pytest.raises(DomainError, match="^tau must be 0 or 1, got "):
                 so.rho_hat(s, 3, tau)
+
+    def test_tau_one_roots_are_the_power_forms(self):
+        """At tau = 1 the tile takes np.sqrt(m2) for np.power(m2, 0.5) and m1
+        for np.power(m1, 1): the same bits on moments over [e^-700, e^700],
+        and so the same path."""
+        rng = np.random.default_rng(21)
+        m = np.exp(rng.uniform(-700.0, 700.0, 3 * 140_000))
+        assert np.sqrt(m).tobytes() == np.power(m, 0.5).tobytes()
+        assert np.power(m, 1).tobytes() == m.tobytes()
+        g = m.reshape(3, 1, -1)
+        dst = np.empty((2, 1, g.shape[-1]))
+        so._rho_tile(g.copy(), np.empty_like(g), dst)
+        want = contrast_rho(g[0], g[1] / 2.0, g[2] / 6.0, 1)
+        want[~np.isfinite(want)] = np.nan
+        assert np.array_equal(dst[1], want, equal_nan=True)
+
+    def test_rho_hat_is_the_former_formula(self):
+        """rho_hat at tau 0 and 1 is the former scalar formula on
+        stat_g_rows' moments, bit for bit, and a DegenerateSampleError
+        exactly where that formula was."""
+        checked = 0
+        for s in (burr_sample(1.0, -1.0, 2000, 11), sample(DistSpec("pareto", 0.5), 500, 3),
+                  sample(DistSpec("kumaraswamy", 0.5, -2.0), 500, 4),
+                  Sample.from_values([2.0, 2.0, 2.0, 1.5, 1.0, 1.0, 0.5])):
+            for k in range(2, s.n, 1 + s.n // 300):
+                m1, m2, m3 = stat_g_rows(s, 0, k, 0.0, (1, 2, 3)).tolist()
+                m2, m3 = m2 / 2.0, m3 / 6.0
+                for tau in (0, 1):
+                    want = contrast_rho(m1, m2, m3, tau) if min(m1, m2, m3) > 0.0 else math.nan
+                    if not math.isfinite(want):
+                        with pytest.raises(DegenerateSampleError, match=f"^no rho_hat at k={k}: "):
+                            so.rho_hat(s, k, tau)
+                        continue
+                    checked += 1
+                    assert np.float64(so.rho_hat(s, k, tau)).tobytes() == np.float64(want).tobytes()
+        assert checked > 1000
 
     @pytest.mark.parametrize("m", [-900, -13, 13, 900])
     def test_scale_invariance(self, m):
@@ -192,7 +252,9 @@ class TestEstimateRho:
         path[0] = np.nan
         path[1, 1:] = np.nan
         path[2, 2:] = np.nan
-        count, iqr, median = so._path_stats(path)
+        srt = path.copy()
+        count, iqr, median = so._path_stats(srt)
+        assert np.array_equal(srt, np.sort(path, axis=1), equal_nan=True)  # sorted in place
         assert count[0] == 0
         for row in range(1, 40):
             vals = path[row][~np.isnan(path[row])]
@@ -212,6 +274,29 @@ class TestEstimateRho:
         for tau in (0, 1):
             for k, v in zip(range(lo, hi + 1), paths[tau, 0].tolist()):
                 assert so.rho_hat(s, k, tau) == pytest.approx(v, rel=1e-12)
+
+
+def former_beta_arrays(block, k, rho):
+    """_beta_arrays as it was, on three (rows, k) arrays each computed
+    whole: per row, beta_hat and whether its denominator vanishes."""
+    i = np.arange(1, k + 1, dtype=float)
+    desc = block.desc
+    w = np.divide(desc[:, :k], desc[:, 1: k + 1])
+    np.multiply(i, np.log(w, out=w), out=w)
+    x = np.multiply(-rho[:, None], np.log(i / k))
+    np.exp(x, out=x)
+    a1 = np.mean(x, axis=1)
+    a2 = np.mean(w, axis=1)
+    xx = np.multiply(x, x)
+    a3 = np.mean(np.multiply(x, w, out=x), axis=1)
+    a4 = np.mean(np.multiply(xx, w, out=xx), axis=1)
+    den = a1 * a3 - a4
+    ln_prefactor = (rho * math.log(k / block.n)).tolist()
+    prefactor = np.array([math.exp(y) if y <= math.log(np.finfo(float).max) else math.inf
+                          for y in ln_prefactor])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = prefactor * (a1 * a2 - a3) / den
+    return np.where(np.isfinite(beta), beta, np.nan), den == 0.0
 
 
 class TestBetaHat:
@@ -260,6 +345,21 @@ class TestBetaHat:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=re.escape(f"at rho={rho}, k={k}, n=1000") + "$"):
                 so.beta_hat(s, k, rho)
+
+    @pytest.mark.parametrize("rows", [1, 32])
+    def test_tiles_are_the_whole_array_expression(self, rows):
+        """_beta_arrays fills its (rows, k) arrays in column tiles; at
+        n = 40,000 and k > 2^15 (two tiles) each row's beta is, bit for bit,
+        that of the expression over whole arrays it replaced."""
+        n = 40_000
+        block = sample_block(DistSpec("burr", 1.0, -1.0), n, 5, [(i,) for i in range(rows)])
+        if rows == 1:
+            block = Sample.from_values(block.values[0])
+        rho = np.resize([-1.0, -0.3, np.nan, so.RHO_FLOOR, so.RHO_CEILING, -7.0], rows)
+        for k in (2**15 + 1, 39_000, n - 1):
+            got = so._beta_arrays(block, k, rho)
+            want = former_beta_arrays(block, k, rho)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), k
 
     def test_zero_denominator(self):
         # the top 10 values tie, so every log-spacing below k = 10 is 0
