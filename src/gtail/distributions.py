@@ -67,7 +67,7 @@ def quantile(d: DistSpec, p):
     """
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN too
         raise DomainError("quantile requires 0 < p < 1")
     g, rho = d.gamma, d.rho
     if d.family == "pareto":

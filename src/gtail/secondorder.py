@@ -237,6 +237,8 @@ def beta_hat(s: Sample, k: int, rho: float) -> float:
         raise DomainError(f"rho must be < 0, got {rho}")
     if rho == -math.inf:
         raise DomainError(f"rho must be finite, got {rho}")
+    if not isinstance(k, (int, np.integer)):
+        raise DomainError(f"k must be an int, got {k!r}")
     if not (2 <= k <= s.n - 1):
         raise DomainError(f"k={k} outside [2, n-1] for n={s.n}")
     (beta,), (zero_den,) = (x.tolist() for x in _beta_arrays(s, k, np.array([rho], dtype=float)))

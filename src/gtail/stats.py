@@ -93,14 +93,15 @@ class SampleBlock:
         g of Python floats indexed by u: G(k, r, 0) and G(k, r, 1), and at
         r = 0 also G(k, 0, 2), where g[0] is 1.0; and whether the top k
         values all tie the threshold X_(k+1). Each G is, bit for bit,
-        :func:`stat_g_rows`'s (see :func:`_g_records`). A record in the
-        memo's entry for k is reused (r is read as a float, and matched by
-        value, as hme's 1 - beta can differ from r in the last bit). The
-        first call at a k sums the records of this r and of every r the last
-        k read in one pass; a later r at that k is summed alone. A block, or
-        a k that is not an int or is outside [2, n-1], is a DomainError where
-        a k is read. No numpy warning escapes: what overflows is inf, and
-        0 * inf is NaN."""
+        :func:`stat_g_rows`'s, as every r, 0 too, takes its kernel
+        exp(r L) L^u (see :func:`_g_records`). A record in the memo's entry
+        for k is reused (r is read as a float, and matched by value, as
+        hme's 1 - beta can differ from r in the last bit). The first call at
+        a k sums the records of this r and of every r the last k read in one
+        pass; a later r at that k is summed alone. A block, or a k that is
+        not an int or is outside [2, n-1], is a DomainError where a k is
+        read. No numpy warning escapes: what overflows is inf, and 0 * inf
+        is NaN."""
         r = float(r)
         entry = self.last_k
         if entry[0] != k or not (type(k) is int or isinstance(k, np.integer)):
@@ -132,34 +133,25 @@ class SampleBlock:
 def _g_records(logs: np.ndarray, top: float, rs: list) -> list:
     """SampleBlock.g_record's record at each float r of rs, in order, from the
     log-ratios L, whose largest is top, in one pass. One (rows, k) buffer
-    holds exp(r L) for each r but 0, then exp(r L) L, then L and L L for
-    r = 0; exp(0 L) is skipped, as it is 1 unless the largest L is inf,
-    where 0 * inf is NaN. One np.add.reduce sums each row as its own sum,
-    and each sum is divided by k as a float, the bits of numpy's division."""
-    k = logs.size
-    tuned = [r for r in rs if r != 0.0]
-    m = len(tuned)
-    zero = m < len(rs)
-    buf = np.empty((2 * (m + zero), k))
+    holds exp(r L) for each r, then exp(r L) L for each r, then, if 0.0 or
+    -0.0 is in rs, (exp(0 L) L) L: every r, 0 too, takes the kernel of
+    stat_g_rows, and exp(0 L) is 1.0, or NaN where L is inf. One
+    np.add.reduce sums each row as its own sum, and each sum is divided by
+    k as a float, the bits of numpy's division; the record at r = 0 is
+    (1.0, G(k, 0, 1), G(k, 0, 2))."""
+    k, m = logs.size, len(rs)
+    buf = np.empty((2 * m + (0.0 in rs), k))
     # below 600, no exp, product or sum of k terms can overflow
     safe = all(abs(r) * top < 600.0 for r in rs)
     with _NO_ERRSTATE if safe else np.errstate(over="ignore", invalid="ignore"):
-        if m:
-            e = np.multiply.outer(tuned, logs, out=buf[:m])
-            np.exp(e, out=e)
-            np.multiply(e, logs, out=buf[m: 2 * m])
-        if zero:
-            np.multiply(1.0 if top < math.inf else np.exp(0.0 * logs), logs, out=buf[-2])
-            np.multiply(buf[-2], logs, out=buf[-1])
+        e = np.multiply.outer(rs, logs, out=buf[:m])
+        np.exp(e, out=e)
+        np.multiply(e, logs, out=buf[m: 2 * m])
+        if 0.0 in rs:
+            np.multiply(buf[m + rs.index(0.0)], logs, out=buf[-1])
         sums = np.add.reduce(buf, axis=1).tolist()
-    records, i = [], 0
-    for r in rs:
-        if r != 0.0:
-            records.append((sums[i] / k, sums[m + i] / k))
-            i += 1
-        else:
-            records.append((1.0, sums[-2] / k, sums[-1] / k))
-    return records
+    return [(1.0, sums[m + i] / k, sums[-1] / k) if r == 0.0 else (sums[i] / k, sums[m + i] / k)
+            for i, r in enumerate(rs)]
 
 
 class Sample(SampleBlock):

@@ -80,6 +80,14 @@ class TestQuantile:
             with pytest.raises(DomainError):
                 dist.quantile(d, p)
 
+    @pytest.mark.parametrize("d", [dist.DistSpec("pareto", 1.0), dist.DistSpec("burr", 1.0, -1.0),
+                                   dist.DistSpec("kumaraswamy", 1.0, -1.0)], ids=lambda d: d.family)
+    def test_nan_p_is_a_domain_error(self, d):
+        # a NaN p is no p in (0, 1), as a scalar and as an element of an array
+        for p in (float("nan"), [0.5, float("nan")], np.array([float("nan"), 0.25])):
+            with pytest.raises(DomainError, match=r"quantile requires 0 < p < 1"):
+                dist.quantile(d, p)
+
     def test_strictly_increasing(self):
         p = np.linspace(1e-6, 1 - 1e-6, 5000)
         for d in (dist.DistSpec("pareto", 0.7),

@@ -336,6 +336,14 @@ class TestBetaHat:
             with pytest.raises(DomainError, match="rho must be finite, got -inf"):
                 so.beta_hat(s, 100, -math.inf)
 
+    def test_k_that_is_not_an_int(self):
+        s = burr_sample(1.0, -1.0, 200, 1)
+        for k in (2.5, 100.0, np.float64(100.0)):
+            with pytest.raises(DomainError, match=re.escape(f"k must be an int, got {k!r}") + "$"):
+                so.beta_hat(s, k, -1.0)
+        # a numpy integer k is an int
+        assert so.beta_hat(s, np.int64(100), -1.0) == so.beta_hat(s, 100, -1.0)
+
     @pytest.mark.parametrize("k, rho", [(2, -200.0), (5, -133.963), (2, -1e300)])
     def test_rho_too_negative_for_a_finite_estimate(self, k, rho):
         # (k/n)^rho = 500^200 overflows; 200^133.963 = 1.79e308 is a float,
